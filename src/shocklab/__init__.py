@@ -23,8 +23,8 @@ from .modes import (AntiDerivative, ModeSplit, antiderivative, mode_split,
                     nonzero_mode, shift_normalize, zero_mode)
 from .profile import (ShockProfile, TailReport, burgers_profile, eval_profile,
                       solve_profile, verify_profile_bounds)
-from .solver import (SimulationRecord, StepperConfig, advance, cfl_dt,
-                     build_perturbation, rhs, run_1d_reference, run_simulation)
+from .solver import (SimulationRecord, advance, advective_dt, build_perturbation,
+                     cfl_dt, rhs, run_1d_reference, run_simulation)
 
 __version__ = "0.1.0"
 
@@ -32,7 +32,7 @@ __all__ = [
     "AntiDerivative", "ChannelGrid", "ExperimentConfig", "Field", "FluxSpec",
     "GridSpec", "ModeSplit", "NormSeries", "PerturbationSpec", "RateFit",
     "ShockData", "ShockLabError", "ShockProfile", "SimulationRecord",
-    "StepperConfig", "StepperSpec", "TailReport", "advance", "antiderivative",
+    "StepperSpec", "TailReport", "advance", "advective_dt", "antiderivative",
     "area_bound", "build_flux", "build_perturbation", "burgers_flux",
     "burgers_profile", "cfl_dt", "check_convexity", "check_lax",
     "convex_quartic_flux", "emit_config", "eval_profile",

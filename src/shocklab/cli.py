@@ -5,9 +5,6 @@ Subcommands:
   simulate    evolve the perturbed shock, writing norms.csv only
   run         full pipeline: profile -> simulate -> analyze
   check-area  area-inequality verifier on an external (t, f) CSV
-
-The SHOCKLAB_THREADS environment variable caps the data-parallel width of
-the underlying array library (exported to the usual BLAS/OpenMP knobs).
 """
 
 from __future__ import annotations
@@ -32,15 +29,6 @@ from .solver import PROFILE_PAD, run_simulation
 from .config import build_flux, emit_config
 
 log = logging.getLogger("shocklab")
-
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("SHOCKLAB_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -112,7 +100,6 @@ def _cmd_check_area(args) -> int:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = argparse.ArgumentParser(
         prog="shocklab",
         description="Planar viscous shock laboratory for scalar conservation laws")

@@ -126,7 +126,7 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = False) -> ExperimentResu
 
     result = ExperimentResult(exit_code=EXIT_OK)
     try:
-        record = run_simulation(cfg)
+        record = run_simulation(cfg, prof)
     except (BlowupError, BoundaryLeakError) as exc:
         log.error("simulation failed: %s", exc)
         result.exit_code = EXIT_SIMULATION

@@ -12,7 +12,6 @@ midpoint anchor U(0) = (u_minus + u_plus)/2 and marches outward.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
@@ -44,8 +43,10 @@ class ShockProfile:
     du: np.ndarray
     step: float
 
-    @cached_property
+    @property
     def _spline(self) -> CubicHermiteSpline:
+        # Built on each use, not cached: its coefficients are several times
+        # the size of the samples and would live as long as the profile.
         return CubicHermiteSpline(self.xi, self.u, self.du)
 
     @property

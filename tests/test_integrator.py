@@ -1,0 +1,183 @@
+"""ETDRK4 time stepping: agreement with RK4, order, exactness, conservation."""
+
+import math
+
+import numpy as np
+import pytest
+
+import shocklab as sl
+from shocklab import solver
+from shocklab.config import (ExperimentConfig, GridSpec, PerturbationSpec,
+                             StepperSpec)
+
+
+def make_config(dimension, flux="burgers", kind="random-nonzero-mode",
+                half_length=15.0, n1=128, nprime=8, frame="moving", llf=False,
+                u_states=(1.0, -1.0)):
+    return ExperimentConfig(
+        flux=flux, u_minus=u_states[0], u_plus=u_states[1], dimension=dimension,
+        grid=GridSpec(half_length=half_length, n1=n1, nprime=nprime),
+        stepper=StepperSpec(t_final=0.5, dt_out=0.125, frame=frame, llf=llf),
+        perturbation=PerturbationSpec(kind=kind, amplitude=0.05, width=2.0, seed=3),
+        p_list=[2.0])
+
+
+CASES = {
+    "1d-quartic": dict(dimension=1, flux="convex-quartic", kind="gaussian-bump"),
+    "2d-nonzero-mode": dict(dimension=2),
+    "2d-lab": dict(dimension=2, kind="gaussian-bump", half_length=20.0, n1=160,
+                   frame="lab", u_states=(2.0, 0.0)),
+    "3d-llf-moving-shock": dict(dimension=3, n1=64, nprime=4, llf=True,
+                                u_states=(2.0, 0.0)),
+}
+MOVING_FRAME_CASES = sorted(k for k, v in CASES.items() if "frame" not in v)
+
+
+def grid_of(cfg):
+    return sl.ChannelGrid(dimension=cfg.dimension, half_length=cfg.grid.half_length,
+                          n1=cfg.grid.n1, nprime=cfg.grid.nprime)
+
+
+def rk4_advance(fld, dt, shock, flux, llf=False, blowup_bounds=None):
+    """Classical RK4 on the public right-hand side: the reference stepper."""
+
+    def f(v):
+        return sl.rhs(sl.Field(grid=fld.grid, values=v, frame=fld.frame),
+                      shock, flux, llf)
+
+    u = fld.values
+    k1 = f(u)
+    k2 = f(u + 0.5 * dt * k1)
+    k3 = f(u + 0.5 * dt * k2)
+    k4 = f(u + dt * k3)
+    un = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return sl.Field(grid=fld.grid, values=un, time=fld.time + dt, frame=fld.frame)
+
+
+def rk4_dt(fld, flux, grid, safety, speed=0.0):
+    """The explicit bound of `cfl_dt`, written out so that it does not call
+    the `advective_dt` it replaces."""
+    vmax = max(float(np.max(np.abs(flux.df(i, fld.values))))
+               for i in range(grid.dimension))
+    h = grid.h1 if grid.dimension == 1 else min(grid.h1, grid.hprime)
+    return safety * min(h * h / (2.0 * grid.dimension), h / (vmax + abs(speed)))
+
+
+def run_rk4(cfg, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(solver, "advance", rk4_advance)
+        m.setattr(solver, "advective_dt", rk4_dt)
+        return sl.run_simulation(cfg)
+
+
+def max_rel_dev(a, b, channels):
+    """Largest relative difference of b from a, over entries above round-off."""
+    devs = []
+    for c in channels:
+        x, y = a.norms.channels[c], b.norms.channels[c]
+        keep = np.abs(x) > 1e-12
+        devs.append(np.max(np.abs(x[keep] - y[keep]) / np.abs(x[keep])))
+    return float(max(devs))
+
+
+class TestAgreementWithRk4:
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_norms_match_far_below_spatial_error(self, case, monkeypatch):
+        cfg = make_config(**CASES[case])
+        ref = run_rk4(cfg, monkeypatch)
+        etd = sl.run_simulation(cfg)
+        assert etd.dt >= 5.0 * ref.dt
+        fine = make_config(**dict(CASES[case], n1=2 * cfg.grid.n1))
+        fine_rec = sl.run_simulation(fine)
+        channels = ["pert_L2", "zmode_L2", "Phi_L2"]
+        if cfg.perturbation.kind == "random-nonzero-mode":
+            channels.append("nzmode_L2")
+        temporal = max_rel_dev(ref, etd, channels)
+        spatial = max_rel_dev(etd, fine_rec, channels)
+        assert temporal < 0.1 * spatial
+
+
+class TestTemporalOrder:
+    @pytest.mark.parametrize("case,n_steps", [("1d-quartic", 16), ("2d-nonzero-mode", 40)])
+    def test_error_ratio_under_halving(self, case, n_steps):
+        cfg = make_config(**CASES[case])
+        flux = sl.build_flux(cfg)
+        shock = sl.make_shock(flux, cfg.u_minus, cfg.u_plus)
+        grid = grid_of(cfg)
+        prof = sl.solve_profile(shock, grid.half_length + solver.PROFILE_PAD, 1e-3)
+        bg, _ = sl.eval_profile(prof, grid.x1)
+        u0 = bg.reshape((grid.n1,) + (1,) * (grid.dimension - 1)) \
+            + sl.build_perturbation(cfg, grid)
+        t_end = 0.5
+
+        def evolve(n):
+            fld = sl.Field(grid=grid, values=u0, frame="moving")
+            for _ in range(n):
+                fld = sl.advance(fld, t_end / n, shock, flux)
+            return fld.values
+
+        u1, u2, u4 = (evolve(k * n_steps) for k in (1, 2, 4))
+        assert t_end / n_steps > sl.cfl_dt(
+            sl.Field(grid=grid, values=u0), flux, grid, 1.0)
+        ratio = np.max(np.abs(u1 - u2)) / np.max(np.abs(u2 - u4))
+        assert ratio > 12.0
+
+
+class TestExactDiffusion:
+    @pytest.fixture(scope="class")
+    def heat(self):
+        fx = sl.polynomial_flux([0.0], dimension=3, c0=1.0)
+        sh = sl.ShockData(flux=fx, u_minus=1.0, u_plus=-1.0, speed=0.0,
+                          strength=2.0, admissible=False)
+        return fx, sh
+
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_eigenmode_decays_by_exp_lambda_dt(self, heat, dimension):
+        # a DST-I x Fourier eigenvector of the interior Laplacian with zero
+        # boundary rows shrinks by exactly exp(Lambda dt), at a step far
+        # beyond the explicit diffusion limit
+        fx, sh = heat
+        g = sl.ChannelGrid(dimension=dimension, half_length=10.0, n1=256, nprime=16)
+        j, q1, q2 = 40, 2, 1
+        i = np.arange(g.n1)
+        x1_mode = np.sin(np.pi * j * i / (g.n1 - 1))
+        lam = -(2.0 * np.sin(np.pi * j / (2.0 * (g.n1 - 1))) / g.h1) ** 2
+        v = x1_mode
+        if dimension >= 2:
+            v = v[:, None] * np.sin(2.0 * np.pi * q1 * g.xprime)
+            lam -= (2.0 * np.sin(np.pi * q1 / g.nprime) / g.hprime) ** 2
+        if dimension == 3:
+            v = v[..., None] * np.cos(2.0 * np.pi * q2 * g.xprime)
+            lam -= (2.0 * np.sin(np.pi * q2 / g.nprime) / g.hprime) ** 2
+        dt = 0.05
+        fld = sl.Field(grid=g, values=v, frame="lab")
+        assert dt > 10.0 * sl.cfl_dt(fld, fx, g, 1.0)
+        out = sl.advance(fld, dt, sh, fx, blowup_bounds=(-10.0, 10.0))
+        np.testing.assert_allclose(out.values, math.exp(lam * dt) * v,
+                                   rtol=0.0, atol=1e-12)
+
+
+class TestConservation:
+    # the lab frame drifts at the h^2 floor of its translated continuous
+    # background, whichever the integrator
+    @pytest.mark.parametrize("case", MOVING_FRAME_CASES)
+    def test_mass_drift_at_advective_dt(self, case):
+        cfg = make_config(**CASES[case])
+        rec = sl.run_simulation(cfg)
+        assert np.max(rec.norms.channels["mass_drift"]) <= 1e-12
+
+
+class TestZeroStep:
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_identity(self, case):
+        # boundary rows that vary transversally are carried through as well
+        cfg = make_config(**CASES[case])
+        flux = sl.build_flux(cfg)
+        shock = sl.make_shock(flux, cfg.u_minus, cfg.u_plus)
+        grid = grid_of(cfg)
+        rng = np.random.default_rng(11)
+        mid = 0.5 * (cfg.u_minus + cfg.u_plus)
+        vals = mid + 0.3 * rng.standard_normal(grid.shape)
+        fld = sl.Field(grid=grid, values=vals, frame=cfg.stepper.frame)
+        out = sl.advance(fld, 0.0, shock, flux, llf=cfg.stepper.llf)
+        np.testing.assert_array_equal(out.values, vals)

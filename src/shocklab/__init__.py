@@ -15,8 +15,8 @@ from .config import (ExperimentConfig, GridSpec, PerturbationSpec, StepperSpec,
 from .errors import ShockLabError
 from .experiment import run_experiment
 from .flux import (FluxSpec, ShockData, burgers_flux, check_convexity,
-                   check_lax, convex_quartic_flux, h_function, make_shock,
-                   polynomial_flux, shock_speed, weight_bounds, weight_w)
+                   convex_quartic_flux, h_function, make_shock, polynomial_flux,
+                   shock_speed, weight_bounds, weight_w)
 from .grid import (ChannelGrid, Field, gradient, h1_seminorm, integrate,
                    lp_norm)
 from .modes import (AntiDerivative, ModeSplit, antiderivative, mode_split,
@@ -35,7 +35,7 @@ __all__ = [
     "ShockData", "ShockLabError", "ShockProfile", "SimulationRecord",
     "StepperSpec", "TailReport", "advance", "advective_dt", "antiderivative",
     "area_bound", "build_flux", "build_perturbation", "burgers_flux",
-    "burgers_profile", "cfl_dt", "check_convexity", "check_lax",
+    "burgers_profile", "cfl_dt", "check_convexity",
     "convex_quartic_flux", "discrete_wave", "emit_config", "eval_profile",
     "fit_algebraic_rate", "fit_exponential_rate", "gn_ratio_monitor",
     "gradient", "h1_seminorm", "h_function", "integrate", "lp_norm",

@@ -18,15 +18,13 @@ import sys
 import numpy as np
 
 from .analysis import report_to_dict, reports_to_json, verify_area_inequality
-from .config import parse_config
+from .config import emit_config, parse_config
 from .errors import (ConfigParseError, ConfigValidationError,
                      HypothesisViolatedError, ShockLabError)
 from .experiment import (EXIT_ANALYSIS, EXIT_CONFIG, EXIT_OK, EXIT_SIMULATION,
                          norms_to_csv, run_experiment, _atomic_write)
-from .flux import make_shock
-from .profile import profile_to_text, solve_profile, verify_profile_bounds
-from .solver import PROFILE_PAD, run_simulation
-from .config import build_flux, emit_config
+from .profile import profile_to_text, verify_profile_bounds
+from .solver import run_simulation, solve_config_profile
 
 log = logging.getLogger("shocklab")
 
@@ -50,15 +48,13 @@ def _load(args):
 
 def _cmd_profile(args) -> int:
     cfg = _load(args)
-    flux = build_flux(cfg)
-    shock = make_shock(flux, cfg.u_minus, cfg.u_plus)
-    prof = solve_profile(shock, cfg.grid.half_length + PROFILE_PAD, cfg.profile_step)
+    prof = solve_config_profile(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     _atomic_write(os.path.join(cfg.out_dir, "profile.txt"),
                   lambda tmp: profile_to_text(prof, tmp))
     report = verify_profile_bounds(prof)
-    reports_to_json({"profile_tails": report},
-                    os.path.join(cfg.out_dir, "profile-tails.json"))
+    _atomic_write(os.path.join(cfg.out_dir, "profile-tails.json"),
+                  lambda tmp: reports_to_json({"profile_tails": report}, tmp))
     log.info("tail rates %.6g / %.6g, smallest K %.6g",
              report.rate_left, report.rate_right, report.k_smallest)
     return EXIT_OK if report.passed else EXIT_ANALYSIS

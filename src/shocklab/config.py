@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 from .errors import ConfigParseError, ConfigValidationError, EqualStatesError
 from .flux import (FluxSpec, burgers_flux, convex_quartic_flux, make_shock,
@@ -75,6 +75,7 @@ def default_half_length(strength: float) -> float:
 
 
 def _fill_defaults(cfg: ExperimentConfig) -> ExperimentConfig:
+    """Fill the sections whose defaults scale with the shock strength."""
     d = cfg.strength
     if cfg.grid is None:
         cfg.grid = GridSpec(half_length=default_half_length(d))
@@ -175,9 +176,8 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
     if not cfg.p_list or any(not p >= 1.0 for p in cfg.p_list):
         issues.append(("p_list", "need a non-empty list of exponents >= 1"))
     if cfg.fit_window is not None:
-        t_a, t_b = cfg.fit_window
-        if not t_a < t_b:
-            issues.append(("fit_window", "must satisfy t_a < t_b"))
+        if len(cfg.fit_window) != 2 or not cfg.fit_window[0] < cfg.fit_window[1]:
+            issues.append(("fit_window", "must be a pair t_a < t_b"))
     if cfg.profile_step <= 0.0:
         issues.append(("profile_step", "must be positive"))
 
@@ -186,50 +186,62 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
     return warnings
 
 
-_TOP_KEYS = {"flux", "u_minus", "u_plus", "dimension", "grid", "stepper",
-             "perturbation", "p_list", "out_dir", "fit_window", "snapshots",
-             "profile_step"}
+_SECTIONS = ("grid", "stepper", "perturbation")
+
+
+def _checked(key: str, value, default):
+    """``value`` if it has the type of the field default ``default`` (an int
+    may stand for a float).  p_list and fit_window (or null) take lists of
+    numbers; the flux name or coefficients are left to validate_config."""
+    if key == "flux" or key == "fit_window" and value is None:
+        return value
+    if key in ("p_list", "fit_window"):
+        if not isinstance(value, list) or any(type(v) not in (int, float) for v in value):
+            raise ConfigValidationError([(key, "must be a list of numbers")])
+        return [float(v) for v in value] if key == "p_list" else tuple(map(float, value))
+    kind = type(default)
+    if kind is float and type(value) is int:
+        return float(value)
+    if type(value) is not kind:
+        raise ConfigValidationError([(key, f"must be of type {kind.__name__}")])
+    return value
+
+
+def _with_values(obj, doc, prefix: str, issues: list):
+    """Copy of the dataclass ``obj`` with the values of ``doc`` put in; a key
+    or value that fails its check is reported in ``issues`` instead."""
+    if not isinstance(doc, dict):
+        issues.append((prefix.rstrip("."), "must be an object"))
+        return obj
+    known = {f.name for f in fields(obj)}
+    values = {}
+    for key, value in doc.items():
+        name = prefix + key
+        try:
+            if key not in known:
+                raise ConfigValidationError([(name, "unknown config key")])
+            default = getattr(obj, key)
+            values[key] = (_with_values(default, value, name + ".", issues)
+                           if is_dataclass(default) else _checked(name, value, default))
+        except ConfigValidationError as exc:
+            issues.extend(exc.issues)
+    return replace(obj, **values)
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    """Build a config from a JSON document, filling documented defaults."""
-    unknown = set(doc) - _TOP_KEYS
-    if unknown:
-        raise ConfigValidationError(
-            [(key, "unknown config key") for key in sorted(unknown)])
-    cfg = ExperimentConfig()
-    for key in ("flux", "u_minus", "u_plus", "dimension", "out_dir",
-                "snapshots", "profile_step"):
-        if key in doc:
-            setattr(cfg, key, doc[key])
-    cfg.u_minus = float(cfg.u_minus)
-    cfg.u_plus = float(cfg.u_plus)
-    if "p_list" in doc:
-        cfg.p_list = [float(p) for p in doc["p_list"]]
-    if "fit_window" in doc and doc["fit_window"] is not None:
-        cfg.fit_window = (float(doc["fit_window"][0]), float(doc["fit_window"][1]))
-    if "grid" in doc:
-        cfg.grid = GridSpec(
-            half_length=float(doc["grid"].get("half_length",
-                                              default_half_length(cfg.strength))),
-            n1=int(doc["grid"].get("n1", 1024)),
-            nprime=int(doc["grid"].get("nprime", 16)))
-    if "stepper" in doc:
-        base = StepperSpec()
-        cfg.stepper = StepperSpec(
-            t_final=float(doc["stepper"].get("t_final", base.t_final)),
-            dt_out=float(doc["stepper"].get("dt_out", base.dt_out)),
-            cfl_safety=float(doc["stepper"].get("cfl_safety", base.cfl_safety)),
-            frame=doc["stepper"].get("frame", base.frame),
-            llf=bool(doc["stepper"].get("llf", base.llf)))
-    if "perturbation" in doc:
-        p = doc["perturbation"]
-        cfg.perturbation = PerturbationSpec(
-            kind=p.get("kind", "gaussian-bump"),
-            amplitude=float(p.get("amplitude", 0.01 * cfg.strength)),
-            width=float(p.get("width", 2.0)),
-            seed=int(p.get("seed", 12345)))
-    return _fill_defaults(cfg)
+    """Build a config from a JSON document; absent keys keep their defaults.
+
+    The defaults are the dataclass fields', except the two that scale with
+    the shock strength, set by `_fill_defaults` once the end states are
+    known.  Unknown keys and mistyped values raise ConfigValidationError.
+    """
+    issues: list = []
+    top = {k: v for k, v in doc.items() if k not in _SECTIONS}
+    cfg = _fill_defaults(_with_values(ExperimentConfig(), top, "", issues))
+    cfg = _with_values(cfg, {k: doc[k] for k in _SECTIONS if k in doc}, "", issues)
+    if issues:
+        raise ConfigValidationError(issues)
+    return cfg
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

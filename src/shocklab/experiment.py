@@ -2,8 +2,8 @@
 
 Artifacts land in the config's output directory: norms.csv (one column per
 recorded norm), rates.json (fits and bound-check reports), profile.txt,
-config-echo.json, and optional field snapshots.  File writes go through a
-temp-then-rename so readers never see partial files.
+config-echo.json, and optional field snapshots.  Every file goes through
+`_atomic_write`, a temp-then-rename, so readers never see partial files.
 """
 
 from __future__ import annotations
@@ -15,13 +15,11 @@ from dataclasses import dataclass, field
 
 from .analysis import (NormSeries, fit_algebraic_rate, fit_exponential_rate,
                        gn_ratio_monitor, reports_to_json, theorem_bound_check)
-from .config import ExperimentConfig, build_flux, emit_config
-from .errors import (BlowupError, BoundaryLeakError, ShockLabError,
-                     TooFewSamplesError, NonPositiveValueError)
-from .flux import make_shock
+from .config import ExperimentConfig, emit_config
+from .errors import ShockLabError, TooFewSamplesError, NonPositiveValueError
 from .grid import save_field_text
-from .profile import profile_to_text, solve_profile, verify_profile_bounds
-from .solver import PROFILE_PAD, SimulationRecord, run_simulation
+from .profile import profile_to_text, verify_profile_bounds
+from .solver import SimulationRecord, run_simulation, solve_config_profile
 
 log = logging.getLogger("shocklab")
 
@@ -38,6 +36,10 @@ def _atomic_write(path, writer) -> None:
     """Write via a temp file in the same directory, then rename into place."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    # the mode a plain open() gives, 0666 less the umask, not mkstemp's 0600
+    umask = os.umask(0)
+    os.umask(umask)
+    os.fchmod(fd, 0o666 & ~umask)
     os.close(fd)
     try:
         writer(tmp)
@@ -64,6 +66,9 @@ def norms_to_csv(norms: NormSeries, path) -> None:
 def default_fit_window(cfg: ExperimentConfig) -> tuple[float, float]:
     """Last half of the run, never starting inside the initial transient t < 1."""
     t_final = cfg.stepper.t_final
+    if t_final <= 1.0:
+        raise TooFewSamplesError(
+            f"t_final {t_final:g} leaves no samples after the transient t < 1; run longer")
     return (max(1.0, 0.5 * t_final), t_final)
 
 
@@ -111,23 +116,21 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = False) -> ExperimentResu
 
     Exit code 0 means the simulation finished with no blow-up or boundary
     leak and the conservation monitor stayed within tolerance; 2 flags a
-    simulation failure, 3 an analysis failure.  (Config errors are raised
-    before any work starts and map to exit code 1 in the CLI.)
+    failed profile solve or simulation, 3 an analysis failure.  (Config
+    errors are raised before any work starts and map to exit code 1 in the
+    CLI.)
     """
     os.makedirs(cfg.out_dir, exist_ok=True)
     _atomic_write(os.path.join(cfg.out_dir, "config-echo.json"),
                   lambda tmp: emit_config(cfg, tmp))
 
-    flux = build_flux(cfg)
-    shock = make_shock(flux, cfg.u_minus, cfg.u_plus)
-    prof = solve_profile(shock, cfg.grid.half_length + PROFILE_PAD, cfg.profile_step)
-    _atomic_write(os.path.join(cfg.out_dir, "profile.txt"),
-                  lambda tmp: profile_to_text(prof, tmp))
-
     result = ExperimentResult(exit_code=EXIT_OK)
     try:
+        prof = solve_config_profile(cfg)
+        _atomic_write(os.path.join(cfg.out_dir, "profile.txt"),
+                      lambda tmp: profile_to_text(prof, tmp))
         record = run_simulation(cfg, prof)
-    except (BlowupError, BoundaryLeakError) as exc:
+    except ShockLabError as exc:
         log.error("simulation failed: %s", exc)
         result.exit_code = EXIT_SIMULATION
         result.failures.append(str(exc))
@@ -139,13 +142,15 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = False) -> ExperimentResu
         snap_dir = os.path.join(cfg.out_dir, "snapshots")
         os.makedirs(snap_dir, exist_ok=True)
         for k, fld in enumerate(record.snapshots):
-            save_field_text(fld, os.path.join(snap_dir, f"field-{k:05d}.txt"))
+            _atomic_write(os.path.join(snap_dir, f"field-{k:05d}.txt"),
+                          lambda tmp: save_field_text(fld, tmp))
 
     try:
         reports = analyze_record(cfg, record)
         reports["profile_tails"] = verify_profile_bounds(prof)
         result.reports = reports
-        reports_to_json(reports, os.path.join(cfg.out_dir, "rates.json"))
+        _atomic_write(os.path.join(cfg.out_dir, "rates.json"),
+                      lambda tmp: reports_to_json(reports, tmp))
     except ShockLabError as exc:
         log.error("analysis failed: %s", exc)
         result.exit_code = EXIT_ANALYSIS

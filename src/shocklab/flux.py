@@ -68,10 +68,6 @@ class FluxSpec:
     def ddf1(self, u):
         return self.evaluators[0][2](u)
 
-    def with_range(self, u_lo: float, u_hi: float) -> "FluxSpec":
-        return FluxSpec(self.name, self.dimension, self.evaluators,
-                        self.c0, u_lo, u_hi)
-
 
 def _repeat_triple(triple, dimension):
     return tuple(triple for _ in range(dimension))
@@ -169,19 +165,15 @@ def shock_speed(flux: FluxSpec, u_minus: float, u_plus: float) -> float:
 
 
 def make_shock(flux: FluxSpec, u_minus: float, u_plus: float) -> ShockData:
-    """Assemble a ShockData with RH speed and the Lax admissibility flag."""
+    """Assemble a ShockData with RH speed and the Lax admissibility flag.
+
+    The flag is the Lax entropy condition f1'(u_minus) > s > f1'(u_plus).
+    """
     s = shock_speed(flux, u_minus, u_plus)
     admissible = (flux.df1(u_minus) - s > 0.0) and (flux.df1(u_plus) - s < 0.0)
     return ShockData(flux=flux, u_minus=float(u_minus), u_plus=float(u_plus),
                      speed=float(s), strength=abs(u_minus - u_plus),
                      admissible=admissible)
-
-
-def check_lax(shock: ShockData) -> bool:
-    """Lax entropy condition: f1'(u_minus) > s > f1'(u_plus)."""
-    s = shock.speed
-    return (shock.flux.df1(shock.u_minus) - s > 0.0
-            and shock.flux.df1(shock.u_plus) - s < 0.0)
 
 
 def h_function(shock: ShockData, u: float) -> float:

@@ -2,7 +2,8 @@
 
 Space: conservative central differencing of interface fluxes (optional
 local Lax-Friedrichs dissipation), second-order central Laplacian,
-periodic transversally, Dirichlet end states in x1 via ghost values.
+periodic transversally, Dirichlet in x1: the boundary rows keep their
+initial values and the interior stencil reads them.
 The moving frame folds the shock speed into the longitudinal flux,
 g(u) = f1(u) - s u, which keeps the differencing conservative and the
 background profile stationary.
@@ -39,10 +40,10 @@ from scipy.linalg import solve_banded
 from .analysis import NormSeries
 from .config import ExperimentConfig, build_flux, validate_config
 from .errors import (BlowupError, BoundaryLeakError, NonzeroModePresentError,
-                     RangeExceededError, WaveNotConvergedError)
+                     OutOfRangeError, RangeExceededError, WaveNotConvergedError)
 from .flux import FluxSpec, ShockData, make_shock
 from .grid import ChannelGrid, Field, gradient, integrate, lp_norm
-from .modes import antiderivative, shift_normalize, zero_mode
+from .modes import antiderivative, nonzero_mode, shift_normalize, zero_mode
 from .profile import ShockProfile, eval_profile, solve_profile
 
 # Guard against division by a vanishing advective speed in the CFL bound.
@@ -71,9 +72,6 @@ class SimulationRecord:
 
     norms: NormSeries
     dt: float
-    mass_initial: float
-    boundary_leak_max: float
-    shift: float
     snapshots: list = field(default_factory=list)
 
 
@@ -89,19 +87,14 @@ def _rhs_values(u: np.ndarray, grid: ChannelGrid, shock: ShockData,
     s = shock.speed if moving else 0.0
     h1 = grid.h1
 
-    ue = np.empty((grid.n1 + 2,) + u.shape[1:])
-    ue[0] = shock.u_minus
-    ue[-1] = shock.u_plus
-    ue[1:-1] = u
-
-    g_long = flux.f1(ue) - s * ue if moving else flux.f1(ue)
+    g_long = flux.f1(u) - s * u if moving else flux.f1(u)
     fh = 0.5 * (g_long[:-1] + g_long[1:])
     if llf:
-        speed_l = np.abs(flux.df1(ue[:-1]) - s)
-        speed_r = np.abs(flux.df1(ue[1:]) - s)
-        fh -= 0.5 * np.maximum(speed_l, speed_r) * (ue[1:] - ue[:-1])
-    out = (fh[:-1] - fh[1:]) / h1
-    out += (ue[2:] - 2.0 * u + ue[:-2]) / (h1 * h1)
+        speed_l = np.abs(flux.df1(u[:-1]) - s)
+        speed_r = np.abs(flux.df1(u[1:]) - s)
+        fh -= 0.5 * np.maximum(speed_l, speed_r) * (u[1:] - u[:-1])
+    out = np.zeros_like(u)
+    out[1:-1] = (fh[:-1] - fh[1:]) / h1 + (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (h1 * h1)
 
     hp = grid.hprime
     for axis in range(1, u.ndim):
@@ -124,8 +117,8 @@ def _rhs_values(u: np.ndarray, grid: ChannelGrid, shock: ShockData,
 def rhs(fld: Field, shock: ShockData, flux: FluxSpec, llf: bool = False) -> np.ndarray:
     """Right-hand side -sum_i d_i f_i(u) + Lap u (+ s d_1 u in the moving frame).
 
-    Dirichlet ghost values pin the end states in x1 and the boundary rows
-    themselves do not evolve; transverse directions wrap periodically.
+    The boundary rows in x1 do not evolve and serve the interior stencil as
+    Dirichlet data; transverse directions wrap periodically.
     """
     return _rhs_values(fld.values, fld.grid, shock, flux,
                        moving=(fld.frame == "moving"), llf=llf)
@@ -242,6 +235,13 @@ def _from_spectral(c: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return idst(c, type=1, axis=0, overwrite_x=True)
 
 
+def _blowup_guard(u: np.ndarray) -> tuple[float, float]:
+    """Ten times the range of u about its midpoint."""
+    mid = 0.5 * (float(u.max()) + float(u.min()))
+    half = 0.5 * (float(u.max()) - float(u.min()))
+    return (mid - 10.0 * half, mid + 10.0 * half)
+
+
 def advance(fld: Field, dt: float, shock: ShockData, flux: FluxSpec,
             llf: bool = False, blowup_bounds: tuple[float, float] | None = None) -> Field:
     """One ETDRK4 step of the interior rows; the boundary rows do not change.
@@ -300,11 +300,7 @@ def advance(fld: Field, dt: float, shock: ShockData, flux: FluxSpec,
     un = u.copy()
     un[1:-1] += _from_spectral(acc, un[1:-1].shape)
 
-    if blowup_bounds is None:
-        mid = 0.5 * (float(u.max()) + float(u.min()))
-        half = 0.5 * (float(u.max()) - float(u.min()))
-        blowup_bounds = (mid - 10.0 * half, mid + 10.0 * half)
-    lo, hi = blowup_bounds
+    lo, hi = _blowup_guard(u) if blowup_bounds is None else blowup_bounds
     if float(un.min()) < lo or float(un.max()) > hi:
         raise BlowupError(
             f"values [{un.min():g}, {un.max():g}] exceeded the guard [{lo:g}, {hi:g}]")
@@ -368,19 +364,14 @@ def _phi_channels(p_list):
 def _record_norms(u: np.ndarray, bg: np.ndarray, grid: ChannelGrid,
                   p_list, mass0: float | None):
     """All per-snapshot diagnostics of the perturbation u - background."""
-    shape_tail = (1,) * (u.ndim - 1)
-    phi = u - bg.reshape((grid.n1,) + shape_tail)
-    zm = phi if phi.ndim == 1 else phi.mean(axis=tuple(range(1, phi.ndim)))
-    nz = phi - zm.reshape((grid.n1,) + shape_tail)
+    pert = Field(grid=grid, values=u - bg.reshape((grid.n1,) + (1,) * (u.ndim - 1)))
+    phi = pert.values
+    zm = zero_mode(pert)
+    nz = nonzero_mode(pert).values
     anti = antiderivative(zm, grid)
-
-    dzm = np.empty_like(zm)
-    dzm[1:-1] = (zm[2:] - zm[:-2]) / (2.0 * grid.h1)
-    dzm[0] = (zm[1] - zm[0]) / grid.h1
-    dzm[-1] = (zm[-1] - zm[-2]) / grid.h1
+    dzm = gradient(zm, grid)[0]
 
     mass = integrate(phi, grid)
-    leak = float(max(np.max(np.abs(phi[:2])), np.max(np.abs(phi[-2:]))))
     out = {
         "pert_L2": lp_norm(phi, 2.0, grid),
         "pert_Linf": lp_norm(phi, np.inf, grid),
@@ -390,7 +381,7 @@ def _record_norms(u: np.ndarray, bg: np.ndarray, grid: ChannelGrid,
         "nzmode_L2": lp_norm(nz, 2.0, grid),
         "nzmode_Linf": lp_norm(nz, np.inf, grid),
         "mass_drift": 0.0 if mass0 is None else abs(mass - mass0),
-        "boundary_leak": leak,
+        "boundary_leak": float(max(np.max(np.abs(phi[:2])), np.max(np.abs(phi[-2:])))),
     }
     grad_nz = None
     for p in p_list:
@@ -400,7 +391,7 @@ def _record_norms(u: np.ndarray, bg: np.ndarray, grid: ChannelGrid,
             grad_nz = np.sqrt(sum(c * c for c in comps))
         out[f"nzmode_W1L{p:g}"] = (lp_norm(nz, float(p), grid)
                                    + lp_norm(grad_nz, float(p), grid))
-    return out, mass, leak
+    return out, mass
 
 
 def discrete_wave(grid: ChannelGrid, shock: ShockData, flux: FluxSpec,
@@ -465,6 +456,14 @@ def discrete_wave(grid: ChannelGrid, shock: ShockData, flux: FluxSpec,
         f"{np.max(np.abs(update)):g} after {WAVE_MAX_ITER} iterations")
 
 
+def solve_config_profile(cfg: ExperimentConfig) -> ShockProfile:
+    """Profile of the config's shock at its profile_step on half_length +
+    PROFILE_PAD, so that a background shifted by up to PROFILE_PAD - 1 (the
+    guard in `_setup`) stays inside the solved range."""
+    shock = make_shock(build_flux(cfg), cfg.u_minus, cfg.u_plus)
+    return solve_profile(shock, cfg.grid.half_length + PROFILE_PAD, cfg.profile_step)
+
+
 class _Setup(NamedTuple):
     """Everything a run builds before its first step."""
 
@@ -494,7 +493,7 @@ def _setup(cfg: ExperimentConfig, prof: ShockProfile | None) -> _Setup:
                        nprime=cfg.grid.nprime if cfg.dimension > 1 else 1)
     st = cfg.stepper
     if prof is None:
-        prof = solve_profile(shock, grid.half_length + PROFILE_PAD, cfg.profile_step)
+        prof = solve_config_profile(cfg)
 
     moving = st.frame == "moving"
     if moving:
@@ -506,7 +505,7 @@ def _setup(cfg: ExperimentConfig, prof: ShockProfile | None) -> _Setup:
     fld = Field(grid=grid, values=u0, time=0.0, frame=st.frame)
     a = shift_normalize(fld, prof, shock)
     if abs(a) > PROFILE_PAD - 1.0:
-        raise ValueError(f"shift {a:g} too large for the solved profile range")
+        raise OutOfRangeError(f"shift {a:g} too large for the solved profile range")
     if moving:
         bg = discrete_wave(grid, shock, flux, prof, a, st.llf)
     else:
@@ -528,9 +527,8 @@ def run_simulation(cfg: ExperimentConfig,
                    prof: ShockProfile | None = None) -> SimulationRecord:
     """Evolve background + perturbation to t_final, recording norms at cadence.
 
-    ``prof`` is the traveling-wave profile of the config's shock on
-    half_length + PROFILE_PAD at the config's profile_step; it is solved
-    here when not given.
+    ``prof`` is the config's `solve_config_profile`; it is solved here when
+    not given.
 
     In the moving frame the initial field is the scheme's discrete
     traveling wave (`discrete_wave`) at phase 0 plus the perturbation, and
@@ -559,15 +557,11 @@ def _evolve(cfg: ExperimentConfig, setup: _Setup, dt_bound: float) -> Simulation
     dt = st.dt_out / n_sub
     n_out = int(round(st.t_final / st.dt_out))
     leak_floor = LEAK_FLOOR_FRACTION * shock.strength
-
-    mid = 0.5 * (float(fld.values.max()) + float(fld.values.min()))
-    half = 0.5 * (float(fld.values.max()) - float(fld.values.min()))
-    guard = (mid - 10.0 * half, mid + 10.0 * half)
+    guard = _blowup_guard(fld.values)
 
     times = [0.0]
-    rows, mass0, leak = _record_norms(fld.values, bg, grid, cfg.p_list, None)
+    rows, mass0 = _record_norms(fld.values, bg, grid, cfg.p_list, None)
     channels = {k: [v] for k, v in rows.items()}
-    leak_max = leak
     snapshots = []
     if cfg.snapshots:
         snapshots.append(Field(grid=grid, values=fld.values.copy(),
@@ -580,12 +574,11 @@ def _evolve(cfg: ExperimentConfig, setup: _Setup, dt_bound: float) -> Simulation
         fld = Field(grid=grid, values=fld.values, time=t, frame=st.frame)
         if st.frame == "lab":
             bg = _lab_background(prof, grid, a, shock.speed, t)
-        rows, _, leak = _record_norms(fld.values, bg, grid, cfg.p_list, mass0)
+        rows, _ = _record_norms(fld.values, bg, grid, cfg.p_list, mass0)
         times.append(t)
         for key, val in rows.items():
             channels[key].append(val)
-        leak_max = max(leak_max, leak)
-        sup = rows["pert_Linf"]
+        leak, sup = rows["boundary_leak"], rows["pert_Linf"]
         if leak > max(LEAK_FRACTION * sup, leak_floor):
             raise BoundaryLeakError(
                 f"perturbation {leak:g} at the domain ends at t={t:g} exceeds "
@@ -603,9 +596,7 @@ def _evolve(cfg: ExperimentConfig, setup: _Setup, dt_bound: float) -> Simulation
     norms = NormSeries(times=np.array(times),
                        channels={k: np.array(v) for k, v in channels.items()},
                        meta=meta)
-    return SimulationRecord(norms=norms, dt=dt, mass_initial=mass0,
-                            boundary_leak_max=leak_max, shift=a,
-                            snapshots=snapshots)
+    return SimulationRecord(norms=norms, dt=dt, snapshots=snapshots)
 
 
 def run_1d_reference(cfg: ExperimentConfig) -> SimulationRecord:

@@ -1,0 +1,97 @@
+"""Config documents: defaults, round trip through the echo, typed errors."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from shocklab.config import (ExperimentConfig, GridSpec, PerturbationSpec,
+                             StepperSpec, config_from_dict, config_to_dict,
+                             validate_config)
+from shocklab.errors import ConfigValidationError
+
+WORKLOADS = sorted((Path(__file__).resolve().parents[1] / "bench" / "workloads")
+                   .glob("*.json"))
+
+
+def field_names(exc_info):
+    return [name for name, _ in exc_info.value.issues]
+
+
+@pytest.mark.parametrize("doc", [json.loads(p.read_text()) for p in WORKLOADS] + [{}],
+                         ids=[p.stem for p in WORKLOADS] + ["minimal"])
+def test_round_trip(doc):
+    cfg = config_from_dict(doc)
+    assert config_from_dict(config_to_dict(cfg)) == cfg
+
+
+def test_workloads_found():
+    assert len(WORKLOADS) == 3
+
+
+def test_minimal_config_takes_the_dataclass_defaults():
+    cfg = config_from_dict({})
+    assert cfg == ExperimentConfig(grid=GridSpec(half_length=30.0),
+                                   perturbation=PerturbationSpec(amplitude=0.02))
+    assert cfg.stepper == StepperSpec()
+
+
+def test_strength_scaled_defaults_inside_a_given_section():
+    # strength 0.5: half-length 60 and amplitude 0.005, also when the
+    # sections are present without those keys
+    doc = {"u_minus": 0.25, "u_plus": -0.25, "grid": {"n1": 64},
+           "perturbation": {"kind": "odd-bump"}}
+    cfg = config_from_dict(doc)
+    assert cfg.grid == GridSpec(half_length=60.0, n1=64)
+    assert cfg.perturbation == PerturbationSpec(kind="odd-bump", amplitude=0.005)
+    assert config_from_dict({"u_minus": 0.25, "u_plus": -0.25}).grid.half_length == 60.0
+
+
+def test_ints_become_floats():
+    cfg = config_from_dict({"u_minus": 2, "grid": {"half_length": 20},
+                            "p_list": [2, 4], "fit_window": [1, 3]})
+    assert type(cfg.u_minus) is float and type(cfg.grid.half_length) is float
+    assert cfg.p_list == [2.0, 4.0] and cfg.fit_window == (1.0, 3.0)
+
+
+@pytest.mark.parametrize("doc, name", [
+    ({"grid": {"nprim": 4}}, "grid.nprim"),
+    ({"stepper": {"t_finl": 4.0}}, "stepper.t_finl"),
+    ({"seed": 4}, "seed"),
+])
+def test_unknown_key_is_named(doc, name):
+    with pytest.raises(ConfigValidationError) as exc_info:
+        config_from_dict(doc)
+    assert field_names(exc_info) == [name]
+    assert name in str(exc_info.value)
+
+
+@pytest.mark.parametrize("doc, name", [
+    ({"grid": {"n1": "abc"}}, "grid.n1"),
+    ({"grid": {"n1": 64.5}}, "grid.n1"),
+    ({"grid": 5}, "grid"),
+    ({"perturbation": None}, "perturbation"),
+    ({"u_minus": "1"}, "u_minus"),
+    ({"stepper": {"llf": 1}}, "stepper.llf"),
+    ({"snapshots": "yes"}, "snapshots"),
+    ({"p_list": 2}, "p_list"),
+    ({"fit_window": "1,2"}, "fit_window"),
+])
+def test_wrong_type_is_named(doc, name):
+    with pytest.raises(ConfigValidationError) as exc_info:
+        config_from_dict(doc)
+    assert field_names(exc_info) == [name]
+
+
+@pytest.mark.parametrize("window", [[1.0], [1.0, 2.0, 3.0], [3.0, 1.0]])
+def test_fit_window_must_be_an_ordered_pair(window):
+    cfg = config_from_dict({"fit_window": window})
+    with pytest.raises(ConfigValidationError) as exc_info:
+        validate_config(cfg)
+    assert field_names(exc_info) == ["fit_window"]
+
+
+def test_every_issue_is_reported():
+    with pytest.raises(ConfigValidationError) as exc_info:
+        config_from_dict({"grid": {"nprim": 4, "n1": "abc"}, "dimension": 2.0})
+    assert sorted(field_names(exc_info)) == ["dimension", "grid.n1", "grid.nprim"]

@@ -1,0 +1,106 @@
+"""Golden norm series: two tiny runs pinned to their recorded values.
+
+A refactor of the solver, the config layer or the norm recording must
+leave every channel of ``norms.csv`` where it was.  The expected values
+are what the code gave when this test was added; they are compared at
+rtol 1e-13, with entries below 1e-15 (round-off of O(1) fields, e.g.
+mass_drift) compared absolutely.
+"""
+
+import numpy as np
+import pytest
+
+from shocklab.config import config_from_dict
+from shocklab.solver import run_simulation
+
+CONFIGS = {
+    # moving frame, 2-d, non-zero mode: the step is bounded by nonzero_mode_dt
+    "moving-2d-nonzero-mode": {
+        "flux": "burgers", "u_minus": 1.0, "u_plus": -1.0, "dimension": 2,
+        "grid": {"half_length": 15.0, "n1": 64, "nprime": 8},
+        "stepper": {"t_final": 0.5, "dt_out": 0.25},
+        "perturbation": {"kind": "random-nonzero-mode", "amplitude": 0.02, "seed": 3},
+        "p_list": [2.0, 4.0]},
+    # lab frame, 1-d, a moving shock: the background is the translated
+    # continuous profile
+    "lab-1d": {
+        "flux": "burgers", "u_minus": 2.0, "u_plus": 0.0, "dimension": 1,
+        "grid": {"half_length": 20.0, "n1": 128},
+        "stepper": {"t_final": 0.5, "dt_out": 0.125, "frame": "lab"},
+        "perturbation": {"kind": "gaussian-bump", "amplitude": 0.02},
+        "p_list": [2.0, 4.0]},
+}
+
+GOLDEN = {
+    "moving-2d-nonzero-mode": {
+        "t": [0.0, 0.25, 0.5],
+        "Phi_L2": [
+            2.245043252858551e-16, 1.1402301733226655e-06, 9.930396858621497e-07],
+        "Phi_L4": [1.158516159176995e-16, 8.722544098050103e-07, 7.449381023358392e-07],
+        "boundary_leak": [0.0, 0.0, 0.0],
+        "dzmode_L2": [
+            1.7040512847313234e-16, 7.037129058074077e-07, 5.273546138980489e-07],
+        "mass_drift": [0.0, 8.277110162714332e-17, 1.2704785325369305e-16],
+        "nzmode_L2": [
+            0.0199005645649239, 1.5950690010172514e-06, 1.1569298381803682e-10],
+        "nzmode_Linf": [
+            0.020000000000000004, 1.3964993508704115e-06, 9.669197387207618e-11],
+        "nzmode_W1L2": [
+            0.13535402862940532, 1.0685451284366722e-05, 7.80526313951877e-10],
+        "nzmode_W1L4": [
+            0.11259806226538208, 8.566255066906402e-06, 6.162171188973692e-10],
+        "pert_L2": [
+            0.019900564564923895, 1.7441961327795612e-06, 5.655632600850297e-07],
+        "pert_Linf": [
+            0.020000000000000018, 1.5752763045107088e-06, 3.272302245838077e-07],
+        "zmode_L2": [
+            1.1055926021399032e-16, 7.056734596093329e-07, 5.655632482518118e-07],
+        "zmode_Linf": [
+            1.1102230246251565e-16, 4.2348722557872254e-07, 3.2715811607020306e-07],
+    },
+    "lab-1d": {
+        "t": [0.0, 0.125, 0.25, 0.375, 0.5],
+        "Phi_L2": [
+            0.006157207285183068, 0.005098225411075154, 0.004143053422730681,
+            0.0032905637479279746, 0.002548908167977255],
+        "Phi_L4": [
+            0.003884312611661061, 0.003209818302049873, 0.0026120583266124437,
+            0.00209205160801469, 0.0016546921056865996],
+        "boundary_leak": [
+            2.05112509499876e-10, 7.185051717650492e-10, 1.3630518537285972e-09,
+            2.0934189288228608e-09, 2.9210332494921616e-09],
+        "dzmode_L2": [
+            0.0031786958469525355, 0.002495462642121237, 0.001983474778447468,
+            0.0016659339160627566, 0.0015633784244753833],
+        "mass_drift": [
+            0.0, 3.670741793209212e-10, 1.009599628711325e-09, 1.8713494552921464e-09,
+            2.932584666748804e-09],
+        "nzmode_L2": [0.0, 0.0, 0.0, 0.0, 0.0],
+        "nzmode_Linf": [0.0, 0.0, 0.0, 0.0, 0.0],
+        "nzmode_W1L2": [0.0, 0.0, 0.0, 0.0, 0.0],
+        "nzmode_W1L4": [0.0, 0.0, 0.0, 0.0, 0.0],
+        "pert_L2": [
+            0.003900647339831472, 0.0031352393994324964, 0.0024820851664481124,
+            0.0019512424329519455, 0.0015706010646634116],
+        "pert_Linf": [
+            0.0023020267872762012, 0.0018104424831650867, 0.0014971000335978202,
+            0.0012855150756118094, 0.001152004057408118],
+        "zmode_L2": [
+            0.003900647339831472, 0.0031352393994324964, 0.0024820851664481124,
+            0.0019512424329519455, 0.0015706010646634116],
+        "zmode_Linf": [
+            0.0023020267872762012, 0.0018104424831650867, 0.0014971000335978202,
+            0.0012855150756118094, 0.001152004057408118],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_norm_series_unchanged(name):
+    norms = run_simulation(config_from_dict(CONFIGS[name])).norms
+    expected = GOLDEN[name]
+    assert sorted(norms.channels) == sorted(k for k in expected if k != "t")
+    np.testing.assert_array_equal(norms.times, expected["t"])
+    for channel, values in norms.channels.items():
+        np.testing.assert_allclose(values, expected[channel], rtol=1e-13, atol=1e-15,
+                                   err_msg=channel)

@@ -19,8 +19,7 @@ from .flux import (FluxSpec, ShockData, burgers_flux, check_convexity,
                    shock_speed, weight_bounds, weight_w)
 from .grid import (ChannelGrid, Field, gradient, h1_seminorm, integrate,
                    lp_norm)
-from .modes import (AntiDerivative, ModeSplit, antiderivative, mode_split,
-                    nonzero_mode, shift_normalize, zero_mode)
+from .modes import antiderivative, nonzero_mode, shift_normalize, zero_mode
 from .profile import (ShockProfile, TailReport, burgers_profile, eval_profile,
                       solve_profile, verify_profile_bounds)
 from .solver import (SimulationRecord, advance, advective_dt, build_perturbation,
@@ -30,8 +29,8 @@ from .solver import (SimulationRecord, advance, advective_dt, build_perturbation
 __version__ = "0.1.0"
 
 __all__ = [
-    "AntiDerivative", "ChannelGrid", "ExperimentConfig", "Field", "FluxSpec",
-    "GridSpec", "ModeSplit", "NormSeries", "PerturbationSpec", "RateFit",
+    "ChannelGrid", "ExperimentConfig", "Field", "FluxSpec", "GridSpec",
+    "NormSeries", "PerturbationSpec", "RateFit",
     "ShockData", "ShockLabError", "ShockProfile", "SimulationRecord",
     "StepperSpec", "TailReport", "advance", "advective_dt", "antiderivative",
     "area_bound", "build_flux", "build_perturbation", "burgers_flux",
@@ -39,7 +38,7 @@ __all__ = [
     "convex_quartic_flux", "discrete_wave", "emit_config", "eval_profile",
     "fit_algebraic_rate", "fit_exponential_rate", "gn_ratio_monitor",
     "gradient", "h1_seminorm", "h_function", "integrate", "lp_norm",
-    "make_shock", "mode_split", "nonzero_mode", "nonzero_mode_dt", "parse_config",
+    "make_shock", "nonzero_mode", "nonzero_mode_dt", "parse_config",
     "polynomial_flux", "rhs", "run_1d_reference", "run_experiment",
     "run_simulation", "shift_normalize", "shock_speed", "solve_profile",
     "theorem_bound_check", "verify_area_inequality", "verify_profile_bounds",

@@ -95,31 +95,30 @@ def _windowed_positive(series: NormSeries, name: str,
     return t, v
 
 
-def fit_algebraic_rate(series: NormSeries, name: str,
-                       window: tuple[float, float] | None = None) -> RateFit:
-    """Fit log(value) against log(1+t); the slope is the algebraic exponent."""
+def _fit_log_linear(series: NormSeries, name: str,
+                    window: tuple[float, float] | None, kind: str) -> RateFit:
+    """Least squares of log(value) against log(1+t) or t, by kind."""
     t, v = _windowed_positive(series, name, window)
-    x = np.log1p(t)
+    x = np.log1p(t) if kind == "algebraic" else t
     y = np.log(v)
     slope, intercept = np.polyfit(x, y, 1)
     resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    return RateFit(kind="algebraic", rate=float(slope),
+    return RateFit(kind=kind, rate=float(slope if kind == "algebraic" else -slope),
                    prefactor=float(np.exp(intercept)),
                    window=(float(t[0]), float(t[-1])),
                    residual=resid, n_samples=int(t.size))
+
+
+def fit_algebraic_rate(series: NormSeries, name: str,
+                       window: tuple[float, float] | None = None) -> RateFit:
+    """Fit log(value) against log(1+t); the slope is the algebraic exponent."""
+    return _fit_log_linear(series, name, window, "algebraic")
 
 
 def fit_exponential_rate(series: NormSeries, name: str,
                          window: tuple[float, float] | None = None) -> RateFit:
     """Fit log(value) against t; the decay rate is minus the slope."""
-    t, v = _windowed_positive(series, name, window)
-    y = np.log(v)
-    slope, intercept = np.polyfit(t, y, 1)
-    resid = float(np.sqrt(np.mean((y - (slope * t + intercept)) ** 2)))
-    return RateFit(kind="exponential", rate=float(-slope),
-                   prefactor=float(np.exp(intercept)),
-                   window=(float(t[0]), float(t[-1])),
-                   residual=resid, n_samples=int(t.size))
+    return _fit_log_linear(series, name, window, "exponential")
 
 
 def _check_area_params(c0, c1, alpha, beta, gamma, t):
@@ -252,8 +251,7 @@ class BoundReport:
 
 
 def theorem_bound_check(series: NormSeries, p: float, kind: str,
-                        t_start: float = 1.0,
-                        channel: str | None = None) -> BoundReport:
+                        t_start: float = 1.0) -> BoundReport:
     """Check a decay statement by normalized-ratio boundedness.
 
     Forms r(t) = value(t) * (1+t)^theta with the candidate exponent for the
@@ -263,7 +261,7 @@ def theorem_bound_check(series: NormSeries, p: float, kind: str,
     window [t_start, T/2] by more than the slack factor.
     """
     if kind == "nonzero-exp":
-        name = channel or "nzmode_L2"
+        name = "nzmode_L2"
         v = series.channel(name)
         fit = fit_exponential_rate(series, name, window=(t_start, float(series.times[-1])))
         rate = fit.rate
@@ -272,8 +270,8 @@ def theorem_bound_check(series: NormSeries, p: float, kind: str,
     elif kind in _ALGEBRAIC_KINDS:
         if not p > 2.0:
             raise BadExponentError(f"algebraic kinds need p > 2, got {p}")
-        default_name, theta_fn = _ALGEBRAIC_KINDS[kind]
-        name = channel or default_name(p)
+        channel_name, theta_fn = _ALGEBRAIC_KINDS[kind]
+        name = channel_name(p)
         v = series.channel(name)
         theta = theta_fn(p)
         r = v * (1.0 + series.times) ** theta

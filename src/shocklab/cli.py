@@ -48,7 +48,11 @@ def _load(args):
 
 def _cmd_profile(args) -> int:
     cfg = _load(args)
-    prof = solve_config_profile(cfg)
+    try:
+        prof = solve_config_profile(cfg)
+    except ShockLabError as exc:
+        log.error("profile failed: %s", exc)
+        return EXIT_SIMULATION
     os.makedirs(cfg.out_dir, exist_ok=True)
     _atomic_write(os.path.join(cfg.out_dir, "profile.txt"),
                   lambda tmp: profile_to_text(prof, tmp))
@@ -75,13 +79,15 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    cfg = _load(args)
-    result = run_experiment(cfg, quiet=args.quiet)
-    return result.exit_code
+    return run_experiment(_load(args))
 
 
 def _cmd_check_area(args) -> int:
-    data = np.loadtxt(args.csv, delimiter=",", comments="#", skiprows=args.skip_rows)
+    try:
+        data = np.loadtxt(args.csv, delimiter=",", comments="#", skiprows=args.skip_rows)
+    except (OSError, ValueError) as exc:
+        log.error("cannot read %s: %s", args.csv, exc)
+        return EXIT_CONFIG
     if data.ndim != 2 or data.shape[1] < 2:
         log.error("expected a CSV with (t, f) columns")
         return EXIT_CONFIG

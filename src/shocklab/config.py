@@ -20,6 +20,8 @@ from .flux import (FluxSpec, burgers_flux, convex_quartic_flux, make_shock,
 log = logging.getLogger("shocklab")
 
 PERTURBATION_KINDS = ("none", "gaussian-bump", "odd-bump", "random-nonzero-mode")
+# Relative slack on t_final/dt_out being whole: 0.7/0.0125 is 55.99999999999999.
+DT_OUT_REL_TOL = 1e-9
 
 
 @dataclass
@@ -59,7 +61,6 @@ class ExperimentConfig:
     out_dir: str = "shocklab-out"
     fit_window: tuple | None = None
     snapshots: bool = False
-    profile_step: float = 1e-3
 
     @property
     def strength(self) -> float:
@@ -154,6 +155,8 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         issues.append(("stepper.t_final", "must be positive"))
     if not 0.0 < st.dt_out <= st.t_final:
         issues.append(("stepper.dt_out", "must lie in (0, t_final]"))
+    elif abs((n_out := st.t_final / st.dt_out) - round(n_out)) > DT_OUT_REL_TOL * n_out:
+        issues.append(("stepper.dt_out", "must divide t_final into whole outputs"))
     if st.frame not in ("moving", "lab"):
         issues.append(("stepper.frame", "must be 'moving' or 'lab'"))
 
@@ -178,8 +181,6 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
     if cfg.fit_window is not None:
         if len(cfg.fit_window) != 2 or not cfg.fit_window[0] < cfg.fit_window[1]:
             issues.append(("fit_window", "must be a pair t_a < t_b"))
-    if cfg.profile_step <= 0.0:
-        issues.append(("profile_step", "must be positive"))
 
     if issues:
         raise ConfigValidationError(issues)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import logging
 import os
 import tempfile
-from dataclasses import dataclass, field
 
 from .analysis import (NormSeries, fit_algebraic_rate, fit_exponential_rate,
                        gn_ratio_monitor, reports_to_json, theorem_bound_check)
@@ -103,28 +102,20 @@ def analyze_record(cfg: ExperimentConfig, record: SimulationRecord) -> dict:
     return reports
 
 
-@dataclass
-class ExperimentResult:
-    exit_code: int
-    record: SimulationRecord | None = None
-    reports: dict = field(default_factory=dict)
-    failures: list = field(default_factory=list)
-
-
-def run_experiment(cfg: ExperimentConfig, quiet: bool = False) -> ExperimentResult:
-    """Run the full pipeline and write artifacts into cfg.out_dir.
+def run_experiment(cfg: ExperimentConfig) -> int:
+    """Run the full pipeline, write artifacts into cfg.out_dir, return the exit code.
 
     Exit code 0 means the simulation finished with no blow-up or boundary
     leak and the conservation monitor stayed within tolerance; 2 flags a
-    failed profile solve or simulation, 3 an analysis failure.  (Config
-    errors are raised before any work starts and map to exit code 1 in the
-    CLI.)
+    failed profile solve or simulation, 3 an analysis failure or a mass
+    drift beyond its allowance, each with one error line in the log.
+    (Config errors are raised before any work starts and map to exit code
+    1 in the CLI.)
     """
     os.makedirs(cfg.out_dir, exist_ok=True)
     _atomic_write(os.path.join(cfg.out_dir, "config-echo.json"),
                   lambda tmp: emit_config(cfg, tmp))
 
-    result = ExperimentResult(exit_code=EXIT_OK)
     try:
         prof = solve_config_profile(cfg)
         _atomic_write(os.path.join(cfg.out_dir, "profile.txt"),
@@ -132,10 +123,7 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = False) -> ExperimentResu
         record = run_simulation(cfg, prof)
     except ShockLabError as exc:
         log.error("simulation failed: %s", exc)
-        result.exit_code = EXIT_SIMULATION
-        result.failures.append(str(exc))
-        return result
-    result.record = record
+        return EXIT_SIMULATION
     norms_to_csv(record.norms, os.path.join(cfg.out_dir, "norms.csv"))
 
     if cfg.snapshots:
@@ -148,22 +136,18 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = False) -> ExperimentResu
     try:
         reports = analyze_record(cfg, record)
         reports["profile_tails"] = verify_profile_bounds(prof)
-        result.reports = reports
         _atomic_write(os.path.join(cfg.out_dir, "rates.json"),
                       lambda tmp: reports_to_json(reports, tmp))
     except ShockLabError as exc:
         log.error("analysis failed: %s", exc)
-        result.exit_code = EXIT_ANALYSIS
-        result.failures.append(str(exc))
-        return result
+        return EXIT_ANALYSIS
 
+    for label, rep in reports.items():
+        log.info("%s: %s", label, rep)
     drift = record.norms.channels["mass_drift"]
     allowed = MASS_DRIFT_RATE * (1.0 + record.norms.times)
     if bool((drift > allowed).any()):
-        result.failures.append("mass conservation drift exceeded tolerance")
-        result.exit_code = EXIT_ANALYSIS
-
-    if not quiet:
-        for label, rep in result.reports.items():
-            log.info("%s: %s", label, rep)
-    return result
+        log.error("mass conservation failed: drift up to %.3g times its allowance",
+                  (drift / allowed).max())
+        return EXIT_ANALYSIS
+    return EXIT_OK

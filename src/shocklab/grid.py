@@ -8,15 +8,12 @@ whose weights sum to exactly 1.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import BadExponentError
-
-_FIELD_MAGIC = b"SHLBFLD1"
 
 
 @dataclass(frozen=True)
@@ -186,27 +183,3 @@ def load_field_text(path) -> Field:
                        n1=int(meta["N1"]), nprime=int(meta["Nprime"]))
     values = np.loadtxt(path).reshape(grid.shape)
     return Field(grid=grid, values=values, time=float(meta["t"]), frame=meta["frame"])
-
-
-def save_field_binary(fld: Field, path) -> None:
-    """Flat binary snapshot: fixed header then row-major float64 values."""
-    g = fld.grid
-    frame_code = 0 if fld.frame == "lab" else 1
-    header = struct.pack("<8sqqqddq", _FIELD_MAGIC, g.dimension, g.n1, g.nprime,
-                         g.half_length, fld.time, frame_code)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(fld.values.astype("<f8").tobytes())
-
-
-def load_field_binary(path) -> Field:
-    header_size = struct.calcsize("<8sqqqddq")
-    with open(path, "rb") as fh:
-        magic, n, n1, nprime, length, time, frame_code = struct.unpack(
-            "<8sqqqddq", fh.read(header_size))
-        if magic != _FIELD_MAGIC:
-            raise ValueError("not a shocklab field snapshot")
-        grid = ChannelGrid(dimension=n, half_length=length, n1=n1, nprime=nprime)
-        values = np.frombuffer(fh.read(), dtype="<f8").reshape(grid.shape)
-    frame = "lab" if frame_code == 0 else "moving"
-    return Field(grid=grid, values=values.copy(), time=time, frame=frame)

@@ -8,18 +8,12 @@ built in the moving frame where the boundary is quiescent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateShockError
 from .flux import ShockData
 from .grid import ChannelGrid, Field, integrate
 from .profile import ShockProfile, eval_profile
-
-# Zero-mode tails above this are flagged as a boundary leak on the
-# anti-derivative (the cumulative integral premise starts to degrade).
-BOUNDARY_DECAY_TOL = 1e-8
 
 
 def zero_mode(fld: Field) -> np.ndarray:
@@ -38,49 +32,18 @@ def nonzero_mode(fld: Field) -> Field:
                  time=fld.time, frame=fld.frame)
 
 
-@dataclass(frozen=True)
-class ModeSplit:
-    """Zero mode (1-d over x1) and non-zero mode (full field) of one field."""
+def antiderivative(zero_pert: np.ndarray, grid: ChannelGrid) -> np.ndarray:
+    """Phi(x1) = integral of the zero-mode perturbation from -L to x1.
 
-    zero: np.ndarray
-    nonzero: Field
-    grid: ChannelGrid
-    time: float
-
-
-def mode_split(fld: Field) -> ModeSplit:
-    return ModeSplit(zero=zero_mode(fld), nonzero=nonzero_mode(fld),
-                     grid=fld.grid, time=fld.time)
-
-
-@dataclass(frozen=True)
-class AntiDerivative:
-    """Cumulative trapezoid of the zero-mode perturbation from -L.
-
-    ``mass`` is the value at +L, the residual total mass; it vanishes (to
-    quadrature error) once the background has been shift-normalized.
-    ``leak_warning`` flags zero-mode tails above the boundary decay
-    tolerance, which undermines the vanishing-at-infinity premise.
+    Cumulative trapezoid from the left end; Phi[-1] is the residual total
+    mass, which vanishes (to quadrature error) once the background has been
+    shift-normalized.
     """
-
-    values: np.ndarray
-    grid: ChannelGrid
-    time: float
-    mass: float
-    leak_warning: bool
-
-
-def antiderivative(zero_pert: np.ndarray, grid: ChannelGrid,
-                   time: float = 0.0) -> AntiDerivative:
-    """Phi(x1) = integral of the zero-mode perturbation from -L to x1."""
     v = np.asarray(zero_pert, dtype=float)
     if v.shape != (grid.n1,):
         raise ValueError(f"zero mode must have shape ({grid.n1},)")
     steps = 0.5 * grid.h1 * (v[:-1] + v[1:])
-    phi = np.concatenate(([0.0], np.cumsum(steps)))
-    leak = bool(max(abs(v[0]), abs(v[-1])) > BOUNDARY_DECAY_TOL)
-    return AntiDerivative(values=phi, grid=grid, time=time,
-                          mass=float(phi[-1]), leak_warning=leak)
+    return np.concatenate(([0.0], np.cumsum(steps)))
 
 
 def shift_normalize(u0: Field, profile: ShockProfile, shock: ShockData) -> float:
@@ -97,16 +60,3 @@ def shift_normalize(u0: Field, profile: ShockProfile, shock: ShockData) -> float
     shape = (u0.grid.n1,) + (1,) * (u0.values.ndim - 1)
     mass = integrate(u0.values - bg.reshape(shape), u0.grid)
     return mass / (shock.u_plus - shock.u_minus)
-
-
-def antiderivative_table(times, x1, phi_rows, path) -> None:
-    """(t, x1, Phi) table export, one row per space-time sample."""
-    times = np.asarray(times, dtype=float)
-    x1 = np.asarray(x1, dtype=float)
-    rows = np.asarray(phi_rows, dtype=float)
-    if rows.shape != (times.size, x1.size):
-        raise ValueError("phi_rows must be (len(times), len(x1))")
-    t_col = np.repeat(times, x1.size)
-    x_col = np.tile(x1, times.size)
-    np.savetxt(path, np.column_stack([t_col, x_col, rows.ravel()]),
-               fmt="%.17e", header="t x1 Phi")

@@ -20,7 +20,7 @@ from .errors import (NotAdmissibleError, OutOfRangeError, StepTooLargeError,
                      TailTooShortError, WrongFluxError)
 from .flux import ShockData
 
-# Default clamp distance, as a fraction of the shock strength.
+# Clamp distance, as a fraction of the shock strength.
 CLAMP_TOL_FRACTION = 1e-14
 # Tail fitting starts where |U - u_pm| drops below strength/10 and stops
 # where the clamp floor would contaminate the log-linear fit.
@@ -66,14 +66,13 @@ def _ode_rhs(shock: ShockData):
     return g
 
 
-def solve_profile(shock: ShockData, half_length: float, step: float,
-                  clamp_tol: float | None = None) -> ShockProfile:
+def solve_profile(shock: ShockData, half_length: float, step: float) -> ShockProfile:
     """Integrate the profile ODE with classical RK4 from the midpoint anchor.
 
     Marches forward to +half_length and backward to -half_length on a
     uniform grid of spacing ``step``.  Values are clamped into the open
-    interval between the end states once they come within ``clamp_tol``
-    of an end state (default 1e-14 * strength), which stops finite
+    interval between the end states once they come within
+    CLAMP_TOL_FRACTION * strength of an end state, which stops finite
     arithmetic from overshooting the fixed points.
 
     Raises NotAdmissibleError for a non-Lax shock and StepTooLargeError
@@ -85,13 +84,12 @@ def solve_profile(shock: ShockData, half_length: float, step: float,
         raise ValueError("half_length must be positive")
     if not 0.0 < step <= half_length / 100.0:
         raise ValueError("need 0 < step <= half_length/100")
-    if clamp_tol is None:
-        clamp_tol = CLAMP_TOL_FRACTION * shock.strength
 
     g = _ode_rhs(shock)
     n_half = int(round(half_length / step))
     u_hi = shock.u_minus        # left state, top of the decreasing profile
     u_lo = shock.u_plus
+    clamp_tol = CLAMP_TOL_FRACTION * shock.strength
     lo_clamp = u_lo + clamp_tol
     hi_clamp = u_hi - clamp_tol
 

@@ -56,6 +56,8 @@ LEAK_FLOOR_FRACTION = 1e-12
 # Extra profile half-length beyond the box, so the shifted background stays
 # inside the solved range.
 PROFILE_PAD = 4.0
+# Step of the RK4 march that solves the profile ODE.
+PROFILE_STEP = 1e-3
 # Contour points of the Kassam-Trefethen phi-function quadrature.
 CONTOUR_POINTS = 32
 # Newton for the discrete traveling wave: finite-difference step of the
@@ -352,15 +354,6 @@ def build_perturbation(cfg: ExperimentConfig, grid: ChannelGrid) -> np.ndarray:
         prof.reshape((grid.n1,) + (1,) * (grid.dimension - 1)), grid.shape).copy()
 
 
-def _phi_channels(p_list):
-    names = ["pert_L2", "pert_Linf", "zmode_L2", "zmode_Linf", "dzmode_L2",
-             "nzmode_L2", "nzmode_Linf", "mass_drift", "boundary_leak"]
-    for p in p_list:
-        names.append(f"Phi_L{p:g}")
-        names.append(f"nzmode_W1L{p:g}")
-    return names
-
-
 def _record_norms(u: np.ndarray, bg: np.ndarray, grid: ChannelGrid,
                   p_list, mass0: float | None):
     """All per-snapshot diagnostics of the perturbation u - background."""
@@ -385,7 +378,7 @@ def _record_norms(u: np.ndarray, bg: np.ndarray, grid: ChannelGrid,
     }
     grad_nz = None
     for p in p_list:
-        out[f"Phi_L{p:g}"] = lp_norm(anti.values, float(p), grid)
+        out[f"Phi_L{p:g}"] = lp_norm(anti, float(p), grid)
         if grad_nz is None:
             comps = gradient(nz, grid)
             grad_nz = np.sqrt(sum(c * c for c in comps))
@@ -457,11 +450,11 @@ def discrete_wave(grid: ChannelGrid, shock: ShockData, flux: FluxSpec,
 
 
 def solve_config_profile(cfg: ExperimentConfig) -> ShockProfile:
-    """Profile of the config's shock at its profile_step on half_length +
+    """Profile of the config's shock at PROFILE_STEP on half_length +
     PROFILE_PAD, so that a background shifted by up to PROFILE_PAD - 1 (the
     guard in `_setup`) stays inside the solved range."""
     shock = make_shock(build_flux(cfg), cfg.u_minus, cfg.u_plus)
-    return solve_profile(shock, cfg.grid.half_length + PROFILE_PAD, cfg.profile_step)
+    return solve_profile(shock, cfg.grid.half_length + PROFILE_PAD, PROFILE_STEP)
 
 
 class _Setup(NamedTuple):

@@ -218,7 +218,7 @@ class TestGNMonitor:
         s = series_of([0.0, 1.0],
                       zmode_Linf=[zinf, zinf],
                       dzmode_L2=[sl.lp_norm(dzm, 2.0, g)] * 2,
-                      Phi_L4=[sl.lp_norm(anti.values, 4.0, g)] * 2)
+                      Phi_L4=[sl.lp_norm(anti, 4.0, g)] * 2)
         rep = sl.gn_ratio_monitor(s, p)
         assert rep.max_ratio == pytest.approx(expected, rel=1e-3)
 
@@ -243,7 +243,7 @@ class TestGNMonitor:
             s = series_of([0.0, 1.0],
                           zmode_Linf=[np.max(np.abs(zm))] * 2,
                           dzmode_L2=[sl.lp_norm(dzm, 2.0, g)] * 2,
-                          Phi_L4=[sl.lp_norm(anti.values, 4.0, g)] * 2)
+                          Phi_L4=[sl.lp_norm(anti, 4.0, g)] * 2)
             ratios.append(sl.gn_ratio_monitor(s, 4.0).max_ratio)
         assert abs(ratios[0] - ratios[1]) / ratios[1] < 0.01
 

@@ -95,3 +95,25 @@ def test_every_issue_is_reported():
     with pytest.raises(ConfigValidationError) as exc_info:
         config_from_dict({"grid": {"nprim": 4, "n1": "abc"}, "dimension": 2.0})
     assert sorted(field_names(exc_info)) == ["dimension", "grid.n1", "grid.nprim"]
+
+
+@pytest.mark.parametrize("t_final, dt_out, ok", [
+    (0.7, 0.0125, True),   # 0.7/0.0125 is 55.99999999999999 in floating point
+    (2.0, 0.1, True),
+    (2.0, 2.0, True),
+    (2.0, 0.8, False),
+    (1.0, 0.3, False),
+])
+def test_dt_out_must_divide_t_final(t_final, dt_out, ok):
+    cfg = config_from_dict({"stepper": {"t_final": t_final, "dt_out": dt_out}})
+    if ok:
+        validate_config(cfg)
+    else:
+        with pytest.raises(ConfigValidationError) as exc_info:
+            validate_config(cfg)
+        assert field_names(exc_info) == ["stepper.dt_out"]
+
+
+@pytest.mark.parametrize("path", WORKLOADS, ids=[p.stem for p in WORKLOADS])
+def test_workloads_validate(path):
+    validate_config(config_from_dict(json.loads(path.read_text())))

@@ -20,6 +20,15 @@ ENDS_IN_TRANSIENT = dict(SMALL, stepper={"t_final": 0.5, "dt_out": 0.25})
 LEAKING = {"dimension": 2, "grid": {"half_length": 8.0, "n1": 128, "nprime": 8},
            "stepper": {"t_final": 1.0, "dt_out": 0.5},
            "perturbation": {"kind": "gaussian-bump", "amplitude": 0.01, "width": 3.0}}
+# the RK4 march of the profile at the fixed step loses monotonicity
+STEEP_QUARTIC = {"flux": "convex-quartic", "u_minus": 30, "u_plus": -30,
+                 "dimension": 1, "grid": {"n1": 64}}
+# outputs at 0, 0.8 and 1.6 would stop short of t_final
+DT_OUT_NOT_DIVIDING = dict(SMALL, stepper={"t_final": 2.0, "dt_out": 0.8}, p_list=[2])
+# the lab frame on 32 points drifts in mass 355 times past its allowance
+COARSE_LAB = {"flux": "burgers", "u_minus": 2.0, "u_plus": 0.0, "dimension": 1,
+              "grid": {"half_length": 20, "n1": 32},
+              "stepper": {"t_final": 2.0, "dt_out": 0.1, "frame": "lab"}, "p_list": [2]}
 UMASK = 0o027
 
 
@@ -81,6 +90,8 @@ def test_profile_writes_profile_and_tails(tmp_path, caplog):
     ({"grid": {"n1": "abc"}}, "grid.n1"),
     ({"grid": 5}, "grid"),
     (dict(SMALL, stepper={"t_final": -1.0}), "stepper.t_final"),
+    ({"profile_step": 2.0}, "profile_step"),
+    (DT_OUT_NOT_DIVIDING, "stepper.dt_out"),
 ])
 @pytest.mark.parametrize("command", ["run", "simulate", "profile"])
 def test_bad_config_exits_1(tmp_path, caplog, command, doc, field):
@@ -105,6 +116,33 @@ def test_run_ending_inside_the_transient_exits_3(tmp_path, caplog):
     assert code == EXIT_ANALYSIS
     assert len(errors) == 1 and "run longer" in errors[0]
     assert files(out) == ["config-echo.json", "norms.csv", "profile.txt"]
+
+
+def test_profile_failure_exits_2(tmp_path, caplog):
+    code, out, errors = run(tmp_path, "profile", STEEP_QUARTIC, caplog)
+    assert code == EXIT_SIMULATION
+    assert len(errors) == 1 and "monotonicity lost" in errors[0]
+    assert not out.exists()
+
+
+def test_mass_drift_exits_3_with_one_error(tmp_path, caplog):
+    code, out, errors = run(tmp_path, "run", COARSE_LAB, caplog)
+    assert code == EXIT_ANALYSIS
+    assert len(errors) == 1 and errors[0].startswith("mass conservation failed:")
+    assert "rates.json" in files(out)
+
+
+@pytest.mark.parametrize("content", [None, "t,f\n1,abc\n"], ids=["missing", "malformed"])
+def test_check_area_unreadable_csv_exits_1(tmp_path, caplog, content):
+    csv = tmp_path / "samples.csv"
+    if content is not None:
+        csv.write_text(content)
+    caplog.clear()
+    code = cli.main(["check-area", "--csv", str(csv), "--c0", "1", "--c1", "1",
+                     "--alpha", "1", "--quiet"])
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert code == EXIT_CONFIG
+    assert len(errors) == 1 and str(csv) in errors[0]
 
 
 def test_no_temporary_files_left(tmp_path, caplog):

@@ -147,14 +147,3 @@ class TestFieldIO:
         assert back.time == fld.time
         assert back.frame == fld.frame
         assert back.grid == fld.grid
-
-    def test_binary_roundtrip(self, tmp_path):
-        g = sl.ChannelGrid(dimension=3, half_length=5.0, n1=16, nprime=4)
-        rng = np.random.default_rng(6)
-        fld = sl.Field(grid=g, values=rng.standard_normal(g.shape), time=0.5)
-        path = tmp_path / "snap.bin"
-        sl.grid.save_field_binary(fld, path)
-        back = sl.grid.load_field_binary(path)
-        np.testing.assert_array_equal(back.values, fld.values)
-        assert back.grid == g
-        assert back.frame == "moving"

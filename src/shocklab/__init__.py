@@ -24,7 +24,7 @@ from .profile import (ShockProfile, TailReport, burgers_profile, eval_profile,
                       solve_profile, verify_profile_bounds)
 from .solver import (SimulationRecord, advance, advective_dt, build_perturbation,
                      cfl_dt, discrete_wave, nonzero_mode_dt, rhs,
-                     run_1d_reference, run_simulation)
+                     run_1d_reference, run_simulation, simulate)
 
 __version__ = "0.1.0"
 
@@ -40,7 +40,7 @@ __all__ = [
     "gradient", "h1_seminorm", "h_function", "integrate", "lp_norm",
     "make_shock", "nonzero_mode", "nonzero_mode_dt", "parse_config",
     "polynomial_flux", "rhs", "run_1d_reference", "run_experiment",
-    "run_simulation", "shift_normalize", "shock_speed", "solve_profile",
+    "run_simulation", "shift_normalize", "shock_speed", "simulate", "solve_profile",
     "theorem_bound_check", "verify_area_inequality", "verify_profile_bounds",
     "weight_bounds", "weight_w", "zero_mode",
 ]

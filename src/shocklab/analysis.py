@@ -49,6 +49,12 @@ class NormSeries:
             if np.any(vals < 0.0):
                 raise ValueError(f"channel {name!r} has negative values")
 
+    @classmethod
+    def from_rows(cls, rows, meta: dict) -> NormSeries:
+        """Series of (t, {channel: value}) pairs given in time order."""
+        return cls(np.array([t for t, _ in rows]),
+                   {k: np.array([r[k] for _, r in rows]) for k in rows[0][1]}, meta)
+
     def channel(self, name: str) -> np.ndarray:
         if name not in self.channels:
             raise MissingChannelError(

@@ -2,7 +2,7 @@
 
 Subcommands:
   profile     construct the traveling-wave profile and its tail report
-  simulate    evolve the perturbed shock, writing norms.csv only
+  simulate    evolve the perturbed shock, writing norms.csv; exit 3 on mass drift
   run         full pipeline: profile -> simulate -> analyze
   check-area  area-inequality verifier on an external (t, f) CSV
 """
@@ -18,13 +18,13 @@ import sys
 import numpy as np
 
 from .analysis import report_to_dict, reports_to_json, verify_area_inequality
-from .config import emit_config, parse_config
+from .config import parse_config
 from .errors import (ConfigParseError, ConfigValidationError,
                      HypothesisViolatedError, ShockLabError)
 from .experiment import (EXIT_ANALYSIS, EXIT_CONFIG, EXIT_OK, EXIT_SIMULATION,
-                         norms_to_csv, run_experiment, _atomic_write)
+                         prepare_out_dir, run_experiment, stream_to_dir, _atomic_write)
 from .profile import profile_to_text, verify_profile_bounds
-from .solver import run_simulation, solve_config_profile
+from .solver import solve_config_profile
 
 log = logging.getLogger("shocklab")
 
@@ -53,7 +53,6 @@ def _cmd_profile(args) -> int:
     except ShockLabError as exc:
         log.error("profile failed: %s", exc)
         return EXIT_SIMULATION
-    os.makedirs(cfg.out_dir, exist_ok=True)
     _atomic_write(os.path.join(cfg.out_dir, "profile.txt"),
                   lambda tmp: profile_to_text(prof, tmp))
     report = verify_profile_bounds(prof)
@@ -66,16 +65,8 @@ def _cmd_profile(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = _load(args)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    _atomic_write(os.path.join(cfg.out_dir, "config-echo.json"),
-                  lambda tmp: emit_config(cfg, tmp))
-    try:
-        record = run_simulation(cfg)
-    except ShockLabError as exc:
-        log.error("simulation failed: %s", exc)
-        return EXIT_SIMULATION
-    norms_to_csv(record.norms, os.path.join(cfg.out_dir, "norms.csv"))
-    return EXIT_OK
+    prepare_out_dir(cfg, ("norms.csv",))
+    return stream_to_dir(cfg)[0]
 
 
 def _cmd_run(args) -> int:

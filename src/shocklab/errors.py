@@ -49,6 +49,10 @@ class BoundaryLeakError(ShockLabError):
     """Perturbation reached the truncated domain ends; domain too small."""
 
 
+class MassDriftError(ShockLabError):
+    """Perturbation mass drifted beyond its allowance during time stepping."""
+
+
 class WaveNotConvergedError(ShockLabError):
     """Newton iteration for the discrete traveling wave did not converge."""
 

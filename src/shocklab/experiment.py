@@ -4,10 +4,14 @@ Artifacts land in the config's output directory: norms.csv (one column per
 recorded norm), rates.json (fits and bound-check reports), profile.txt,
 config-echo.json, and optional field snapshots.  Every file goes through
 `_atomic_write`, a temp-then-rename, so readers never see partial files.
+`run` and `simulate` first delete their own artifacts of an earlier run.  A
+failed run keeps its output up to the failure: no norms.csv after a failed
+set-up, the norms.csv rows and snapshots before a failed step or monitor.
 """
 
 from __future__ import annotations
 
+import glob
 import logging
 import os
 import tempfile
@@ -15,10 +19,11 @@ import tempfile
 from .analysis import (NormSeries, fit_algebraic_rate, fit_exponential_rate,
                        gn_ratio_monitor, reports_to_json, theorem_bound_check)
 from .config import ExperimentConfig, emit_config
-from .errors import ShockLabError, TooFewSamplesError, NonPositiveValueError
+from .errors import (MassDriftError, NonPositiveValueError, ShockLabError,
+                     TooFewSamplesError)
 from .grid import save_field_text
-from .profile import profile_to_text, verify_profile_bounds
-from .solver import SimulationRecord, run_simulation, solve_config_profile
+from .profile import ShockProfile, profile_to_text, verify_profile_bounds
+from .solver import simulate, solve_config_profile
 
 log = logging.getLogger("shocklab")
 
@@ -27,13 +32,11 @@ EXIT_CONFIG = 1
 EXIT_SIMULATION = 2
 EXIT_ANALYSIS = 3
 
-# Permitted mass drift grows linearly in time: |drift| <= this * (1 + t).
-MASS_DRIFT_RATE = 1e-8
-
 
 def _atomic_write(path, writer) -> None:
-    """Write via a temp file in the same directory, then rename into place."""
+    """Write via a temp file in the same directory, made if missing, then rename."""
     directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     # the mode a plain open() gives, 0666 less the umask, not mkstemp's 0600
     umask = os.umask(0)
@@ -71,9 +74,8 @@ def default_fit_window(cfg: ExperimentConfig) -> tuple[float, float]:
     return (max(1.0, 0.5 * t_final), t_final)
 
 
-def analyze_record(cfg: ExperimentConfig, record: SimulationRecord) -> dict:
-    """All rate fits and bound checks for one simulation record."""
-    norms = record.norms
+def analyze_record(cfg: ExperimentConfig, norms: NormSeries) -> dict:
+    """All rate fits and bound checks for one simulation's norm series."""
     window = cfg.fit_window or default_fit_window(cfg)
     t_start = max(1.0, float(norms.times[0]))
     reports: dict = {}
@@ -102,39 +104,68 @@ def analyze_record(cfg: ExperimentConfig, record: SimulationRecord) -> dict:
     return reports
 
 
-def run_experiment(cfg: ExperimentConfig) -> int:
-    """Run the full pipeline, write artifacts into cfg.out_dir, return the exit code.
-
-    Exit code 0 means the simulation finished with no blow-up or boundary
-    leak and the conservation monitor stayed within tolerance; 2 flags a
-    failed profile solve or simulation, 3 an analysis failure or a mass
-    drift beyond its allowance, each with one error line in the log.
-    (Config errors are raised before any work starts and map to exit code
-    1 in the CLI.)
-    """
-    os.makedirs(cfg.out_dir, exist_ok=True)
+def prepare_out_dir(cfg: ExperimentConfig, artifacts) -> None:
+    """Delete the ``artifacts`` globs in cfg.out_dir, then echo the config there."""
+    for pattern in artifacts:
+        for path in glob.glob(os.path.join(glob.escape(cfg.out_dir), pattern)):
+            os.unlink(path)
     _atomic_write(os.path.join(cfg.out_dir, "config-echo.json"),
                   lambda tmp: emit_config(cfg, tmp))
 
+
+def stream_to_dir(cfg: ExperimentConfig, prof: ShockProfile | None = None,
+                  snapshots: bool = False) -> tuple[int, NormSeries | None]:
+    """Write the `simulate` stream into cfg.out_dir as it comes; (exit code, norms).
+
+    A mass drift beyond its allowance gives 3 and one `mass conservation
+    failed:` line, any other failure 2 and one `simulation failed:` line.
+    """
+    rows, code, snap_dir = [], EXIT_OK, os.path.join(cfg.out_dir, "snapshots")
+    try:
+        meta, stream = simulate(cfg, prof)
+        for k, (fld, row) in enumerate(stream):
+            if snapshots:
+                _atomic_write(os.path.join(snap_dir, f"field-{k:05d}.txt"),
+                              lambda tmp: save_field_text(fld, tmp))
+            rows.append((fld.time, row))
+    except MassDriftError as exc:
+        log.error("mass conservation failed: %s", exc)
+        code = EXIT_ANALYSIS
+    except ShockLabError as exc:
+        log.error("simulation failed: %s", exc)
+        code = EXIT_SIMULATION
+    if not rows:
+        return code, None
+    norms = NormSeries.from_rows(rows, meta)
+    norms_to_csv(norms, os.path.join(cfg.out_dir, "norms.csv"))
+    return code, norms
+
+
+def run_experiment(cfg: ExperimentConfig) -> int:
+    """Run the full pipeline, write artifacts into cfg.out_dir, return the exit code.
+
+    Exit code 0 means the simulation finished with no blow-up, boundary
+    leak or mass drift beyond its allowance and the analysis succeeded; 2
+    flags a failed profile solve or simulation, 3 a mass drift beyond its
+    allowance or an analysis failure, each with one error line in the log.
+    (Config errors are raised before any work starts and map to exit code
+    1 in the CLI.)
+    """
+    prepare_out_dir(cfg, ("norms.csv", "rates.json", "profile.txt",
+                          "snapshots/field-*.txt"))
     try:
         prof = solve_config_profile(cfg)
-        _atomic_write(os.path.join(cfg.out_dir, "profile.txt"),
-                      lambda tmp: profile_to_text(prof, tmp))
-        record = run_simulation(cfg, prof)
     except ShockLabError as exc:
         log.error("simulation failed: %s", exc)
         return EXIT_SIMULATION
-    norms_to_csv(record.norms, os.path.join(cfg.out_dir, "norms.csv"))
-
-    if cfg.snapshots:
-        snap_dir = os.path.join(cfg.out_dir, "snapshots")
-        os.makedirs(snap_dir, exist_ok=True)
-        for k, fld in enumerate(record.snapshots):
-            _atomic_write(os.path.join(snap_dir, f"field-{k:05d}.txt"),
-                          lambda tmp: save_field_text(fld, tmp))
+    _atomic_write(os.path.join(cfg.out_dir, "profile.txt"),
+                  lambda tmp: profile_to_text(prof, tmp))
+    code, norms = stream_to_dir(cfg, prof, cfg.snapshots)
+    if code != EXIT_OK:
+        return code
 
     try:
-        reports = analyze_record(cfg, record)
+        reports = analyze_record(cfg, norms)
         reports["profile_tails"] = verify_profile_bounds(prof)
         _atomic_write(os.path.join(cfg.out_dir, "rates.json"),
                       lambda tmp: reports_to_json(reports, tmp))
@@ -144,10 +175,4 @@ def run_experiment(cfg: ExperimentConfig) -> int:
 
     for label, rep in reports.items():
         log.info("%s: %s", label, rep)
-    drift = record.norms.channels["mass_drift"]
-    allowed = MASS_DRIFT_RATE * (1.0 + record.norms.times)
-    if bool((drift > allowed).any()):
-        log.error("mass conservation failed: drift up to %.3g times its allowance",
-                  (drift / allowed).max())
-        return EXIT_ANALYSIS
     return EXIT_OK

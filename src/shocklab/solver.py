@@ -30,7 +30,8 @@ from __future__ import annotations
 import copy
 import functools
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -39,8 +40,9 @@ from scipy.linalg import solve_banded
 
 from .analysis import NormSeries
 from .config import ExperimentConfig, build_flux, validate_config
-from .errors import (BlowupError, BoundaryLeakError, NonzeroModePresentError,
-                     OutOfRangeError, RangeExceededError, WaveNotConvergedError)
+from .errors import (BlowupError, BoundaryLeakError, MassDriftError,
+                     NonzeroModePresentError, OutOfRangeError, RangeExceededError,
+                     WaveNotConvergedError)
 from .flux import FluxSpec, ShockData, make_shock
 from .grid import ChannelGrid, Field, gradient, integrate, lp_norm
 from .modes import antiderivative, nonzero_mode, shift_normalize, zero_mode
@@ -53,6 +55,8 @@ CFL_EPS = 1e-30
 # floor LEAK_FLOOR_FRACTION * strength are round-off and never trip it.
 LEAK_FRACTION = 1e-4
 LEAK_FLOOR_FRACTION = 1e-12
+# Permitted mass drift grows linearly in time: |drift| <= this * (1 + t).
+MASS_DRIFT_RATE = 1e-8
 # Extra profile half-length beyond the box, so the shifted background stays
 # inside the solved range.
 PROFILE_PAD = 4.0
@@ -70,11 +74,9 @@ WAVE_MAX_ITER = 10
 
 @dataclass
 class SimulationRecord:
-    """Norm series plus run-level diagnostics returned by a simulation."""
+    """Norm series of a whole simulation; its meta holds the run's dt."""
 
     norms: NormSeries
-    dt: float
-    snapshots: list = field(default_factory=list)
 
 
 def _rhs_values(u: np.ndarray, grid: ChannelGrid, shock: ShockData,
@@ -355,8 +357,8 @@ def build_perturbation(cfg: ExperimentConfig, grid: ChannelGrid) -> np.ndarray:
 
 
 def _record_norms(u: np.ndarray, bg: np.ndarray, grid: ChannelGrid,
-                  p_list, mass0: float | None):
-    """All per-snapshot diagnostics of the perturbation u - background."""
+                  p_list, mass0: float) -> dict:
+    """All per-output diagnostics of the perturbation u - background."""
     pert = Field(grid=grid, values=u - bg.reshape((grid.n1,) + (1,) * (u.ndim - 1)))
     phi = pert.values
     zm = zero_mode(pert)
@@ -364,7 +366,6 @@ def _record_norms(u: np.ndarray, bg: np.ndarray, grid: ChannelGrid,
     anti = antiderivative(zm, grid)
     dzm = gradient(zm, grid)[0]
 
-    mass = integrate(phi, grid)
     out = {
         "pert_L2": lp_norm(phi, 2.0, grid),
         "pert_Linf": lp_norm(phi, np.inf, grid),
@@ -373,7 +374,7 @@ def _record_norms(u: np.ndarray, bg: np.ndarray, grid: ChannelGrid,
         "dzmode_L2": lp_norm(dzm, 2.0, grid),
         "nzmode_L2": lp_norm(nz, 2.0, grid),
         "nzmode_Linf": lp_norm(nz, np.inf, grid),
-        "mass_drift": 0.0 if mass0 is None else abs(mass - mass0),
+        "mass_drift": abs(integrate(phi, grid) - mass0),
         "boundary_leak": float(max(np.max(np.abs(phi[:2])), np.max(np.abs(phi[-2:])))),
     }
     grad_nz = None
@@ -384,7 +385,7 @@ def _record_norms(u: np.ndarray, bg: np.ndarray, grid: ChannelGrid,
             grad_nz = np.sqrt(sum(c * c for c in comps))
         out[f"nzmode_W1L{p:g}"] = (lp_norm(nz, float(p), grid)
                                    + lp_norm(grad_nz, float(p), grid))
-    return out, mass
+    return out
 
 
 def discrete_wave(grid: ChannelGrid, shock: ShockData, flux: FluxSpec,
@@ -468,6 +469,7 @@ class _Setup(NamedTuple):
     shift: float
     background: np.ndarray
     dt_bound: float
+    mass0: float
 
 
 def _setup(cfg: ExperimentConfig, prof: ShockProfile | None) -> _Setup:
@@ -476,7 +478,7 @@ def _setup(cfg: ExperimentConfig, prof: ShockProfile | None) -> _Setup:
     The moving frame starts from the discrete wave at phase 0 and measures
     against the discrete wave at phase a; the lab frame uses the continuous
     profile for both.  ``dt_bound`` is min(`advective_dt`,
-    `nonzero_mode_dt`) on the initial field.
+    `nonzero_mode_dt`) on the initial field; ``mass0`` is the initial mass.
     """
     validate_config(cfg)
     flux = build_flux(cfg)
@@ -506,7 +508,8 @@ def _setup(cfg: ExperimentConfig, prof: ShockProfile | None) -> _Setup:
 
     dt_bound = min(advective_dt(fld, flux, grid, st.cfl_safety, speed=shock.speed),
                    nonzero_mode_dt(fld))
-    return _Setup(flux, shock, grid, prof, fld, a, bg, dt_bound)
+    mass0 = integrate(u0 - bg.reshape((grid.n1,) + shape_tail), grid)
+    return _Setup(flux, shock, grid, prof, fld, a, bg, dt_bound, mass0)
 
 
 def _lab_background(prof: ShockProfile, grid: ChannelGrid, a: float,
@@ -516,50 +519,57 @@ def _lab_background(prof: ShockProfile, grid: ChannelGrid, a: float,
     return bg
 
 
+def simulate(cfg: ExperimentConfig, prof: ShockProfile | None = None
+             ) -> tuple[dict, Iterator[tuple[Field, dict]]]:
+    """Set up the run of ``cfg`` now; return its meta and its lazy output stream.
+
+    ``prof`` is the config's `solve_config_profile`, solved here when not
+    given.  Set-up errors, such as a shift too large, raise at once; each
+    frame's initial field and background are those of `_setup`.  The step
+    is the largest one that divides dt_out exactly within `advective_dt`
+    and `nonzero_mode_dt`, so reruns are bit-identical.
+
+    The stream computes each (field, norm row) at t = 0, dt_out, ...,
+    t_final when asked and never modifies a yielded field.  An output whose
+    monitor trips raises BoundaryLeakError (end values below
+    LEAK_FLOOR_FRACTION of the shock strength do not count) or
+    MassDriftError instead; a step may raise BlowupError.
+    """
+    return _stream(cfg, _setup(cfg, prof))
+
+
 def run_simulation(cfg: ExperimentConfig,
                    prof: ShockProfile | None = None) -> SimulationRecord:
-    """Evolve background + perturbation to t_final, recording norms at cadence.
-
-    ``prof`` is the config's `solve_config_profile`; it is solved here when
-    not given.
-
-    In the moving frame the initial field is the scheme's discrete
-    traveling wave (`discrete_wave`) at phase 0 plus the perturbation, and
-    norms are taken against the discrete wave at the mass-matching shift
-    a, a steady state of the scheme: an unperturbed run stays at round-off.
-    The lab frame starts from and measures against the continuous profile,
-    translated by a and by s t, so its norms carry the O(h1^2) offset
-    between the continuous and the discrete wave.
-
-    The step is the largest one that divides dt_out exactly and stays
-    within `advective_dt` and `nonzero_mode_dt`, so outputs land on exact
-    multiples and reruns of the same config are bit-identical.  Raises
-    BlowupError or BoundaryLeakError when the respective monitor trips;
-    perturbation end values below LEAK_FLOOR_FRACTION of the shock
-    strength do not count as a leak.
-    """
-    setup = _setup(cfg, prof)
-    return _evolve(cfg, setup, setup.dt_bound)
+    """The whole `simulate` stream of ``cfg`` as one norm series."""
+    return _collect(*simulate(cfg, prof))
 
 
-def _evolve(cfg: ExperimentConfig, setup: _Setup, dt_bound: float) -> SimulationRecord:
-    """The time loop of `run_simulation`, at the largest step within dt_bound."""
-    flux, shock, grid, prof, fld, a, bg, _ = setup
+def _collect(meta: dict, stream) -> SimulationRecord:
+    return SimulationRecord(NormSeries.from_rows([(f.time, r) for f, r in stream], meta))
+
+
+def _stream(cfg: ExperimentConfig, setup: _Setup):
+    """Meta and output stream of a set-up run, at the largest step within dt_bound."""
+    st, grid, shock = cfg.stepper, setup.grid, setup.shock
+    n_sub = max(1, math.ceil(st.dt_out / setup.dt_bound))
+    meta = {"p_list": [float(p) for p in cfg.p_list],
+            "dimension": grid.dimension, "n1": grid.n1, "nprime": grid.nprime,
+            "half_length": grid.half_length, "frame": st.frame,
+            "dt": st.dt_out / n_sub, "shift": setup.shift, "mass_initial": setup.mass0,
+            "u_minus": shock.u_minus, "u_plus": shock.u_plus,
+            "speed": shock.speed, "strength": shock.strength}
+    return meta, _evolve(cfg, setup, n_sub, meta["dt"])
+
+
+def _evolve(cfg: ExperimentConfig, setup: _Setup, n_sub: int, dt: float) -> Iterator:
+    """The time loop of `simulate`, with the leak and mass-drift monitors."""
+    flux, shock, grid, prof, fld, a, bg, _, mass0 = setup
     st = cfg.stepper
-    n_sub = max(1, math.ceil(st.dt_out / dt_bound))
-    dt = st.dt_out / n_sub
     n_out = int(round(st.t_final / st.dt_out))
     leak_floor = LEAK_FLOOR_FRACTION * shock.strength
     guard = _blowup_guard(fld.values)
 
-    times = [0.0]
-    rows, mass0 = _record_norms(fld.values, bg, grid, cfg.p_list, None)
-    channels = {k: [v] for k, v in rows.items()}
-    snapshots = []
-    if cfg.snapshots:
-        snapshots.append(Field(grid=grid, values=fld.values.copy(),
-                               time=0.0, frame=st.frame))
-
+    yield fld, _record_norms(fld.values, bg, grid, cfg.p_list, mass0)
     for k_out in range(1, n_out + 1):
         for _ in range(n_sub):
             fld = advance(fld, dt, shock, flux, llf=st.llf, blowup_bounds=guard)
@@ -567,29 +577,18 @@ def _evolve(cfg: ExperimentConfig, setup: _Setup, dt_bound: float) -> Simulation
         fld = Field(grid=grid, values=fld.values, time=t, frame=st.frame)
         if st.frame == "lab":
             bg = _lab_background(prof, grid, a, shock.speed, t)
-        rows, _ = _record_norms(fld.values, bg, grid, cfg.p_list, mass0)
-        times.append(t)
-        for key, val in rows.items():
-            channels[key].append(val)
-        leak, sup = rows["boundary_leak"], rows["pert_Linf"]
+        row = _record_norms(fld.values, bg, grid, cfg.p_list, mass0)
+        leak, sup = row["boundary_leak"], row["pert_Linf"]
         if leak > max(LEAK_FRACTION * sup, leak_floor):
             raise BoundaryLeakError(
                 f"perturbation {leak:g} at the domain ends at t={t:g} exceeds "
                 f"{LEAK_FRACTION:g} of its sup {sup:g}; enlarge half_length")
-        if cfg.snapshots:
-            snapshots.append(Field(grid=grid, values=fld.values.copy(),
-                                   time=t, frame=st.frame))
-
-    meta = {"p_list": [float(p) for p in cfg.p_list],
-            "dimension": grid.dimension, "n1": grid.n1, "nprime": grid.nprime,
-            "half_length": grid.half_length, "frame": st.frame,
-            "dt": dt, "shift": a, "mass_initial": mass0,
-            "u_minus": shock.u_minus, "u_plus": shock.u_plus,
-            "speed": shock.speed, "strength": shock.strength}
-    norms = NormSeries(times=np.array(times),
-                       channels={k: np.array(v) for k, v in channels.items()},
-                       meta=meta)
-    return SimulationRecord(norms=norms, dt=dt, snapshots=snapshots)
+        drift, allowed = row["mass_drift"], MASS_DRIFT_RATE * (1.0 + t)
+        if drift > allowed:
+            raise MassDriftError(
+                f"drift {drift:.3g} at t={t:g} is {drift / allowed:.3g} times "
+                f"its allowance {allowed:.3g}")
+        yield fld, row
 
 
 def run_1d_reference(cfg: ExperimentConfig) -> SimulationRecord:
@@ -606,4 +605,5 @@ def run_1d_reference(cfg: ExperimentConfig) -> SimulationRecord:
     setup = _setup(cfg, None)
     cfg1 = copy.deepcopy(cfg)
     cfg1.dimension = 1
-    return _evolve(cfg1, _setup(cfg1, setup.prof), setup.dt_bound)
+    setup1 = _setup(cfg1, setup.prof)._replace(dt_bound=setup.dt_bound)
+    return _collect(*_stream(cfg1, setup1))

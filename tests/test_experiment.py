@@ -55,6 +55,11 @@ def files(out):
     return sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
 
 
+def csv_times(out):
+    lines = (out / "norms.csv").read_text().splitlines()
+    return [float(line.split(",")[0]) for line in lines[1:]]
+
+
 def assert_plain_modes(out):
     for path in out.rglob("*"):
         if path.is_file():
@@ -101,13 +106,21 @@ def test_bad_config_exits_1(tmp_path, caplog, command, doc, field):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("doc", [SHIFT_TOO_LARGE, LEAKING], ids=["shift", "leak"])
+@pytest.mark.parametrize("doc", [SHIFT_TOO_LARGE, dict(LEAKING, snapshots=True)],
+                         ids=["shift", "leak"])
 @pytest.mark.parametrize("command", ["run", "simulate"])
 def test_simulation_failure_exits_2(tmp_path, caplog, command, doc):
     code, out, errors = run(tmp_path, command, doc, caplog)
     assert code == EXIT_SIMULATION
     assert len(errors) == 1 and errors[0].startswith("simulation failed:")
-    assert "norms.csv" not in files(out)
+    if doc is SHIFT_TOO_LARGE:
+        # the set-up fails before the first output
+        assert "norms.csv" not in files(out)
+    else:
+        # the leak trips at t = 0.5; the t = 0 output was written as it was made
+        assert csv_times(out) == [0.0]
+        snaps = [f for f in files(out) if f.startswith("snapshots/")]
+        assert snaps == (["snapshots/field-00000.txt"] if command == "run" else [])
     assert_plain_modes(out)
 
 
@@ -125,11 +138,25 @@ def test_profile_failure_exits_2(tmp_path, caplog):
     assert not out.exists()
 
 
-def test_mass_drift_exits_3_with_one_error(tmp_path, caplog):
-    code, out, errors = run(tmp_path, "run", COARSE_LAB, caplog)
+@pytest.mark.parametrize("command", ["run", "simulate"])
+def test_mass_drift_exits_3_with_one_error(tmp_path, caplog, command):
+    code, out, errors = run(tmp_path, command, COARSE_LAB, caplog)
     assert code == EXIT_ANALYSIS
     assert len(errors) == 1 and errors[0].startswith("mass conservation failed:")
-    assert "rates.json" in files(out)
+    # the drift first exceeds its allowance at t = 0.1
+    assert csv_times(out) == [0.0]
+    assert "rates.json" not in files(out)
+
+
+def test_failed_rerun_leaves_no_earlier_results(tmp_path, caplog):
+    assert run(tmp_path, "run", OK, caplog)[0] == EXIT_OK
+    code, out, _ = run(tmp_path, "run", SHIFT_TOO_LARGE, caplog)
+    assert code == EXIT_SIMULATION
+    assert files(out) == ["config-echo.json", "profile.txt"]
+    assert run(tmp_path, "run", OK, caplog)[0] == EXIT_OK
+    code, out, _ = run(tmp_path, "simulate", SHIFT_TOO_LARGE, caplog)
+    assert code == EXIT_SIMULATION
+    assert "norms.csv" not in files(out)
 
 
 @pytest.mark.parametrize("content", [None, "t,f\n1,abc\n"], ids=["missing", "malformed"])

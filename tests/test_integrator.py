@@ -92,10 +92,11 @@ class TestAgreementWithRk4:
             grid = grid_of(cfg)
             lam1 = (2.0 * math.sin(math.pi / grid.nprime) / grid.hprime) ** 2
             dt_out = cfg.stepper.dt_out
-            assert etd.dt == dt_out / math.ceil(dt_out / (1.0 / (2.0 * lam1)))
-            assert etd.dt > ref.dt
+            assert etd.norms.meta["dt"] == \
+                dt_out / math.ceil(dt_out / (1.0 / (2.0 * lam1)))
+            assert etd.norms.meta["dt"] > ref.norms.meta["dt"]
         else:
-            assert etd.dt >= 5.0 * ref.dt
+            assert etd.norms.meta["dt"] >= 5.0 * ref.norms.meta["dt"]
         # the spatial error refines every direction, the transverse one too
         fine = make_config(**dict(CASES[case], n1=2 * cfg.grid.n1,
                                   nprime=2 * cfg.grid.nprime))

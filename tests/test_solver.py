@@ -1,11 +1,15 @@
 """Time stepping: scheme consistency, conservation, invariances, monitors."""
 
+import csv
+import json
+
 import numpy as np
 import pytest
 
 import shocklab as sl
+from shocklab import cli
 from shocklab.config import (ExperimentConfig, GridSpec, PerturbationSpec,
-                             StepperSpec)
+                             StepperSpec, config_from_dict)
 from shocklab.errors import (BlowupError, BoundaryLeakError,
                              NonzeroModePresentError, RangeExceededError,
                              WaveNotConvergedError)
@@ -215,10 +219,8 @@ class TestFrameEquivalence:
                 stepper=StepperSpec(t_final=t_final, dt_out=0.5,
                                     cfl_safety=0.8, frame=frame),
                 perturbation=PerturbationSpec(kind="gaussian-bump",
-                                              amplitude=0.02, width=2.0, seed=7),
-                snapshots=True)
-            rec = sl.run_simulation(cfg)
-            fields[frame] = rec.snapshots[-1]
+                                              amplitude=0.02, width=2.0, seed=7))
+            fields[frame] = [fld for fld, _ in sl.simulate(cfg)[1]][-1]
         g = fields["moving"].grid
         xi = g.x1
         keep = np.abs(xi) <= g.half_length - 2.0 - shock.speed * t_final
@@ -234,12 +236,11 @@ class TestMaximumPrinciple:
             stepper=StepperSpec(t_final=1.0, dt_out=0.25, cfl_safety=0.5,
                                 llf=True),
             perturbation=PerturbationSpec(kind="odd-bump", amplitude=0.05,
-                                          width=2.0, seed=9),
-            snapshots=True)
-        rec = sl.run_simulation(cfg)
-        u0 = rec.snapshots[0].values
+                                          width=2.0, seed=9))
+        fields = [fld for fld, _ in sl.simulate(cfg)[1]]
+        u0 = fields[0].values
         lo, hi = u0.min(), u0.max()
-        for fld in rec.snapshots[1:]:
+        for fld in fields[1:]:
             assert fld.values.min() >= lo - 1e-8
             assert fld.values.max() <= hi + 1e-8
 
@@ -314,7 +315,8 @@ class TestStepRule:
 
     def test_1d_reference_shares_the_step(self):
         cfg = make_config(dimension=2)
-        assert sl.run_1d_reference(cfg).dt == sl.run_simulation(cfg).dt
+        assert (sl.run_1d_reference(cfg).norms.meta["dt"]
+                == sl.run_simulation(cfg).norms.meta["dt"])
 
     def test_nonzero_mode_run_respects_bound(self):
         cfg = make_config(dimension=2,
@@ -322,7 +324,7 @@ class TestStepRule:
                                                         amplitude=0.01, width=2.0,
                                                         seed=3))
         lam1 = (2.0 * np.sin(np.pi / 8) / (1.0 / 8)) ** 2
-        assert sl.run_simulation(cfg).dt <= 1.0 / (2.0 * lam1)
+        assert sl.run_simulation(cfg).norms.meta["dt"] <= 1.0 / (2.0 * lam1)
 
 
 class TestBoundaryLeak:
@@ -395,7 +397,7 @@ class TestRunRecord:
                      "boundary_leak", "Phi_L2", "Phi_L4", "nzmode_W1L2",
                      "nzmode_W1L4"):
             assert name in n.channels
-        assert rec.dt <= 0.5
+        assert rec.norms.meta["dt"] <= 0.5
         assert n.meta["dimension"] == 2
 
     def test_zero_perturbation_floor(self):
@@ -412,7 +414,39 @@ class TestRunRecord:
         assert np.max(rec.norms.channels["pert_Linf"]) < floor
 
     def test_snapshot_cadence(self):
-        cfg = make_config(snapshots=True)
-        rec = sl.run_simulation(cfg)
-        assert len(rec.snapshots) == 5
-        assert rec.snapshots[-1].time == pytest.approx(2.0)
+        fields = [fld for fld, _ in sl.simulate(make_config())[1]]
+        assert len(fields) == 5
+        assert fields[-1].time == pytest.approx(2.0)
+
+
+class TestStream:
+    def test_stream_is_lazy(self, monkeypatch):
+        calls = []
+        advance = sl.solver.advance
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return advance(*args, **kwargs)
+
+        monkeypatch.setattr(sl.solver, "advance", counted)
+        cfg = make_config()
+        meta, stream = sl.simulate(cfg)
+        n_sub = round(cfg.stepper.dt_out / meta["dt"])
+        assert next(stream)[0].time == 0.0 and len(calls) == 0
+        assert next(stream)[0].time == 0.5 and len(calls) == n_sub
+
+    def test_run_writes_the_norms_of_run_simulation(self, tmp_path):
+        doc = {"dimension": 1, "grid": {"half_length": 15.0, "n1": 64},
+               "stepper": {"t_final": 2.0, "dt_out": 0.1}, "p_list": [2, 4]}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(config), "--out", str(out),
+                         "--quiet"]) == 0
+        norms = sl.run_simulation(config_from_dict(doc)).norms
+        with open(out / "norms.csv", newline="") as fh:
+            table = list(csv.DictReader(fh))
+        assert set(table[0]) == {"t"} | set(norms.channels)
+        assert [float(r["t"]) for r in table] == list(norms.times)
+        for name, values in norms.channels.items():
+            assert [float(r[name]) for r in table] == list(values), name

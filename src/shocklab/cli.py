@@ -1,9 +1,13 @@
 """Command-line entry point.
 
-Subcommands:
-  profile     construct the traveling-wave profile and its tail report
-  simulate    evolve the perturbed shock, writing norms.csv; exit 3 on mass drift
-  run         full pipeline: profile -> simulate -> analyze
+Subcommands; the first three delete every artifact any of them writes in the
+output directory, then echo the config there (config-echo.json):
+  profile     traveling-wave profile and its tail report: profile.txt and
+              profile-tails.json
+  simulate    evolve the perturbed shock: norms.csv and, with ``snapshots``,
+              snapshots/field-*.txt; exit 3 on mass drift
+  run         full pipeline, profile -> simulate -> analyze: what simulate
+              writes plus rates.json
   check-area  area-inequality verifier on an external (t, f) CSV
 """
 
@@ -18,7 +22,7 @@ import sys
 import numpy as np
 
 from .analysis import report_to_dict, reports_to_json, verify_area_inequality
-from .config import parse_config
+from .config import parse_config, validate_config
 from .errors import (ConfigParseError, ConfigValidationError,
                      HypothesisViolatedError, ShockLabError)
 from .experiment import (EXIT_ANALYSIS, EXIT_CONFIG, EXIT_OK, EXIT_SIMULATION,
@@ -43,11 +47,13 @@ def _load(args):
         cfg.out_dir = args.out
     if args.seed is not None:
         cfg.perturbation.seed = args.seed
+    validate_config(cfg)  # again, for the overrides; parse_config logged its warnings
     return cfg
 
 
 def _cmd_profile(args) -> int:
     cfg = _load(args)
+    prepare_out_dir(cfg)
     try:
         prof = solve_config_profile(cfg)
     except ShockLabError as exc:
@@ -55,7 +61,11 @@ def _cmd_profile(args) -> int:
         return EXIT_SIMULATION
     _atomic_write(os.path.join(cfg.out_dir, "profile.txt"),
                   lambda tmp: profile_to_text(prof, tmp))
-    report = verify_profile_bounds(prof)
+    try:
+        report = verify_profile_bounds(prof)
+    except ShockLabError as exc:
+        log.error("analysis failed: %s", exc)
+        return EXIT_ANALYSIS
     _atomic_write(os.path.join(cfg.out_dir, "profile-tails.json"),
                   lambda tmp: reports_to_json({"profile_tails": report}, tmp))
     log.info("tail rates %.6g / %.6g, smallest K %.6g",
@@ -65,7 +75,7 @@ def _cmd_profile(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = _load(args)
-    prepare_out_dir(cfg, ("norms.csv",))
+    prepare_out_dir(cfg)
     return stream_to_dir(cfg)[0]
 
 

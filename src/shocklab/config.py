@@ -62,6 +62,14 @@ class ExperimentConfig:
     fit_window: tuple | None = None
     snapshots: bool = False
 
+    def __post_init__(self):
+        """Fill the sections whose defaults scale with the shock strength."""
+        d = self.strength
+        if self.grid is None:
+            self.grid = GridSpec(half_length=default_half_length(d))
+        if self.perturbation is None:
+            self.perturbation = PerturbationSpec(amplitude=0.01 * d if d > 0 else 0.01)
+
     @property
     def strength(self) -> float:
         return abs(self.u_minus - self.u_plus)
@@ -75,23 +83,13 @@ def default_half_length(strength: float) -> float:
     return max(30.0 / strength, 30.0)
 
 
-def _fill_defaults(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Fill the sections whose defaults scale with the shock strength."""
-    d = cfg.strength
-    if cfg.grid is None:
-        cfg.grid = GridSpec(half_length=default_half_length(d))
-    if cfg.perturbation is None:
-        cfg.perturbation = PerturbationSpec(amplitude=0.01 * d if d > 0 else 0.01)
-    return cfg
-
-
 def build_flux(cfg: ExperimentConfig) -> FluxSpec:
     """FluxSpec for the config, on a validity range wide enough for the run.
 
     The range covers [min(u_pm) - 1, max(u_pm) + 1] expanded by the
     perturbation amplitude.
     """
-    amp = cfg.perturbation.amplitude if cfg.perturbation is not None else 0.0
+    amp = cfg.perturbation.amplitude
     lo = min(cfg.u_minus, cfg.u_plus) - 1.0 - amp
     hi = max(cfg.u_minus, cfg.u_plus) + 1.0 + amp
     if isinstance(cfg.flux, str):
@@ -112,7 +110,6 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
     issues: list[tuple[str, str]] = []
     warnings: list[str] = []
 
-    flux = None
     if isinstance(cfg.flux, str):
         if cfg.flux not in ("burgers", "convex-quartic"):
             issues.append(("flux", f"unknown flux name {cfg.flux!r}"))
@@ -170,6 +167,8 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         issues.append(("perturbation.amplitude", "must be nonnegative"))
     if pert.width <= 0.0:
         issues.append(("perturbation.width", "must be positive"))
+    if pert.seed < 0:
+        issues.append(("perturbation.seed", "must be nonnegative"))
     if pert.amplitude > 0.1 * cfg.strength > 0.0:
         warnings.append(
             f"perturbation amplitude {pert.amplitude:g} exceeds a tenth of the "
@@ -232,13 +231,14 @@ def _with_values(obj, doc, prefix: str, issues: list):
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Build a config from a JSON document; absent keys keep their defaults.
 
-    The defaults are the dataclass fields', except the two that scale with
-    the shock strength, set by `_fill_defaults` once the end states are
-    known.  Unknown keys and mistyped values raise ConfigValidationError.
+    The defaults are the dataclass fields'; the two sections that scale with
+    the shock strength are filled at the document's end states.  Unknown
+    keys and mistyped values raise ConfigValidationError.
     """
     issues: list = []
     top = {k: v for k, v in doc.items() if k not in _SECTIONS}
-    cfg = _fill_defaults(_with_values(ExperimentConfig(), top, "", issues))
+    cfg = replace(_with_values(ExperimentConfig(), top, "", issues),
+                  grid=None, perturbation=None)
     cfg = _with_values(cfg, {k: doc[k] for k in _SECTIONS if k in doc}, "", issues)
     if issues:
         raise ConfigValidationError(issues)

@@ -1,12 +1,15 @@
 """Full pipeline: profile, simulate, analyze, and write artifacts.
 
-Artifacts land in the config's output directory: norms.csv (one column per
-recorded norm), rates.json (fits and bound-check reports), profile.txt,
-config-echo.json, and optional field snapshots.  Every file goes through
-`_atomic_write`, a temp-then-rename, so readers never see partial files.
-`run` and `simulate` first delete their own artifacts of an earlier run.  A
-failed run keeps its output up to the failure: no norms.csv after a failed
-set-up, the norms.csv rows and snapshots before a failed step or monitor.
+Each command first deletes every `ARTIFACTS` file in the config's output
+directory and echoes its config to config-echo.json, so the directory holds
+only what that command computed: `profile` writes profile.txt and
+profile-tails.json; `simulate` norms.csv (one column per recorded norm) and,
+with ``snapshots``, snapshots/field-*.txt; `run` what `simulate` writes plus
+rates.json (fits, bound-check reports, profile tails).  Every file goes
+through `_atomic_write`, a temp-then-rename, so readers never see partial
+files.  A failed command keeps its output up to the failure: no norms.csv
+after a failed set-up, the norms.csv rows and snapshots before a failed step
+or monitor.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .config import ExperimentConfig, emit_config
 from .errors import (MassDriftError, NonPositiveValueError, ShockLabError,
                      TooFewSamplesError)
 from .grid import save_field_text
-from .profile import ShockProfile, profile_to_text, verify_profile_bounds
+from .profile import ShockProfile, verify_profile_bounds
 from .solver import simulate, solve_config_profile
 
 log = logging.getLogger("shocklab")
@@ -31,6 +34,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_SIMULATION = 2
 EXIT_ANALYSIS = 3
+
+# every file a command writes in cfg.out_dir besides config-echo.json
+ARTIFACTS = ("norms.csv", "rates.json", "profile.txt", "profile-tails.json",
+             "snapshots/field-*.txt")
 
 
 def _atomic_write(path, writer) -> None:
@@ -104,17 +111,17 @@ def analyze_record(cfg: ExperimentConfig, norms: NormSeries) -> dict:
     return reports
 
 
-def prepare_out_dir(cfg: ExperimentConfig, artifacts) -> None:
-    """Delete the ``artifacts`` globs in cfg.out_dir, then echo the config there."""
-    for pattern in artifacts:
+def prepare_out_dir(cfg: ExperimentConfig) -> None:
+    """Delete every `ARTIFACTS` file in cfg.out_dir, then echo the config there."""
+    for pattern in ARTIFACTS:
         for path in glob.glob(os.path.join(glob.escape(cfg.out_dir), pattern)):
             os.unlink(path)
     _atomic_write(os.path.join(cfg.out_dir, "config-echo.json"),
                   lambda tmp: emit_config(cfg, tmp))
 
 
-def stream_to_dir(cfg: ExperimentConfig, prof: ShockProfile | None = None,
-                  snapshots: bool = False) -> tuple[int, NormSeries | None]:
+def stream_to_dir(cfg: ExperimentConfig,
+                  prof: ShockProfile | None = None) -> tuple[int, NormSeries | None]:
     """Write the `simulate` stream into cfg.out_dir as it comes; (exit code, norms).
 
     A mass drift beyond its allowance gives 3 and one `mass conservation
@@ -124,7 +131,7 @@ def stream_to_dir(cfg: ExperimentConfig, prof: ShockProfile | None = None,
     try:
         meta, stream = simulate(cfg, prof)
         for k, (fld, row) in enumerate(stream):
-            if snapshots:
+            if cfg.snapshots:
                 _atomic_write(os.path.join(snap_dir, f"field-{k:05d}.txt"),
                               lambda tmp: save_field_text(fld, tmp))
             rows.append((fld.time, row))
@@ -151,16 +158,13 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     (Config errors are raised before any work starts and map to exit code
     1 in the CLI.)
     """
-    prepare_out_dir(cfg, ("norms.csv", "rates.json", "profile.txt",
-                          "snapshots/field-*.txt"))
+    prepare_out_dir(cfg)
     try:
         prof = solve_config_profile(cfg)
     except ShockLabError as exc:
         log.error("simulation failed: %s", exc)
         return EXIT_SIMULATION
-    _atomic_write(os.path.join(cfg.out_dir, "profile.txt"),
-                  lambda tmp: profile_to_text(prof, tmp))
-    code, norms = stream_to_dir(cfg, prof, cfg.snapshots)
+    code, norms = stream_to_dir(cfg, prof)
     if code != EXIT_OK:
         return code
 

@@ -1,10 +1,12 @@
 """Config documents: defaults, round trip through the echo, typed errors."""
 
+import copy
 import json
 from pathlib import Path
 
 import pytest
 
+import shocklab as sl
 from shocklab.config import (ExperimentConfig, GridSpec, PerturbationSpec,
                              StepperSpec, config_from_dict, config_to_dict,
                              validate_config)
@@ -45,6 +47,16 @@ def test_strength_scaled_defaults_inside_a_given_section():
     assert cfg.grid == GridSpec(half_length=60.0, n1=64)
     assert cfg.perturbation == PerturbationSpec(kind="odd-bump", amplitude=0.005)
     assert config_from_dict({"u_minus": 0.25, "u_plus": -0.25}).grid.half_length == 60.0
+
+
+def test_constructed_config_takes_the_strength_scaled_defaults():
+    assert (ExperimentConfig(u_minus=0.25, u_plus=-0.25)
+            == config_from_dict({"u_minus": 0.25, "u_plus": -0.25}))
+    assert validate_config(ExperimentConfig()) == []
+    cfg = ExperimentConfig(dimension=1, stepper=StepperSpec(t_final=0.5, dt_out=0.25))
+    before = copy.deepcopy(cfg)
+    assert list(sl.run_simulation(cfg).norms.times) == [0.0, 0.25, 0.5]
+    assert cfg == before
 
 
 def test_ints_become_floats():

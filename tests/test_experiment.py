@@ -29,6 +29,16 @@ DT_OUT_NOT_DIVIDING = dict(SMALL, stepper={"t_final": 2.0, "dt_out": 0.8}, p_lis
 COARSE_LAB = {"flux": "burgers", "u_minus": 2.0, "u_plus": 0.0, "dimension": 1,
               "grid": {"half_length": 20, "n1": 32},
               "stepper": {"t_final": 2.0, "dt_out": 0.1, "frame": "lab"}, "p_list": [2]}
+# the profile's tails on |x1| <= 3 + pad are too short to fit their decay rates
+SHORT_TAILS = {"dimension": 1, "grid": {"half_length": 3, "n1": 64}}
+NEGATIVE_SEED = {"perturbation": {"kind": "random-nonzero-mode", "seed": -1}}
+# what each command leaves in its output directory after a good run of OK, sorted
+SNAPS = [f"snapshots/field-{k:05d}.txt" for k in range(21)]
+LEFT_BY = {
+    "profile": ["config-echo.json", "profile-tails.json", "profile.txt"],
+    "simulate": ["config-echo.json", "norms.csv"] + SNAPS,
+    "run": ["config-echo.json", "norms.csv", "rates.json"] + SNAPS,
+}
 UMASK = 0o027
 
 
@@ -41,12 +51,13 @@ def umask():
         os.umask(old)
 
 
-def run(tmp_path, command, doc, caplog):
+def run(tmp_path, command, doc, caplog, *options):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
     out = tmp_path / "out"
     caplog.clear()
-    code = cli.main([command, "--config", str(config), "--out", str(out), "--quiet"])
+    code = cli.main([command, "--config", str(config), "--out", str(out), "--quiet",
+                     *options])
     errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
     return code, out, errors
 
@@ -69,9 +80,7 @@ def assert_plain_modes(out):
 def test_run_writes_every_artifact(tmp_path, caplog):
     code, out, errors = run(tmp_path, "run", OK, caplog)
     assert (code, errors) == (EXIT_OK, [])
-    snaps = [f"snapshots/field-{k:05d}.txt" for k in range(21)]
-    assert files(out) == sorted(["config-echo.json", "norms.csv", "profile.txt",
-                                 "rates.json"] + snaps)
+    assert files(out) == LEFT_BY["run"]
     assert_plain_modes(out)
     assert "fit_Phi_L2" in json.loads((out / "rates.json").read_text())
 
@@ -79,15 +88,23 @@ def test_run_writes_every_artifact(tmp_path, caplog):
 def test_simulate_writes_echo_and_norms(tmp_path, caplog):
     code, out, errors = run(tmp_path, "simulate", OK, caplog)
     assert (code, errors) == (EXIT_OK, [])
-    assert files(out) == ["config-echo.json", "norms.csv"]
+    assert files(out) == LEFT_BY["simulate"]
     assert_plain_modes(out)
 
 
 def test_profile_writes_profile_and_tails(tmp_path, caplog):
     code, out, errors = run(tmp_path, "profile", OK, caplog)
     assert (code, errors) == (EXIT_OK, [])
-    assert files(out) == ["profile-tails.json", "profile.txt"]
+    assert files(out) == LEFT_BY["profile"]
     assert_plain_modes(out)
+
+
+@pytest.mark.parametrize("command", ["profile", "simulate", "run"])
+def test_each_command_leaves_only_its_own_artifacts(tmp_path, caplog, command):
+    assert run(tmp_path, "run", OK, caplog)[0] == EXIT_OK
+    code, out, errors = run(tmp_path, command, OK, caplog)
+    assert (code, errors) == (EXIT_OK, [])
+    assert files(out) == LEFT_BY[command]
 
 
 @pytest.mark.parametrize("doc, field", [
@@ -97,12 +114,21 @@ def test_profile_writes_profile_and_tails(tmp_path, caplog):
     (dict(SMALL, stepper={"t_final": -1.0}), "stepper.t_final"),
     ({"profile_step": 2.0}, "profile_step"),
     (DT_OUT_NOT_DIVIDING, "stepper.dt_out"),
+    (NEGATIVE_SEED, "perturbation.seed"),
 ])
 @pytest.mark.parametrize("command", ["run", "simulate", "profile"])
 def test_bad_config_exits_1(tmp_path, caplog, command, doc, field):
     code, out, errors = run(tmp_path, command, doc, caplog)
     assert code == EXIT_CONFIG
     assert len(errors) == 1 and f"{field}:" in errors[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "simulate", "profile"])
+def test_negative_seed_override_exits_1(tmp_path, caplog, command):
+    code, out, errors = run(tmp_path, command, SMALL, caplog, "--seed", "-1")
+    assert code == EXIT_CONFIG
+    assert len(errors) == 1 and "perturbation.seed:" in errors[0]
     assert not out.exists()
 
 
@@ -120,7 +146,7 @@ def test_simulation_failure_exits_2(tmp_path, caplog, command, doc):
         # the leak trips at t = 0.5; the t = 0 output was written as it was made
         assert csv_times(out) == [0.0]
         snaps = [f for f in files(out) if f.startswith("snapshots/")]
-        assert snaps == (["snapshots/field-00000.txt"] if command == "run" else [])
+        assert snaps == ["snapshots/field-00000.txt"]
     assert_plain_modes(out)
 
 
@@ -128,14 +154,21 @@ def test_run_ending_inside_the_transient_exits_3(tmp_path, caplog):
     code, out, errors = run(tmp_path, "run", ENDS_IN_TRANSIENT, caplog)
     assert code == EXIT_ANALYSIS
     assert len(errors) == 1 and "run longer" in errors[0]
-    assert files(out) == ["config-echo.json", "norms.csv", "profile.txt"]
+    assert files(out) == ["config-echo.json", "norms.csv"]
 
 
 def test_profile_failure_exits_2(tmp_path, caplog):
     code, out, errors = run(tmp_path, "profile", STEEP_QUARTIC, caplog)
     assert code == EXIT_SIMULATION
     assert len(errors) == 1 and "monotonicity lost" in errors[0]
-    assert not out.exists()
+    assert files(out) == ["config-echo.json"]
+
+
+def test_profile_with_short_tails_exits_3(tmp_path, caplog):
+    code, out, errors = run(tmp_path, "profile", SHORT_TAILS, caplog)
+    assert code == EXIT_ANALYSIS
+    assert len(errors) == 1 and errors[0].startswith("analysis failed:")
+    assert files(out) == ["config-echo.json", "profile.txt"]
 
 
 @pytest.mark.parametrize("command", ["run", "simulate"])
@@ -152,11 +185,11 @@ def test_failed_rerun_leaves_no_earlier_results(tmp_path, caplog):
     assert run(tmp_path, "run", OK, caplog)[0] == EXIT_OK
     code, out, _ = run(tmp_path, "run", SHIFT_TOO_LARGE, caplog)
     assert code == EXIT_SIMULATION
-    assert files(out) == ["config-echo.json", "profile.txt"]
+    assert files(out) == ["config-echo.json"]
     assert run(tmp_path, "run", OK, caplog)[0] == EXIT_OK
     code, out, _ = run(tmp_path, "simulate", SHIFT_TOO_LARGE, caplog)
     assert code == EXIT_SIMULATION
-    assert "norms.csv" not in files(out)
+    assert files(out) == ["config-echo.json"]
 
 
 @pytest.mark.parametrize("content", [None, "t,f\n1,abc\n"], ids=["missing", "malformed"])

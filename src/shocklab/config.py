@@ -94,11 +94,11 @@ def build_flux(cfg: ExperimentConfig) -> FluxSpec:
     hi = max(cfg.u_minus, cfg.u_plus) + 1.0 + amp
     if isinstance(cfg.flux, str):
         if cfg.flux == "burgers":
-            return burgers_flux(cfg.dimension, lo, hi)
+            return burgers_flux(u_lo=lo, u_hi=hi)
         if cfg.flux == "convex-quartic":
-            return convex_quartic_flux(cfg.dimension, lo, hi)
+            return convex_quartic_flux(u_lo=lo, u_hi=hi)
         raise ValueError(f"unknown flux name {cfg.flux!r}")
-    return polynomial_flux(cfg.flux, cfg.dimension, u_lo=lo, u_hi=hi)
+    return polynomial_flux(cfg.flux, u_lo=lo, u_hi=hi)
 
 
 def validate_config(cfg: ExperimentConfig) -> list[str]:
@@ -113,13 +113,14 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
     if isinstance(cfg.flux, str):
         if cfg.flux not in ("burgers", "convex-quartic"):
             issues.append(("flux", f"unknown flux name {cfg.flux!r}"))
-    elif isinstance(cfg.flux, (list, tuple)):
+    elif (isinstance(cfg.flux, (list, tuple))
+          and all(type(c) in (int, float) for c in cfg.flux)):
         try:
             polynomial_flux(cfg.flux)
         except ValueError as exc:
             issues.append(("flux", str(exc)))
     else:
-        issues.append(("flux", "must be a builtin name or a coefficient list"))
+        issues.append(("flux", "must be a builtin name or a list of numbers"))
 
     if cfg.dimension not in (1, 2, 3):
         issues.append(("dimension", "must be 1, 2, or 3"))

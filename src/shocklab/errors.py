@@ -9,10 +9,6 @@ class EqualStatesError(ShockLabError):
     """The two end states coincide, so no shock speed is defined."""
 
 
-class DegenerateShockError(ShockLabError):
-    """Shock with zero strength where a finite strength is required."""
-
-
 class OutOfRangeError(ShockLabError):
     """Argument outside the interval on which the quantity is defined."""
 

@@ -84,7 +84,6 @@ def default_fit_window(cfg: ExperimentConfig) -> tuple[float, float]:
 def analyze_record(cfg: ExperimentConfig, norms: NormSeries) -> dict:
     """All rate fits and bound checks for one simulation's norm series."""
     window = cfg.fit_window or default_fit_window(cfg)
-    t_start = max(1.0, float(norms.times[0]))
     reports: dict = {}
     for p in cfg.p_list:
         name = f"Phi_L{p:g}"
@@ -93,12 +92,9 @@ def analyze_record(cfg: ExperimentConfig, norms: NormSeries) -> dict:
         except (TooFewSamplesError, NonPositiveValueError) as exc:
             log.warning("skipping %s fit: %s", name, exc)
         if p > 2.0:
-            reports[f"bound_phi_L{p:g}"] = theorem_bound_check(
-                norms, p, "phi-Lp", t_start=t_start)
-            reports[f"bound_pert_L2_p{p:g}"] = theorem_bound_check(
-                norms, p, "pert-L2", t_start=t_start)
-            reports[f"bound_pert_Linf_p{p:g}"] = theorem_bound_check(
-                norms, p, "pert-Linf", t_start=t_start)
+            reports[f"bound_phi_L{p:g}"] = theorem_bound_check(norms, p, "phi-Lp")
+            reports[f"bound_pert_L2_p{p:g}"] = theorem_bound_check(norms, p, "pert-L2")
+            reports[f"bound_pert_Linf_p{p:g}"] = theorem_bound_check(norms, p, "pert-Linf")
             try:
                 reports[f"gn_ratio_p{p:g}"] = gn_ratio_monitor(norms, p)
             except ShockLabError as exc:

@@ -1,8 +1,9 @@
 """Flux functions, shock data, entropy admissibility, and the h/w scalar pair.
 
-The longitudinal flux f1 is strictly convex; with a convex flux the entropy
-condition f1'(u_minus) > s > f1'(u_plus) forces u_minus > u_plus, so the
-profile is monotone decreasing.  All formulas below use that orientation.
+One scalar flux f1 serves every direction of the channel.  It is strictly
+convex; with a convex flux the entropy condition f1'(u_minus) > s >
+f1'(u_plus) forces u_minus > u_plus, so the profile is monotone
+decreasing.  All formulas below use that orientation.
 """
 
 from __future__ import annotations
@@ -22,76 +23,50 @@ RH_TOL = 1e-12
 
 @dataclass(frozen=True)
 class FluxSpec:
-    """Flux vector f = (f_1, ..., f_n) with first and second derivatives.
+    """Scalar flux f with its first and second derivatives.
 
-    Each direction carries an evaluator triple (f_i, f_i', f_i'').  The
-    evaluators must accept floats and numpy arrays alike.  ``c0`` is the
-    declared convexity floor for f_1; ``check_convexity`` measures the
-    actual minimum of f_1'' so callers can compare the two.  ``u_lo`` and
-    ``u_hi`` delimit the validity range of the evaluators.
+    One flux serves every direction: the law is u_t + sum_i d_i f(u) = Lap u,
+    so f is also the strictly convex longitudinal flux f_1 that does all the
+    shock work.  Distinct transverse fluxes f_i would need their own config
+    format and workload.  The evaluators must accept floats and numpy arrays
+    alike.  ``c0`` is the declared convexity floor of f;
+    ``check_convexity`` measures the actual minimum of f'' so callers can
+    compare the two.  ``u_lo`` and ``u_hi`` delimit the validity range of
+    the evaluators.
     """
 
     name: str
-    dimension: int
-    evaluators: tuple[tuple[ScalarFn, ScalarFn, ScalarFn], ...]
+    f1: ScalarFn
+    df1: ScalarFn
+    ddf1: ScalarFn
     c0: float
     u_lo: float
     u_hi: float
 
     def __post_init__(self):
-        if self.dimension not in (1, 2, 3):
-            raise ValueError(f"dimension must be 1..3, got {self.dimension}")
-        if len(self.evaluators) != self.dimension:
-            raise ValueError("need one evaluator triple per direction")
         if not self.c0 > 0.0:
             raise ValueError("declared convexity floor c0 must be positive")
         if not self.u_lo < self.u_hi:
             raise ValueError("validity range is empty")
 
-    def f(self, i: int, u):
-        """Evaluate f_i (0-based direction index)."""
-        return self.evaluators[i][0](u)
 
-    def df(self, i: int, u):
-        return self.evaluators[i][1](u)
-
-    def ddf(self, i: int, u):
-        return self.evaluators[i][2](u)
-
-    # f_1 shortcuts; the longitudinal flux does all the shock work.
-    def f1(self, u):
-        return self.evaluators[0][0](u)
-
-    def df1(self, u):
-        return self.evaluators[0][1](u)
-
-    def ddf1(self, u):
-        return self.evaluators[0][2](u)
+def burgers_flux(*, u_lo: float = -4.0, u_hi: float = 4.0) -> FluxSpec:
+    """f(u) = u^2/2; f'' = 1."""
+    return FluxSpec("burgers", lambda u: 0.5 * u * u, lambda u: u,
+                    lambda u: u * 0.0 + 1.0, 1.0, u_lo, u_hi)
 
 
-def _repeat_triple(triple, dimension):
-    return tuple(triple for _ in range(dimension))
+def convex_quartic_flux(*, u_lo: float = -4.0, u_hi: float = 4.0) -> FluxSpec:
+    """f(u) = u^2/2 + u^4/12; f'' = 1 + u^2 >= 1."""
+    return FluxSpec("convex-quartic",
+                    lambda u: 0.5 * u * u + u ** 4 / 12.0,
+                    lambda u: u + u ** 3 / 3.0,
+                    lambda u: 1.0 + u * u, 1.0, u_lo, u_hi)
 
 
-def burgers_flux(dimension: int = 1, u_lo: float = -4.0, u_hi: float = 4.0) -> FluxSpec:
-    """f_i(u) = u^2/2 in every direction; f1'' = 1."""
-    triple = (lambda u: 0.5 * u * u, lambda u: u, lambda u: u * 0.0 + 1.0)
-    return FluxSpec("burgers", dimension, _repeat_triple(triple, dimension), 1.0, u_lo, u_hi)
-
-
-def convex_quartic_flux(dimension: int = 1, u_lo: float = -4.0, u_hi: float = 4.0) -> FluxSpec:
-    """f_i(u) = u^2/2 + u^4/12; f1'' = 1 + u^2 >= 1."""
-    triple = (
-        lambda u: 0.5 * u * u + u ** 4 / 12.0,
-        lambda u: u + u ** 3 / 3.0,
-        lambda u: 1.0 + u * u,
-    )
-    return FluxSpec("convex-quartic", dimension, _repeat_triple(triple, dimension), 1.0, u_lo, u_hi)
-
-
-def polynomial_flux(coefficients: Sequence[float], dimension: int = 1,
-                    c0: float | None = None, name: str = "poly",
-                    u_lo: float = -4.0, u_hi: float = 4.0) -> FluxSpec:
+def polynomial_flux(coefficients: Sequence[float], *, c0: float | None = None,
+                    name: str = "poly", u_lo: float = -4.0,
+                    u_hi: float = 4.0) -> FluxSpec:
     """Flux from ascending polynomial coefficients: f(u) = sum c_k u^k.
 
     When ``c0`` is omitted it is taken as the sampled minimum of f'' over
@@ -121,8 +96,7 @@ def polynomial_flux(coefficients: Sequence[float], dimension: int = 1,
             raise ValueError(
                 "polynomial is not convex on the validity range; "
                 "pass an explicit c0 to declare a floor anyway")
-    return FluxSpec(name, dimension, _repeat_triple((f, df, ddf), dimension),
-                    float(c0), u_lo, u_hi)
+    return FluxSpec(name, f, df, ddf, float(c0), u_lo, u_hi)
 
 
 @dataclass(frozen=True)

@@ -91,26 +91,28 @@ def _rhs_values(u: np.ndarray, grid: ChannelGrid, shock: ShockData,
     s = shock.speed if moving else 0.0
     h1 = grid.h1
 
-    g_long = flux.f1(u) - s * u if moving else flux.f1(u)
+    # one flux serves every direction, so f and f' are evaluated once
+    f = flux.f1(u)
+    g_long = f - s * u if moving else f
     fh = 0.5 * (g_long[:-1] + g_long[1:])
     if llf:
-        speed_l = np.abs(flux.df1(u[:-1]) - s)
-        speed_r = np.abs(flux.df1(u[1:]) - s)
+        df = flux.df1(u)
+        speeds = np.abs(df)
+        speed_l = np.abs(df[:-1] - s)
+        speed_r = np.abs(df[1:] - s)
         fh -= 0.5 * np.maximum(speed_l, speed_r) * (u[1:] - u[:-1])
     out = np.zeros_like(u)
     out[1:-1] = (fh[:-1] - fh[1:]) / h1 + (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (h1 * h1)
 
     hp = grid.hprime
     for axis in range(1, u.ndim):
-        gt = flux.f(axis, u)
         if llf:
-            speeds = np.abs(flux.df(axis, u))
             sp = np.maximum(speeds, np.roll(speeds, -1, axis))
-            fh_t = 0.5 * (gt + np.roll(gt, -1, axis)) \
+            fh_t = 0.5 * (f + np.roll(f, -1, axis)) \
                 - 0.5 * sp * (np.roll(u, -1, axis) - u)
             out -= (fh_t - np.roll(fh_t, 1, axis)) / hp
         else:
-            out -= (np.roll(gt, -1, axis) - np.roll(gt, 1, axis)) / (2.0 * hp)
+            out -= (np.roll(f, -1, axis) - np.roll(f, 1, axis)) / (2.0 * hp)
         out += (np.roll(u, -1, axis) - 2.0 * u + np.roll(u, 1, axis)) / (hp * hp)
 
     out[0] = 0.0
@@ -119,7 +121,7 @@ def _rhs_values(u: np.ndarray, grid: ChannelGrid, shock: ShockData,
 
 
 def rhs(fld: Field, shock: ShockData, flux: FluxSpec, llf: bool = False) -> np.ndarray:
-    """Right-hand side -sum_i d_i f_i(u) + Lap u (+ s d_1 u in the moving frame).
+    """Right-hand side -sum_i d_i f(u) + Lap u (+ s d_1 u in the moving frame).
 
     The boundary rows in x1 do not evolve and serve the interior stencil as
     Dirichlet data; transverse directions wrap periodically.
@@ -134,7 +136,7 @@ def _min_spacing(grid: ChannelGrid) -> float:
 
 def advective_dt(fld: Field, flux: FluxSpec, grid: ChannelGrid, safety: float,
                  speed: float = 0.0) -> float:
-    """Advective step bound h/(max |f_i'| + |speed|) of `advance`.
+    """Advective step bound h/(max |f'| + |speed|) of `advance`.
 
     ``speed`` is the frame speed added to the flux speeds (zero in the lab
     frame).  It is the only limit for transversally constant data; data
@@ -142,9 +144,7 @@ def advective_dt(fld: Field, flux: FluxSpec, grid: ChannelGrid, safety: float,
     """
     if not 0.0 < safety <= 1.0:
         raise ValueError("safety must lie in (0, 1]")
-    vmax = 0.0
-    for i in range(grid.dimension):
-        vmax = max(vmax, float(np.max(np.abs(flux.df(i, fld.values)))))
+    vmax = float(np.max(np.abs(flux.df1(fld.values))))
     return safety * _min_spacing(grid) / (vmax + abs(speed) + CFL_EPS)
 
 
@@ -461,7 +461,6 @@ def solve_config_profile(cfg: ExperimentConfig) -> ShockProfile:
 class _Setup(NamedTuple):
     """Everything a run builds before its first step."""
 
-    flux: FluxSpec
     shock: ShockData
     grid: ChannelGrid
     prof: ShockProfile
@@ -481,8 +480,7 @@ def _setup(cfg: ExperimentConfig, prof: ShockProfile | None) -> _Setup:
     `nonzero_mode_dt`) on the initial field; ``mass0`` is the initial mass.
     """
     validate_config(cfg)
-    flux = build_flux(cfg)
-    shock = make_shock(flux, cfg.u_minus, cfg.u_plus)
+    shock = make_shock(build_flux(cfg), cfg.u_minus, cfg.u_plus)
     grid = ChannelGrid(dimension=cfg.dimension, half_length=cfg.grid.half_length,
                        n1=cfg.grid.n1,
                        nprime=cfg.grid.nprime if cfg.dimension > 1 else 1)
@@ -492,7 +490,7 @@ def _setup(cfg: ExperimentConfig, prof: ShockProfile | None) -> _Setup:
 
     moving = st.frame == "moving"
     if moving:
-        bg = discrete_wave(grid, shock, flux, prof, 0.0, st.llf)
+        bg = discrete_wave(grid, shock, shock.flux, prof, 0.0, st.llf)
     else:
         bg, _ = eval_profile(prof, grid.x1)
     shape_tail = (1,) * (len(grid.shape) - 1)
@@ -502,14 +500,14 @@ def _setup(cfg: ExperimentConfig, prof: ShockProfile | None) -> _Setup:
     if abs(a) > PROFILE_PAD - 1.0:
         raise OutOfRangeError(f"shift {a:g} too large for the solved profile range")
     if moving:
-        bg = discrete_wave(grid, shock, flux, prof, a, st.llf)
+        bg = discrete_wave(grid, shock, shock.flux, prof, a, st.llf)
     else:
         bg = _lab_background(prof, grid, a, shock.speed, 0.0)
 
-    dt_bound = min(advective_dt(fld, flux, grid, st.cfl_safety, speed=shock.speed),
+    dt_bound = min(advective_dt(fld, shock.flux, grid, st.cfl_safety, speed=shock.speed),
                    nonzero_mode_dt(fld))
     mass0 = integrate(u0 - bg.reshape((grid.n1,) + shape_tail), grid)
-    return _Setup(flux, shock, grid, prof, fld, a, bg, dt_bound, mass0)
+    return _Setup(shock, grid, prof, fld, a, bg, dt_bound, mass0)
 
 
 def _lab_background(prof: ShockProfile, grid: ChannelGrid, a: float,
@@ -563,7 +561,7 @@ def _stream(cfg: ExperimentConfig, setup: _Setup):
 
 def _evolve(cfg: ExperimentConfig, setup: _Setup, n_sub: int, dt: float) -> Iterator:
     """The time loop of `simulate`, with the leak and mass-drift monitors."""
-    flux, shock, grid, prof, fld, a, bg, _, mass0 = setup
+    shock, grid, prof, fld, a, bg, _, mass0 = setup
     st = cfg.stepper
     n_out = int(round(st.t_final / st.dt_out))
     leak_floor = LEAK_FLOOR_FRACTION * shock.strength
@@ -572,7 +570,7 @@ def _evolve(cfg: ExperimentConfig, setup: _Setup, n_sub: int, dt: float) -> Iter
     yield fld, _record_norms(fld.values, bg, grid, cfg.p_list, mass0)
     for k_out in range(1, n_out + 1):
         for _ in range(n_sub):
-            fld = advance(fld, dt, shock, flux, llf=st.llf, blowup_bounds=guard)
+            fld = advance(fld, dt, shock, shock.flux, llf=st.llf, blowup_bounds=guard)
         t = k_out * st.dt_out
         fld = Field(grid=grid, values=fld.values, time=t, frame=st.frame)
         if st.frame == "lab":

@@ -6,17 +6,12 @@ import shocklab as sl
 
 @pytest.fixture(scope="session")
 def burgers1():
-    return sl.burgers_flux(1)
-
-
-@pytest.fixture(scope="session")
-def burgers2():
-    return sl.burgers_flux(2)
+    return sl.burgers_flux()
 
 
 @pytest.fixture(scope="session")
 def quartic1():
-    return sl.convex_quartic_flux(1)
+    return sl.convex_quartic_flux()
 
 
 @pytest.fixture(scope="session")

@@ -115,6 +115,9 @@ def test_each_command_leaves_only_its_own_artifacts(tmp_path, caplog, command):
     ({"profile_step": 2.0}, "profile_step"),
     (DT_OUT_NOT_DIVIDING, "stepper.dt_out"),
     (NEGATIVE_SEED, "perturbation.seed"),
+    ({"flux": [0, 0, "0.5"]}, "flux"),
+    ({"flux": [0, 0, True]}, "flux"),
+    ({"flux": [0, 0, 0.5, None]}, "flux"),
 ])
 @pytest.mark.parametrize("command", ["run", "simulate", "profile"])
 def test_bad_config_exits_1(tmp_path, caplog, command, doc, field):

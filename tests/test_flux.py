@@ -138,11 +138,11 @@ class TestWeight:
 
 class TestConvexity:
     def test_burgers_everywhere_one(self):
-        fx = sl.burgers_flux(1, -2.0, 2.0)
+        fx = sl.burgers_flux(u_lo=-2.0, u_hi=2.0)
         assert sl.check_convexity(fx, 100) == pytest.approx(1.0)
 
     def test_quartic_minimum_at_origin(self):
-        fx = sl.convex_quartic_flux(1, -1.0, 1.0)
+        fx = sl.convex_quartic_flux(u_lo=-1.0, u_hi=1.0)
         # minimum of 1 + u^2 over [-1, 1]
         assert sl.check_convexity(fx, 101) == pytest.approx(1.0)
 
@@ -160,7 +160,7 @@ class TestConvexity:
 class TestDerivativeConsistency:
     @pytest.mark.parametrize("builder", [sl.burgers_flux, sl.convex_quartic_flux])
     def test_first_derivative_second_order(self, builder):
-        fx = builder(1)
+        fx = builder()
         us = np.linspace(-1.5, 1.5, 11)
 
         def central_err(h):

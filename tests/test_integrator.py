@@ -57,8 +57,7 @@ def rk4_advance(fld, dt, shock, flux, llf=False, blowup_bounds=None):
 def rk4_dt(fld, flux, grid, safety, speed=0.0):
     """The explicit bound of `cfl_dt`, written out so that it does not call
     the `advective_dt` it replaces."""
-    vmax = max(float(np.max(np.abs(flux.df(i, fld.values))))
-               for i in range(grid.dimension))
+    vmax = float(np.max(np.abs(flux.df1(fld.values))))
     h = grid.h1 if grid.dimension == 1 else min(grid.h1, grid.hprime)
     return safety * min(h * h / (2.0 * grid.dimension), h / (vmax + abs(speed)))
 
@@ -138,7 +137,7 @@ class TestTemporalOrder:
 class TestExactDiffusion:
     @pytest.fixture(scope="class")
     def heat(self):
-        fx = sl.polynomial_flux([0.0], dimension=3, c0=1.0)
+        fx = sl.polynomial_flux([0.0], c0=1.0)
         sh = sl.ShockData(flux=fx, u_minus=1.0, u_plus=-1.0, speed=0.0,
                           strength=2.0, admissible=False)
         return fx, sh

@@ -32,17 +32,17 @@ def make_config(**over):
 @pytest.fixture(scope="module")
 def diffusion_setup():
     """Zero-flux system for pure-diffusion checks."""
-    fx = sl.polynomial_flux([0.0], dimension=2, c0=1.0)
+    fx = sl.polynomial_flux([0.0], c0=1.0)
     sh = sl.ShockData(flux=fx, u_minus=1.0, u_plus=-1.0, speed=0.0,
                       strength=2.0, admissible=False)
     return fx, sh
 
 
 class TestRhs:
-    def test_constant_field_is_steady(self, burgers2, shock_sym):
+    def test_constant_field_is_steady(self, burgers1, shock_sym):
         g = sl.ChannelGrid(dimension=2, half_length=10.0, n1=64, nprime=8)
         fld = sl.Field(grid=g, values=np.full(g.shape, 0.3), frame="lab")
-        r = sl.rhs(fld, shock_sym, burgers2)
+        r = sl.rhs(fld, shock_sym, burgers1)
         assert np.all(r == 0.0)
 
     def test_steady_profile_residual_second_order(self, burgers1, shock_sym):
@@ -69,30 +69,30 @@ class TestRhs:
         with pytest.raises(RangeExceededError):
             sl.rhs(fld, shock_sym, burgers1)
 
-    def test_boundary_rows_pinned(self, burgers2, shock_sym):
+    def test_boundary_rows_pinned(self, burgers1, shock_sym):
         g = sl.ChannelGrid(dimension=2, half_length=10.0, n1=64, nprime=8)
         rng = np.random.default_rng(3)
         vals = 0.2 * rng.standard_normal(g.shape)
-        r = sl.rhs(sl.Field(grid=g, values=vals, frame="lab"), shock_sym, burgers2)
+        r = sl.rhs(sl.Field(grid=g, values=vals, frame="lab"), shock_sym, burgers1)
         assert np.all(r[0] == 0.0)
         assert np.all(r[-1] == 0.0)
 
 
 class TestCflDt:
-    def test_formula_diffusion_limited(self, burgers2):
+    def test_formula_diffusion_limited(self, burgers1):
         # h_min = 0.05, n = 2, |f'| <= 1, s = 0:
         # min(0.0025/4, 0.05/1) = 0.000625
         g = sl.ChannelGrid(dimension=2, half_length=30.0, n1=1201, nprime=16)
         fld = sl.Field(grid=g, values=np.clip(np.sin(g.x1), -1, 1)[:, None]
                        * np.ones(16), frame="lab")
-        assert sl.cfl_dt(fld, burgers2, g, 1.0) == pytest.approx(0.000625)
+        assert sl.cfl_dt(fld, burgers1, g, 1.0) == pytest.approx(0.000625)
 
-    def test_linear_in_safety(self, burgers2):
+    def test_linear_in_safety(self, burgers1):
         g = sl.ChannelGrid(dimension=2, half_length=30.0, n1=1201, nprime=16)
         fld = sl.Field(grid=g, values=np.zeros(g.shape) + np.sin(g.x1)[:, None],
                        frame="lab")
-        full = sl.cfl_dt(fld, burgers2, g, 1.0)
-        assert sl.cfl_dt(fld, burgers2, g, 0.5) == pytest.approx(0.5 * full)
+        full = sl.cfl_dt(fld, burgers1, g, 1.0)
+        assert sl.cfl_dt(fld, burgers1, g, 0.5) == pytest.approx(0.5 * full)
 
     def test_pure_diffusion_bound(self, diffusion_setup):
         fx, _ = diffusion_setup
@@ -141,6 +141,44 @@ class TestAdvance:
         with pytest.raises(BlowupError):
             sl.advance(fld, 1e-3, shock_sym, burgers1,
                        blowup_bounds=(-0.5, 0.5))
+
+
+class TestOneFluxEveryDimension:
+    """The flux of a shock serves fields of any dimension unchanged."""
+
+    @pytest.fixture(scope="class")
+    def shock(self):
+        return sl.make_shock(sl.burgers_flux(), 1, -1)
+
+    @staticmethod
+    def column_field(dimension, frame="moving"):
+        g = sl.ChannelGrid(dimension=dimension, half_length=10.0, n1=64,
+                           nprime=8 if dimension > 1 else 1)
+        u, _ = closed_form_sym(g.x1)
+        u = u + 0.05 * np.exp(-g.x1 ** 2)
+        vals = np.broadcast_to(u.reshape((g.n1,) + (1,) * (dimension - 1)), g.shape)
+        return sl.Field(grid=g, values=vals.copy(), frame=frame)
+
+    @pytest.mark.parametrize("llf", [False, True])
+    @pytest.mark.parametrize("frame", ["moving", "lab"])
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_rhs_matches_1d_in_every_column(self, shock, dimension, frame, llf):
+        r1 = sl.rhs(self.column_field(1, frame), shock, shock.flux, llf)
+        r = sl.rhs(self.column_field(dimension, frame), shock, shock.flux, llf)
+        np.testing.assert_array_equal(r, np.broadcast_to(
+            r1.reshape((r1.size,) + (1,) * (dimension - 1)), r.shape))
+
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_advance_and_advective_dt_accept_the_flux(self, shock, dimension):
+        fld = self.column_field(dimension)
+        g = fld.grid
+        h = g.h1 if dimension == 1 else min(g.h1, g.hprime)
+        vmax = float(np.max(np.abs(fld.values)))
+        assert sl.advective_dt(fld, shock.flux, g, 1.0) == pytest.approx(h / vmax)
+        out = sl.advance(fld, 1e-3, shock, shock.flux)
+        ref = sl.advance(self.column_field(1), 1e-3, shock, shock.flux)
+        np.testing.assert_allclose(out.values[(slice(None),) + (0,) * (dimension - 1)],
+                                   ref.values, rtol=0.0, atol=1e-14)
 
 
 class TestConservation:
@@ -265,8 +303,8 @@ class TestDiscreteWave:
         ("convex-quartic", (1.0, -1.0), False, -0.2),
     ])
     def test_steady_state_with_phase_condition(self, flux_name, states, llf, a):
-        flux = (sl.burgers_flux(1) if flux_name == "burgers"
-                else sl.convex_quartic_flux(1))
+        flux = (sl.burgers_flux() if flux_name == "burgers"
+                else sl.convex_quartic_flux())
         shock = sl.make_shock(flux, *states)
         g = sl.ChannelGrid(dimension=1, half_length=30.0, n1=512)
         prof = sl.solve_profile(shock, 34.0, 1e-3)

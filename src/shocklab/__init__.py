@@ -22,7 +22,7 @@ from .grid import (ChannelGrid, Field, gradient, h1_seminorm, integrate,
 from .modes import antiderivative, nonzero_mode, shift_normalize, zero_mode
 from .profile import (ShockProfile, TailReport, burgers_profile, eval_profile,
                       solve_profile, verify_profile_bounds)
-from .solver import (SimulationRecord, advance, advective_dt, build_perturbation,
+from .solver import (advance, advective_dt, build_perturbation,
                      cfl_dt, discrete_wave, nonzero_mode_dt, rhs,
                      run_1d_reference, run_simulation, simulate)
 
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ChannelGrid", "ExperimentConfig", "Field", "FluxSpec", "GridSpec",
     "NormSeries", "PerturbationSpec", "RateFit",
-    "ShockData", "ShockLabError", "ShockProfile", "SimulationRecord",
+    "ShockData", "ShockLabError", "ShockProfile",
     "StepperSpec", "TailReport", "advance", "advective_dt", "antiderivative",
     "area_bound", "build_flux", "build_perturbation", "burgers_flux",
     "burgers_profile", "cfl_dt", "check_convexity",

@@ -22,6 +22,8 @@ MIN_FIT_SAMPLES = 10
 # Slack factor on late-window vs early-window sups in theorem_bound_check;
 # absorbs discretization drift.
 CONSISTENCY_SLACK = 1.05
+# Start of the early window of theorem_bound_check, past the initial transient.
+BOUND_T_START = 1.0
 # Relative slack on the sampled hypothesis checks of the area inequality.
 HYPOTHESIS_SLACK = 0.01
 
@@ -256,20 +258,20 @@ class BoundReport:
     consistent: bool
 
 
-def theorem_bound_check(series: NormSeries, p: float, kind: str,
-                        t_start: float = 1.0) -> BoundReport:
+def theorem_bound_check(series: NormSeries, p: float, kind: str) -> BoundReport:
     """Check a decay statement by normalized-ratio boundedness.
 
     Forms r(t) = value(t) * (1+t)^theta with the candidate exponent for the
     kind, or value(t) * exp(c_fit t) for kind "nonzero-exp" with c_fit the
     fitted exponential rate.  The statement is consistent when the sup of r
     over the late window [T/2, T] does not exceed the sup over the early
-    window [t_start, T/2] by more than the slack factor.
+    window [BOUND_T_START, T/2] by more than the slack factor.
     """
     if kind == "nonzero-exp":
         name = "nzmode_L2"
         v = series.channel(name)
-        fit = fit_exponential_rate(series, name, window=(t_start, float(series.times[-1])))
+        fit = fit_exponential_rate(series, name,
+                                   window=(BOUND_T_START, float(series.times[-1])))
         rate = fit.rate
         r = v * np.exp(rate * series.times)
         theta = rate
@@ -287,7 +289,7 @@ def theorem_bound_check(series: NormSeries, p: float, kind: str,
     t = series.times
     t_end = float(t[-1])
     t_mid = 0.5 * t_end
-    early = (t >= t_start) & (t <= t_mid)
+    early = (t >= BOUND_T_START) & (t <= t_mid)
     late = (t >= t_mid) & (t <= t_end)
     if not np.any(early) or not np.any(late):
         raise TooFewSamplesError("early/late windows are empty; run longer")

@@ -1,31 +1,43 @@
-"""Full pipeline: profile, simulate, analyze, and write artifacts.
+"""Every command's work, artifacts and exit code; `cli` only dispatches here.
 
-Each command first deletes every `ARTIFACTS` file in the config's output
-directory and echoes its config to config-echo.json, so the directory holds
-only what that command computed: `profile` writes profile.txt and
-profile-tails.json; `simulate` norms.csv (one column per recorded norm) and,
-with ``snapshots``, snapshots/field-*.txt; `run` what `simulate` writes plus
-rates.json (fits, bound-check reports, profile tails).  Every file goes
-through `_atomic_write`, a temp-then-rename, so readers never see partial
-files.  A failed command keeps its output up to the failure: no norms.csv
-after a failed set-up, the norms.csv rows and snapshots before a failed step
-or monitor.
+`run_profile`, `run_simulate` and `run_experiment` first delete every
+`ARTIFACTS` file in the config's output directory and echo the config to
+config-echo.json, so the directory holds only what that command computed:
+profile writes profile.txt and profile-tails.json; simulate norms.csv (one
+column per recorded norm) and, with ``snapshots``, snapshots/field-*.txt;
+run what simulate writes plus rates.json (fits, bound-check reports,
+profile tails).  `check_area` writes no file and prints its report as JSON.
+Every file goes through `_atomic_write`, a temp-then-rename, so readers
+never see partial files.  A failed command keeps its output up to the
+failure: no norms.csv after a failed set-up, the norms.csv rows and
+snapshots before a failed step or monitor.
+
+Exit codes: 0 success; 1 an unreadable CSV or violated lemma hypotheses in
+check-area (a bad config exits 1 in `cli` before any work starts); 2 a
+failed profile solve or simulation; 3 a mass drift beyond its allowance, a
+failed analysis, or a tail check or area inequality that does not pass.
+Each failure but a check that does not pass logs one error line, under the
+prefix the function's docstring names.
 """
 
 from __future__ import annotations
 
 import glob
+import json
 import logging
 import os
 import tempfile
 
+import numpy as np
+
 from .analysis import (NormSeries, fit_algebraic_rate, fit_exponential_rate,
-                       gn_ratio_monitor, reports_to_json, theorem_bound_check)
+                       gn_ratio_monitor, report_to_dict, reports_to_json,
+                       theorem_bound_check, verify_area_inequality)
 from .config import ExperimentConfig, emit_config
-from .errors import (MassDriftError, NonPositiveValueError, ShockLabError,
-                     TooFewSamplesError)
+from .errors import (HypothesisViolatedError, MassDriftError, NonPositiveValueError,
+                     ShockLabError, TooFewSamplesError)
 from .grid import save_field_text
-from .profile import ShockProfile, verify_profile_bounds
+from .profile import ShockProfile, profile_to_text, verify_profile_bounds
 from .solver import simulate, solve_config_profile
 
 log = logging.getLogger("shocklab")
@@ -107,13 +119,46 @@ def analyze_record(cfg: ExperimentConfig, norms: NormSeries) -> dict:
     return reports
 
 
-def prepare_out_dir(cfg: ExperimentConfig) -> None:
+def _prepare_out_dir(cfg: ExperimentConfig) -> None:
     """Delete every `ARTIFACTS` file in cfg.out_dir, then echo the config there."""
     for pattern in ARTIFACTS:
         for path in glob.glob(os.path.join(glob.escape(cfg.out_dir), pattern)):
             os.unlink(path)
     _atomic_write(os.path.join(cfg.out_dir, "config-echo.json"),
                   lambda tmp: emit_config(cfg, tmp))
+
+
+def run_profile(cfg: ExperimentConfig) -> int:
+    """The profile command: profile.txt and profile-tails.json in cfg.out_dir.
+
+    2 with one `profile failed:` line when the solve fails, 3 with one
+    `analysis failed:` line when the tails cannot be fitted and 3 when the
+    tail check does not pass.
+    """
+    _prepare_out_dir(cfg)
+    try:
+        prof = solve_config_profile(cfg)
+    except ShockLabError as exc:
+        log.error("profile failed: %s", exc)
+        return EXIT_SIMULATION
+    _atomic_write(os.path.join(cfg.out_dir, "profile.txt"),
+                  lambda tmp: profile_to_text(prof, tmp))
+    try:
+        report = verify_profile_bounds(prof)
+    except ShockLabError as exc:
+        log.error("analysis failed: %s", exc)
+        return EXIT_ANALYSIS
+    _atomic_write(os.path.join(cfg.out_dir, "profile-tails.json"),
+                  lambda tmp: reports_to_json({"profile_tails": report}, tmp))
+    log.info("tail rates %.6g / %.6g, smallest K %.6g",
+             report.rate_left, report.rate_right, report.k_smallest)
+    return EXIT_OK if report.passed else EXIT_ANALYSIS
+
+
+def run_simulate(cfg: ExperimentConfig) -> int:
+    """The simulate command: norms.csv and the snapshots, no analysis."""
+    _prepare_out_dir(cfg)
+    return stream_to_dir(cfg)[0]
 
 
 def stream_to_dir(cfg: ExperimentConfig,
@@ -145,16 +190,15 @@ def stream_to_dir(cfg: ExperimentConfig,
 
 
 def run_experiment(cfg: ExperimentConfig) -> int:
-    """Run the full pipeline, write artifacts into cfg.out_dir, return the exit code.
+    """The run command: profile, simulate and analyze into cfg.out_dir.
 
     Exit code 0 means the simulation finished with no blow-up, boundary
     leak or mass drift beyond its allowance and the analysis succeeded; 2
-    flags a failed profile solve or simulation, 3 a mass drift beyond its
-    allowance or an analysis failure, each with one error line in the log.
-    (Config errors are raised before any work starts and map to exit code
-    1 in the CLI.)
+    flags a failed profile solve (one `simulation failed:` line) or
+    simulation (as `stream_to_dir`), 3 a mass drift beyond its allowance
+    (as `stream_to_dir`) or an analysis failure (one `analysis failed:` line).
     """
-    prepare_out_dir(cfg)
+    _prepare_out_dir(cfg)
     try:
         prof = solve_config_profile(cfg)
     except ShockLabError as exc:
@@ -176,3 +220,29 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     for label, rep in reports.items():
         log.info("%s: %s", label, rep)
     return EXIT_OK
+
+
+def check_area(csv_path, c0: float, c1: float, alpha: float, beta: float,
+               gamma: float, t_min: float, skip_rows: int) -> int:
+    """The check-area command: the area inequality on the first two (t, f)
+    columns of a CSV, its report printed as JSON.
+
+    1 with one error line for an unreadable CSV or parameters that violate
+    the lemma hypotheses, 3 when the inequality or a sampled hypothesis
+    check fails.
+    """
+    try:
+        data = np.loadtxt(csv_path, delimiter=",", comments="#", skiprows=skip_rows)
+    except (OSError, ValueError) as exc:
+        log.error("cannot read %s: %s", csv_path, exc)
+        return EXIT_CONFIG
+    if data.ndim != 2 or data.shape[1] < 2:
+        log.error("expected a CSV with (t, f) columns")
+        return EXIT_CONFIG
+    try:
+        report = verify_area_inequality(data[:, :2], c0, c1, alpha, beta, gamma, t_min)
+    except HypothesisViolatedError as exc:
+        log.error("parameters violate the lemma hypotheses: %s", exc)
+        return EXIT_CONFIG
+    print(json.dumps(report_to_dict(report), indent=2, sort_keys=True))
+    return EXIT_OK if report.passed and not report.hypothesis_violations else EXIT_ANALYSIS

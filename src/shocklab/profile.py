@@ -41,7 +41,6 @@ class ShockProfile:
     xi: np.ndarray
     u: np.ndarray
     du: np.ndarray
-    step: float
 
     @property
     def _spline(self) -> CubicHermiteSpline:
@@ -126,7 +125,7 @@ def solve_profile(shock: ShockData, half_length: float, step: float) -> ShockPro
     u_samples = np.array(bwd[::-1] + fwd[1:], dtype=float)
     xi = step * np.arange(-n_half, n_half + 1, dtype=float)
     du = np.asarray(g(u_samples), dtype=float)
-    return ShockProfile(shock=shock, xi=xi, u=u_samples, du=du, step=step)
+    return ShockProfile(shock=shock, xi=xi, u=u_samples, du=du)
 
 
 def burgers_profile(shock: ShockData, xi):

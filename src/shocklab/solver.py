@@ -31,7 +31,6 @@ import copy
 import functools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -70,13 +69,6 @@ CONTOUR_POINTS = 32
 WAVE_FD_FRACTION = 1e-7
 WAVE_TOL_FRACTION = 1e-12
 WAVE_MAX_ITER = 10
-
-
-@dataclass
-class SimulationRecord:
-    """Norm series of a whole simulation; its meta holds the run's dt."""
-
-    norms: NormSeries
 
 
 def _rhs_values(u: np.ndarray, grid: ChannelGrid, shock: ShockData,
@@ -134,8 +126,7 @@ def _min_spacing(grid: ChannelGrid) -> float:
     return grid.h1 if grid.dimension == 1 else min(grid.h1, grid.hprime)
 
 
-def advective_dt(fld: Field, flux: FluxSpec, grid: ChannelGrid, safety: float,
-                 speed: float = 0.0) -> float:
+def advective_dt(fld: Field, flux: FluxSpec, safety: float, speed: float = 0.0) -> float:
     """Advective step bound h/(max |f'| + |speed|) of `advance`.
 
     ``speed`` is the frame speed added to the flux speeds (zero in the lab
@@ -145,7 +136,7 @@ def advective_dt(fld: Field, flux: FluxSpec, grid: ChannelGrid, safety: float,
     if not 0.0 < safety <= 1.0:
         raise ValueError("safety must lie in (0, 1]")
     vmax = float(np.max(np.abs(flux.df1(fld.values))))
-    return safety * _min_spacing(grid) / (vmax + abs(speed) + CFL_EPS)
+    return safety * _min_spacing(fld.grid) / (vmax + abs(speed) + CFL_EPS)
 
 
 def nonzero_mode_dt(fld: Field) -> float:
@@ -165,16 +156,15 @@ def nonzero_mode_dt(fld: Field) -> float:
     return 1.0 / (2.0 * lam1)
 
 
-def cfl_dt(fld: Field, flux: FluxSpec, grid: ChannelGrid, safety: float,
-           speed: float = 0.0) -> float:
+def cfl_dt(fld: Field, flux: FluxSpec, safety: float, speed: float = 0.0) -> float:
     """Explicit step bound: diffusion h^2/(2n) against `advective_dt`.
 
     This is the limit of a fully explicit scheme such as classical RK4;
     `advance` treats diffusion exactly and needs only `advective_dt`.
     """
-    h_min = _min_spacing(grid)
-    dt_adv = advective_dt(fld, flux, grid, safety, speed)
-    return min(safety * h_min * h_min / (2.0 * grid.dimension), dt_adv)
+    h_min = _min_spacing(fld.grid)
+    dt_adv = advective_dt(fld, flux, safety, speed)
+    return min(safety * h_min * h_min / (2.0 * fld.grid.dimension), dt_adv)
 
 
 def _laplacian_symbol(grid: ChannelGrid) -> np.ndarray:
@@ -461,32 +451,32 @@ def solve_config_profile(cfg: ExperimentConfig) -> ShockProfile:
 class _Setup(NamedTuple):
     """Everything a run builds before its first step."""
 
-    shock: ShockData
-    grid: ChannelGrid
     prof: ShockProfile
     u0: Field
-    shift: float
     background: np.ndarray
-    dt_bound: float
-    mass0: float
+    n_sub: int
+    meta: dict
 
 
-def _setup(cfg: ExperimentConfig, prof: ShockProfile | None) -> _Setup:
-    """Problem, initial field, shift a against the profile and background.
+def _setup(cfg: ExperimentConfig, prof: ShockProfile | None,
+           n_sub: int | None = None) -> _Setup:
+    """Initial field, shift a against the profile, background and step of a run.
 
+    The shock is ``prof.shock``; ``prof`` is solved here when not given.
     The moving frame starts from the discrete wave at phase 0 and measures
     against the discrete wave at phase a; the lab frame uses the continuous
-    profile for both.  ``dt_bound`` is min(`advective_dt`,
-    `nonzero_mode_dt`) on the initial field; ``mass0`` is the initial mass.
+    profile for both.  Without ``n_sub``, the step dt_out / n_sub is the
+    largest such step within `advective_dt` and `nonzero_mode_dt` on the
+    initial field.  The meta records the problem, dt, a and the initial mass.
     """
     validate_config(cfg)
-    shock = make_shock(build_flux(cfg), cfg.u_minus, cfg.u_plus)
+    if prof is None:
+        prof = solve_config_profile(cfg)
+    shock = prof.shock
     grid = ChannelGrid(dimension=cfg.dimension, half_length=cfg.grid.half_length,
                        n1=cfg.grid.n1,
                        nprime=cfg.grid.nprime if cfg.dimension > 1 else 1)
     st = cfg.stepper
-    if prof is None:
-        prof = solve_config_profile(cfg)
 
     moving = st.frame == "moving"
     if moving:
@@ -504,10 +494,18 @@ def _setup(cfg: ExperimentConfig, prof: ShockProfile | None) -> _Setup:
     else:
         bg = _lab_background(prof, grid, a, shock.speed, 0.0)
 
-    dt_bound = min(advective_dt(fld, shock.flux, grid, st.cfl_safety, speed=shock.speed),
-                   nonzero_mode_dt(fld))
-    mass0 = integrate(u0 - bg.reshape((grid.n1,) + shape_tail), grid)
-    return _Setup(shock, grid, prof, fld, a, bg, dt_bound, mass0)
+    if n_sub is None:
+        dt_bound = min(advective_dt(fld, shock.flux, st.cfl_safety, speed=shock.speed),
+                       nonzero_mode_dt(fld))
+        n_sub = max(1, math.ceil(st.dt_out / dt_bound))
+    meta = {"p_list": [float(p) for p in cfg.p_list],
+            "dimension": grid.dimension, "n1": grid.n1, "nprime": grid.nprime,
+            "half_length": grid.half_length, "frame": st.frame,
+            "dt": st.dt_out / n_sub, "shift": a,
+            "mass_initial": integrate(u0 - bg.reshape((grid.n1,) + shape_tail), grid),
+            "u_minus": shock.u_minus, "u_plus": shock.u_plus,
+            "speed": shock.speed, "strength": shock.strength}
+    return _Setup(prof, fld, bg, n_sub, meta)
 
 
 def _lab_background(prof: ShockProfile, grid: ChannelGrid, a: float,
@@ -531,38 +529,25 @@ def simulate(cfg: ExperimentConfig, prof: ShockProfile | None = None
     t_final when asked and never modifies a yielded field.  An output whose
     monitor trips raises BoundaryLeakError (end values below
     LEAK_FLOOR_FRACTION of the shock strength do not count) or
-    MassDriftError instead; a step may raise BlowupError.
+    MassDriftError instead; a step may raise BlowupError.  `run_simulation`
+    collects the stream into the run's `NormSeries`.
     """
-    return _stream(cfg, _setup(cfg, prof))
+    setup = _setup(cfg, prof)
+    return setup.meta, _evolve(cfg, setup)
 
 
-def run_simulation(cfg: ExperimentConfig,
-                   prof: ShockProfile | None = None) -> SimulationRecord:
-    """The whole `simulate` stream of ``cfg`` as one norm series."""
-    return _collect(*simulate(cfg, prof))
+def run_simulation(cfg: ExperimentConfig, prof: ShockProfile | None = None) -> NormSeries:
+    """The whole `simulate` stream of ``cfg`` as one norm series; its meta is
+    that of `simulate`, with the run's dt."""
+    meta, stream = simulate(cfg, prof)
+    return NormSeries.from_rows([(f.time, r) for f, r in stream], meta)
 
 
-def _collect(meta: dict, stream) -> SimulationRecord:
-    return SimulationRecord(NormSeries.from_rows([(f.time, r) for f, r in stream], meta))
-
-
-def _stream(cfg: ExperimentConfig, setup: _Setup):
-    """Meta and output stream of a set-up run, at the largest step within dt_bound."""
-    st, grid, shock = cfg.stepper, setup.grid, setup.shock
-    n_sub = max(1, math.ceil(st.dt_out / setup.dt_bound))
-    meta = {"p_list": [float(p) for p in cfg.p_list],
-            "dimension": grid.dimension, "n1": grid.n1, "nprime": grid.nprime,
-            "half_length": grid.half_length, "frame": st.frame,
-            "dt": st.dt_out / n_sub, "shift": setup.shift, "mass_initial": setup.mass0,
-            "u_minus": shock.u_minus, "u_plus": shock.u_plus,
-            "speed": shock.speed, "strength": shock.strength}
-    return meta, _evolve(cfg, setup, n_sub, meta["dt"])
-
-
-def _evolve(cfg: ExperimentConfig, setup: _Setup, n_sub: int, dt: float) -> Iterator:
+def _evolve(cfg: ExperimentConfig, setup: _Setup) -> Iterator[tuple[Field, dict]]:
     """The time loop of `simulate`, with the leak and mass-drift monitors."""
-    shock, grid, prof, fld, a, bg, _, mass0 = setup
-    st = cfg.stepper
+    prof, fld, bg, n_sub, meta = setup
+    shock, grid, st = prof.shock, fld.grid, cfg.stepper
+    dt, a, mass0 = meta["dt"], meta["shift"], meta["mass_initial"]
     n_out = int(round(st.t_final / st.dt_out))
     leak_floor = LEAK_FLOOR_FRACTION * shock.strength
     guard = _blowup_guard(fld.values)
@@ -589,13 +574,14 @@ def _evolve(cfg: ExperimentConfig, setup: _Setup, n_sub: int, dt: float) -> Iter
         yield fld, row
 
 
-def run_1d_reference(cfg: ExperimentConfig) -> SimulationRecord:
-    """Same scheme restricted to n=1; closes the zero-mode dynamics exactly.
+def run_1d_reference(cfg: ExperimentConfig) -> NormSeries:
+    """Norm series of the same scheme restricted to n=1, which closes the
+    zero-mode dynamics exactly.
 
     Valid only when the initial non-zero mode vanishes, i.e. for
-    transversally constant perturbation kinds.  The run takes the step of
-    the n-d run of ``cfg`` (whose `advective_dt` sees the transverse
-    spacing too), so its norms are those of the n-d zero mode.
+    transversally constant perturbation kinds.  The run takes the n_sub,
+    hence the step, of the n-d run of ``cfg`` (whose `advective_dt` sees the
+    transverse spacing too), so its norms are those of the n-d zero mode.
     """
     if cfg.perturbation.kind == "random-nonzero-mode":
         raise NonzeroModePresentError(
@@ -603,5 +589,6 @@ def run_1d_reference(cfg: ExperimentConfig) -> SimulationRecord:
     setup = _setup(cfg, None)
     cfg1 = copy.deepcopy(cfg)
     cfg1.dimension = 1
-    setup1 = _setup(cfg1, setup.prof)._replace(dt_bound=setup.dt_bound)
-    return _collect(*_stream(cfg1, setup1))
+    setup1 = _setup(cfg1, setup.prof, setup.n_sub)
+    return NormSeries.from_rows([(f.time, r) for f, r in _evolve(cfg1, setup1)],
+                                setup1.meta)

@@ -160,10 +160,14 @@ def test_run_ending_inside_the_transient_exits_3(tmp_path, caplog):
     assert files(out) == ["config-echo.json", "norms.csv"]
 
 
-def test_profile_failure_exits_2(tmp_path, caplog):
-    code, out, errors = run(tmp_path, "profile", STEEP_QUARTIC, caplog)
+@pytest.mark.parametrize("command", ["run", "simulate", "profile"])
+def test_profile_failure_exits_2(tmp_path, caplog, command):
+    # run and simulate solve the profile as part of the simulation
+    prefix = "profile failed:" if command == "profile" else "simulation failed:"
+    code, out, errors = run(tmp_path, command, STEEP_QUARTIC, caplog)
     assert code == EXIT_SIMULATION
-    assert len(errors) == 1 and "monotonicity lost" in errors[0]
+    assert len(errors) == 1 and errors[0].startswith(prefix)
+    assert "monotonicity lost" in errors[0]
     assert files(out) == ["config-echo.json"]
 
 

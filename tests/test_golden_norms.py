@@ -97,7 +97,7 @@ GOLDEN = {
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_norm_series_unchanged(name):
-    norms = run_simulation(config_from_dict(CONFIGS[name])).norms
+    norms = run_simulation(config_from_dict(CONFIGS[name]))
     expected = GOLDEN[name]
     assert sorted(norms.channels) == sorted(k for k in expected if k != "t")
     np.testing.assert_array_equal(norms.times, expected["t"])

@@ -54,9 +54,10 @@ def rk4_advance(fld, dt, shock, flux, llf=False, blowup_bounds=None):
     return sl.Field(grid=fld.grid, values=un, time=fld.time + dt, frame=fld.frame)
 
 
-def rk4_dt(fld, flux, grid, safety, speed=0.0):
+def rk4_dt(fld, flux, safety, speed=0.0):
     """The explicit bound of `cfl_dt`, written out so that it does not call
     the `advective_dt` it replaces."""
+    grid = fld.grid
     vmax = float(np.max(np.abs(flux.df1(fld.values))))
     h = grid.h1 if grid.dimension == 1 else min(grid.h1, grid.hprime)
     return safety * min(h * h / (2.0 * grid.dimension), h / (vmax + abs(speed)))
@@ -73,7 +74,7 @@ def max_rel_dev(a, b, channels):
     """Largest relative difference of b from a, over entries above round-off."""
     devs = []
     for c in channels:
-        x, y = a.norms.channels[c], b.norms.channels[c]
+        x, y = a.channels[c], b.channels[c]
         keep = np.abs(x) > 1e-12
         devs.append(np.max(np.abs(x[keep] - y[keep]) / np.abs(x[keep])))
     return float(max(devs))
@@ -91,11 +92,11 @@ class TestAgreementWithRk4:
             grid = grid_of(cfg)
             lam1 = (2.0 * math.sin(math.pi / grid.nprime) / grid.hprime) ** 2
             dt_out = cfg.stepper.dt_out
-            assert etd.norms.meta["dt"] == \
+            assert etd.meta["dt"] == \
                 dt_out / math.ceil(dt_out / (1.0 / (2.0 * lam1)))
-            assert etd.norms.meta["dt"] > ref.norms.meta["dt"]
+            assert etd.meta["dt"] > ref.meta["dt"]
         else:
-            assert etd.norms.meta["dt"] >= 5.0 * ref.norms.meta["dt"]
+            assert etd.meta["dt"] >= 5.0 * ref.meta["dt"]
         # the spatial error refines every direction, the transverse one too
         fine = make_config(**dict(CASES[case], n1=2 * cfg.grid.n1,
                                   nprime=2 * cfg.grid.nprime))
@@ -128,8 +129,7 @@ class TestTemporalOrder:
             return fld.values
 
         u1, u2, u4 = (evolve(k * n_steps) for k in (1, 2, 4))
-        assert t_end / n_steps > sl.cfl_dt(
-            sl.Field(grid=grid, values=u0), flux, grid, 1.0)
+        assert t_end / n_steps > sl.cfl_dt(sl.Field(grid=grid, values=u0), flux, 1.0)
         ratio = np.max(np.abs(u1 - u2)) / np.max(np.abs(u2 - u4))
         assert ratio > 12.0
 
@@ -162,7 +162,7 @@ class TestExactDiffusion:
             lam -= (2.0 * np.sin(np.pi * q2 / g.nprime) / g.hprime) ** 2
         dt = 0.05
         fld = sl.Field(grid=g, values=v, frame="lab")
-        assert dt > 10.0 * sl.cfl_dt(fld, fx, g, 1.0)
+        assert dt > 10.0 * sl.cfl_dt(fld, fx, 1.0)
         out = sl.advance(fld, dt, sh, fx, blowup_bounds=(-10.0, 10.0))
         np.testing.assert_allclose(out.values, math.exp(lam * dt) * v,
                                    rtol=0.0, atol=1e-12)
@@ -175,7 +175,7 @@ class TestConservation:
     def test_mass_drift_at_advective_dt(self, case):
         cfg = make_config(**CASES[case])
         rec = sl.run_simulation(cfg)
-        assert np.max(rec.norms.channels["mass_drift"]) <= 1e-12
+        assert np.max(rec.channels["mass_drift"]) <= 1e-12
 
 
 class TestZeroStep:

@@ -85,21 +85,21 @@ class TestCflDt:
         g = sl.ChannelGrid(dimension=2, half_length=30.0, n1=1201, nprime=16)
         fld = sl.Field(grid=g, values=np.clip(np.sin(g.x1), -1, 1)[:, None]
                        * np.ones(16), frame="lab")
-        assert sl.cfl_dt(fld, burgers1, g, 1.0) == pytest.approx(0.000625)
+        assert sl.cfl_dt(fld, burgers1, 1.0) == pytest.approx(0.000625)
 
     def test_linear_in_safety(self, burgers1):
         g = sl.ChannelGrid(dimension=2, half_length=30.0, n1=1201, nprime=16)
         fld = sl.Field(grid=g, values=np.zeros(g.shape) + np.sin(g.x1)[:, None],
                        frame="lab")
-        full = sl.cfl_dt(fld, burgers1, g, 1.0)
-        assert sl.cfl_dt(fld, burgers1, g, 0.5) == pytest.approx(0.5 * full)
+        full = sl.cfl_dt(fld, burgers1, 1.0)
+        assert sl.cfl_dt(fld, burgers1, 0.5) == pytest.approx(0.5 * full)
 
     def test_pure_diffusion_bound(self, diffusion_setup):
         fx, _ = diffusion_setup
         g = sl.ChannelGrid(dimension=2, half_length=30.0, n1=1201, nprime=16)
         fld = sl.Field(grid=g, values=np.zeros(g.shape), frame="lab")
         # advective bound inactive for a zero-velocity field
-        assert sl.cfl_dt(fld, fx, g, 0.7) == pytest.approx(0.7 * 0.05 ** 2 / 4.0)
+        assert sl.cfl_dt(fld, fx, 0.7) == pytest.approx(0.7 * 0.05 ** 2 / 4.0)
 
 
 class TestAdvance:
@@ -174,7 +174,7 @@ class TestOneFluxEveryDimension:
         g = fld.grid
         h = g.h1 if dimension == 1 else min(g.h1, g.hprime)
         vmax = float(np.max(np.abs(fld.values)))
-        assert sl.advective_dt(fld, shock.flux, g, 1.0) == pytest.approx(h / vmax)
+        assert sl.advective_dt(fld, shock.flux, 1.0) == pytest.approx(h / vmax)
         out = sl.advance(fld, 1e-3, shock, shock.flux)
         ref = sl.advance(self.column_field(1), 1e-3, shock, shock.flux)
         np.testing.assert_allclose(out.values[(slice(None),) + (0,) * (dimension - 1)],
@@ -202,22 +202,22 @@ class TestConservation:
 
     def test_mass_drift_in_run(self):
         rec = sl.run_simulation(make_config())
-        drift = rec.norms.channels["mass_drift"]
-        assert np.all(drift <= 1e-8 * (1.0 + rec.norms.times))
+        drift = rec.channels["mass_drift"]
+        assert np.all(drift <= 1e-8 * (1.0 + rec.times))
 
 
 class TestModeInvariance:
     def test_transverse_constant_data_stays_constant(self):
         cfg = make_config(dimension=2)
         rec = sl.run_simulation(cfg)
-        assert np.max(rec.norms.channels["nzmode_L2"]) <= 1e-10
+        assert np.max(rec.channels["nzmode_L2"]) <= 1e-10
 
     def test_1d_reference_matches_2d(self):
         cfg = make_config(dimension=2)
         rec2 = sl.run_simulation(cfg)
         rec1 = sl.run_1d_reference(cfg)
-        diff = np.max(np.abs(rec2.norms.channels["zmode_L2"]
-                             - rec1.norms.channels["zmode_L2"]))
+        diff = np.max(np.abs(rec2.channels["zmode_L2"]
+                             - rec1.channels["zmode_L2"]))
         assert diff <= 1e-9
 
     def test_1d_reference_rejects_nonzero_mode(self):
@@ -240,7 +240,7 @@ class TestNonzeroModeDecay:
             perturbation=PerturbationSpec(kind="random-nonzero-mode",
                                           amplitude=0.01, width=2.0, seed=42))
         rec = sl.run_simulation(cfg)
-        fit = sl.fit_exponential_rate(rec.norms, "nzmode_L2", (0.05, 0.6))
+        fit = sl.fit_exponential_rate(rec, "nzmode_L2", (0.05, 0.6))
         assert fit.rate == pytest.approx(4.0 * np.pi ** 2, rel=0.05)
         assert fit.residual < 0.1
 
@@ -291,7 +291,7 @@ class TestRefinement:
                 grid=GridSpec(half_length=15.0, n1=n1, nprime=8),
                 stepper=StepperSpec(t_final=1.0, dt_out=0.5, cfl_safety=0.8))
             rec = sl.run_simulation(cfg)
-            vals.append(rec.norms.channels["zmode_L2"][-1])
+            vals.append(rec.channels["zmode_L2"][-1])
         r = abs(vals[0] - vals[1]) / abs(vals[1] - vals[2])
         assert r == pytest.approx(4.0, rel=0.4)
 
@@ -353,8 +353,8 @@ class TestStepRule:
 
     def test_1d_reference_shares_the_step(self):
         cfg = make_config(dimension=2)
-        assert (sl.run_1d_reference(cfg).norms.meta["dt"]
-                == sl.run_simulation(cfg).norms.meta["dt"])
+        assert (sl.run_1d_reference(cfg).meta["dt"]
+                == sl.run_simulation(cfg).meta["dt"])
 
     def test_nonzero_mode_run_respects_bound(self):
         cfg = make_config(dimension=2,
@@ -362,7 +362,7 @@ class TestStepRule:
                                                         amplitude=0.01, width=2.0,
                                                         seed=3))
         lam1 = (2.0 * np.sin(np.pi / 8) / (1.0 / 8)) ** 2
-        assert sl.run_simulation(cfg).norms.meta["dt"] <= 1.0 / (2.0 * lam1)
+        assert sl.run_simulation(cfg).meta["dt"] <= 1.0 / (2.0 * lam1)
 
 
 class TestBoundaryLeak:
@@ -427,15 +427,14 @@ class TestPerturbations:
 class TestRunRecord:
     def test_channels_and_times(self):
         cfg = make_config(dimension=2, p_list=[2.0, 4.0])
-        rec = sl.run_simulation(cfg)
-        n = rec.norms
+        n = sl.run_simulation(cfg)
         np.testing.assert_allclose(n.times, np.arange(5) * 0.5, atol=1e-14)
         for name in ("pert_L2", "pert_Linf", "zmode_L2", "zmode_Linf",
                      "dzmode_L2", "nzmode_L2", "nzmode_Linf", "mass_drift",
                      "boundary_leak", "Phi_L2", "Phi_L4", "nzmode_W1L2",
                      "nzmode_W1L4"):
             assert name in n.channels
-        assert rec.norms.meta["dt"] <= 0.5
+        assert n.meta["dt"] <= 0.5
         assert n.meta["dimension"] == 2
 
     def test_zero_perturbation_floor(self):
@@ -449,7 +448,7 @@ class TestRunRecord:
                                               cfl_safety=0.8))
         rec = sl.run_simulation(cfg)
         floor = 5e-3 * (30.0 / 255) ** 2   # generous h^2 scale
-        assert np.max(rec.norms.channels["pert_Linf"]) < floor
+        assert np.max(rec.channels["pert_Linf"]) < floor
 
     def test_snapshot_cadence(self):
         fields = [fld for fld, _ in sl.simulate(make_config())[1]]
@@ -481,7 +480,7 @@ class TestStream:
         out = tmp_path / "out"
         assert cli.main(["run", "--config", str(config), "--out", str(out),
                          "--quiet"]) == 0
-        norms = sl.run_simulation(config_from_dict(doc)).norms
+        norms = sl.run_simulation(config_from_dict(doc))
         with open(out / "norms.csv", newline="") as fh:
             table = list(csv.DictReader(fh))
         assert set(table[0]) == {"t"} | set(norms.channels)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .flux import ShockData
 from .grid import ChannelGrid, Field, integrate
 from .profile import ShockProfile, eval_profile
 
@@ -45,15 +44,17 @@ def antiderivative(zero_pert: np.ndarray, grid: ChannelGrid) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(steps)))
 
 
-def shift_normalize(u0: Field, profile: ShockProfile, shock: ShockData) -> float:
+def shift_normalize(u0: Field, profile: ShockProfile) -> float:
     """Shift a of the background profile that zeroes the perturbation mass.
 
-    a = M / (u_plus - u_minus) with M the total mass of u0 - U; the
-    translation identity int(U(x+a) - U(x)) dx = a (u_plus - u_minus)
-    then makes the anti-derivative of u0 - U(.+a) vanish at both ends.
+    a = M / (u_plus - u_minus) with M the total mass of u0 - U and the end
+    states of ``profile.shock``; the translation identity
+    int(U(x+a) - U(x)) dx = a (u_plus - u_minus) then makes the
+    anti-derivative of u0 - U(.+a) vanish at both ends.
     The caller re-bases the background by evaluating the profile at xi + a.
     """
     bg, _ = eval_profile(profile, u0.grid.x1, extend=True)
     shape = (u0.grid.n1,) + (1,) * (u0.values.ndim - 1)
     mass = integrate(u0.values - bg.reshape(shape), u0.grid)
+    shock = profile.shock
     return mass / (shock.u_plus - shock.u_minus)

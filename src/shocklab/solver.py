@@ -27,10 +27,10 @@ Kassam & Trefethen (SIAM J. Sci. Comput. 26, 2005).
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 from collections.abc import Iterator
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -38,7 +38,7 @@ from scipy.fft import dst, idst, irfftn, rfftn
 from scipy.linalg import solve_banded
 
 from .analysis import NormSeries
-from .config import ExperimentConfig, build_flux, validate_config
+from .config import ExperimentConfig, StepperSpec, build_flux, validate_config
 from .errors import (BlowupError, BoundaryLeakError, MassDriftError,
                      NonzeroModePresentError, OutOfRangeError, RangeExceededError,
                      WaveNotConvergedError)
@@ -129,9 +129,11 @@ def _min_spacing(grid: ChannelGrid) -> float:
 def advective_dt(fld: Field, flux: FluxSpec, safety: float, speed: float = 0.0) -> float:
     """Advective step bound h/(max |f'| + |speed|) of `advance`.
 
-    ``speed`` is the frame speed added to the flux speeds (zero in the lab
-    frame).  It is the only limit for transversally constant data; data
-    with a non-zero mode are further bounded by `nonzero_mode_dt`.
+    ``speed`` is added to the flux speeds; `_setup` passes the shock speed
+    in both frames, the frame speed in the moving frame and a conservative
+    margin in the lab frame.  It is the only limit for transversally
+    constant data; data with a non-zero mode are further bounded by
+    `nonzero_mode_dt`.
     """
     if not 0.0 < safety <= 1.0:
         raise ValueError("safety must lie in (0, 1]")
@@ -310,22 +312,22 @@ def build_perturbation(cfg: ExperimentConfig, grid: ChannelGrid) -> np.ndarray:
     so its transverse average vanishes identically.
     """
     p = cfg.perturbation
-    x1 = grid.x1
     if p.kind == "none" or p.amplitude == 0.0:
         return np.zeros(grid.shape)
 
+    column = (grid.n1,) + (1,) * (grid.dimension - 1)
+    x1 = grid.x1.reshape(column)
     envelope = np.exp(-((x1 / p.width) ** 2))
     if p.kind == "gaussian-bump":
-        prof = envelope
+        pert = envelope
     elif p.kind == "odd-bump":
-        prof = (x1 / p.width) * envelope
+        pert = (x1 / p.width) * envelope
     elif p.kind == "random-nonzero-mode":
         if grid.dimension == 1:
             raise ValueError("random-nonzero-mode needs a transverse direction")
         rng = np.random.default_rng(p.seed)
         kmax = max(1, grid.nprime // 4)
-        shape = grid.shape
-        trans = np.zeros(shape[1:])
+        trans = np.zeros(grid.shape[1:])
         for axis in range(grid.dimension - 1):
             coord = grid.xprime
             view = [None] * (grid.dimension - 1)
@@ -335,15 +337,12 @@ def build_perturbation(cfg: ExperimentConfig, grid: ChannelGrid) -> np.ndarray:
                 a, b = rng.standard_normal(2)
                 trans = trans + a * np.cos(2.0 * np.pi * k * coord) \
                     + b * np.sin(2.0 * np.pi * k * coord)
-        out = envelope.reshape((grid.n1,) + (1,) * (grid.dimension - 1)) * trans
-        peak = float(np.max(np.abs(out)))
-        return out * (p.amplitude / peak)
+        pert = envelope * trans
     else:
         raise ValueError(f"unknown perturbation kind {p.kind!r}")
 
-    prof = prof * (p.amplitude / float(np.max(np.abs(prof))))
-    return np.broadcast_to(
-        prof.reshape((grid.n1,) + (1,) * (grid.dimension - 1)), grid.shape).copy()
+    pert = np.broadcast_to(pert, grid.shape)
+    return pert * (p.amplitude / float(np.max(np.abs(pert))))
 
 
 def _record_norms(u: np.ndarray, bg: np.ndarray, grid: ChannelGrid,
@@ -367,20 +366,19 @@ def _record_norms(u: np.ndarray, bg: np.ndarray, grid: ChannelGrid,
         "mass_drift": abs(integrate(phi, grid) - mass0),
         "boundary_leak": float(max(np.max(np.abs(phi[:2])), np.max(np.abs(phi[-2:])))),
     }
-    grad_nz = None
+    grad_nz = np.sqrt(sum(c * c for c in gradient(nz, grid)))
     for p in p_list:
         out[f"Phi_L{p:g}"] = lp_norm(anti, float(p), grid)
-        if grad_nz is None:
-            comps = gradient(nz, grid)
-            grad_nz = np.sqrt(sum(c * c for c in comps))
         out[f"nzmode_W1L{p:g}"] = (lp_norm(nz, float(p), grid)
                                    + lp_norm(grad_nz, float(p), grid))
     return out
 
 
-def discrete_wave(grid: ChannelGrid, shock: ShockData, flux: FluxSpec,
-                  prof: ShockProfile, a: float, llf: bool = False) -> np.ndarray:
+def discrete_wave(grid: ChannelGrid, prof: ShockProfile, a: float,
+                  llf: bool = False) -> np.ndarray:
     """Discrete traveling wave U_h of the moving-frame scheme at phase a.
+
+    The shock and its flux are ``prof.shock``.
 
     Newton solves the interior rows of the 1-d right-hand side F(U_h) = 0,
     starting from the samples U(x1 + a) of the continuous profile, with
@@ -397,6 +395,7 @@ def discrete_wave(grid: ChannelGrid, shock: ShockData, flux: FluxSpec,
     into two well-conditioned Dirichlet problems, and the phase row enters
     by the Sherman-Morrison formula.  Returns the n1 samples of U_h.
     """
+    shock = prof.shock
     u, du = eval_profile(prof, grid.x1 + a, extend=True)
     target = u.copy()
     w = grid.w1
@@ -409,7 +408,7 @@ def discrete_wave(grid: ChannelGrid, shock: ShockData, flux: FluxSpec,
     e_m[m] = 1.0
 
     def residual(v):
-        return _rhs_values(v, grid, shock, flux, True, llf)[1:-1]
+        return _rhs_values(v, grid, shock, shock.flux, True, llf)[1:-1]
 
     for _ in range(WAVE_MAX_ITER):
         f = residual(u)
@@ -458,16 +457,32 @@ class _Setup(NamedTuple):
     meta: dict
 
 
+def _background(prof: ShockProfile, grid: ChannelGrid, st: StepperSpec,
+                a: float, t: float) -> np.ndarray:
+    """Background of the run at phase a and time t, on the x1 grid.
+
+    In the moving frame it is the scheme's own discrete wave at phase a,
+    the same at every t; in the lab frame it is the translated continuous
+    profile U(x1 - s t + a), O(h1^2) off the scheme's steady state.
+    """
+    if st.frame == "moving":
+        return discrete_wave(grid, prof, a, st.llf)
+    bg, _ = eval_profile(prof, grid.x1 - prof.shock.speed * t + a, extend=True)
+    return bg
+
+
 def _setup(cfg: ExperimentConfig, prof: ShockProfile | None,
            n_sub: int | None = None) -> _Setup:
     """Initial field, shift a against the profile, background and step of a run.
 
     The shock is ``prof.shock``; ``prof`` is solved here when not given.
-    The moving frame starts from the discrete wave at phase 0 and measures
-    against the discrete wave at phase a; the lab frame uses the continuous
-    profile for both.  Without ``n_sub``, the step dt_out / n_sub is the
-    largest such step within `advective_dt` and `nonzero_mode_dt` on the
-    initial field.  The meta records the problem, dt, a and the initial mass.
+    The initial field is the `_background` at phase 0 plus the
+    perturbation, and the run measures against the `_background` at the
+    phase a of `shift_normalize`.  Without ``n_sub``, the step dt_out /
+    n_sub is the largest such step within `advective_dt` and
+    `nonzero_mode_dt` on the initial field; the advective bound adds |s| in
+    both frames, which in the lab frame is a conservative margin.  The meta
+    records the problem, dt, a and the initial mass.
     """
     validate_config(cfg)
     if prof is None:
@@ -478,21 +493,14 @@ def _setup(cfg: ExperimentConfig, prof: ShockProfile | None,
                        nprime=cfg.grid.nprime if cfg.dimension > 1 else 1)
     st = cfg.stepper
 
-    moving = st.frame == "moving"
-    if moving:
-        bg = discrete_wave(grid, shock, shock.flux, prof, 0.0, st.llf)
-    else:
-        bg, _ = eval_profile(prof, grid.x1)
-    shape_tail = (1,) * (len(grid.shape) - 1)
-    u0 = bg.reshape((grid.n1,) + shape_tail) + build_perturbation(cfg, grid)
+    column = (grid.n1,) + (1,) * (grid.dimension - 1)
+    u0 = _background(prof, grid, st, 0.0, 0.0).reshape(column) \
+        + build_perturbation(cfg, grid)
     fld = Field(grid=grid, values=u0, time=0.0, frame=st.frame)
-    a = shift_normalize(fld, prof, shock)
+    a = shift_normalize(fld, prof)
     if abs(a) > PROFILE_PAD - 1.0:
         raise OutOfRangeError(f"shift {a:g} too large for the solved profile range")
-    if moving:
-        bg = discrete_wave(grid, shock, shock.flux, prof, a, st.llf)
-    else:
-        bg = _lab_background(prof, grid, a, shock.speed, 0.0)
+    bg = _background(prof, grid, st, a, 0.0)
 
     if n_sub is None:
         dt_bound = min(advective_dt(fld, shock.flux, st.cfl_safety, speed=shock.speed),
@@ -502,17 +510,10 @@ def _setup(cfg: ExperimentConfig, prof: ShockProfile | None,
             "dimension": grid.dimension, "n1": grid.n1, "nprime": grid.nprime,
             "half_length": grid.half_length, "frame": st.frame,
             "dt": st.dt_out / n_sub, "shift": a,
-            "mass_initial": integrate(u0 - bg.reshape((grid.n1,) + shape_tail), grid),
+            "mass_initial": integrate(u0 - bg.reshape(column), grid),
             "u_minus": shock.u_minus, "u_plus": shock.u_plus,
             "speed": shock.speed, "strength": shock.strength}
     return _Setup(prof, fld, bg, n_sub, meta)
-
-
-def _lab_background(prof: ShockProfile, grid: ChannelGrid, a: float,
-                    speed: float, t: float) -> np.ndarray:
-    """Translated continuous profile U(x1 - s t + a) on the grid."""
-    bg, _ = eval_profile(prof, grid.x1 - speed * t + a, extend=True)
-    return bg
 
 
 def simulate(cfg: ExperimentConfig, prof: ShockProfile | None = None
@@ -559,7 +560,7 @@ def _evolve(cfg: ExperimentConfig, setup: _Setup) -> Iterator[tuple[Field, dict]
         t = k_out * st.dt_out
         fld = Field(grid=grid, values=fld.values, time=t, frame=st.frame)
         if st.frame == "lab":
-            bg = _lab_background(prof, grid, a, shock.speed, t)
+            bg = _background(prof, grid, st, a, t)
         row = _record_norms(fld.values, bg, grid, cfg.p_list, mass0)
         leak, sup = row["boundary_leak"], row["pert_Linf"]
         if leak > max(LEAK_FRACTION * sup, leak_floor):
@@ -587,8 +588,7 @@ def run_1d_reference(cfg: ExperimentConfig) -> NormSeries:
         raise NonzeroModePresentError(
             "1-d reference needs a transversally constant perturbation")
     setup = _setup(cfg, None)
-    cfg1 = copy.deepcopy(cfg)
-    cfg1.dimension = 1
+    cfg1 = replace(cfg, dimension=1)
     setup1 = _setup(cfg1, setup.prof, setup.n_sub)
     return NormSeries.from_rows([(f.time, r) for f, r in _evolve(cfg1, setup1)],
                                 setup1.meta)

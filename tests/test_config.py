@@ -126,6 +126,15 @@ def test_dt_out_must_divide_t_final(t_final, dt_out, ok):
         assert field_names(exc_info) == ["stepper.dt_out"]
 
 
+def test_flux_is_checked_on_the_run_range():
+    # f'' = 1 - 0.12 u^2 is positive on the run's flux range [-2.02, 2.02],
+    # though not on all of [-4, 4]
+    cfg = config_from_dict({"flux": [0, 0, 0.5, 0, -0.01], "u_minus": 1, "u_plus": -1,
+                            "dimension": 1, "grid": {"half_length": 30, "n1": 64},
+                            "stepper": {"t_final": 0.5, "dt_out": 0.25}})
+    assert validate_config(cfg) == []
+
+
 @pytest.mark.parametrize("path", WORKLOADS, ids=[p.stem for p in WORKLOADS])
 def test_workloads_validate(path):
     validate_config(config_from_dict(json.loads(path.read_text())))

@@ -32,6 +32,12 @@ COARSE_LAB = {"flux": "burgers", "u_minus": 2.0, "u_plus": 0.0, "dimension": 1,
 # the profile's tails on |x1| <= 3 + pad are too short to fit their decay rates
 SHORT_TAILS = {"dimension": 1, "grid": {"half_length": 3, "n1": 64}}
 NEGATIVE_SEED = {"perturbation": {"kind": "random-nonzero-mode", "seed": -1}}
+# a Lax shock whose flux f'' = 1 - u^2/25 vanishes at u_minus, inside the
+# run's flux range [1.98, 6.02]
+NOT_CONVEX_ON_RUN_RANGE = {"flux": [0, 0, 0.5, 0, -0.0033333333333333335],
+                           "u_minus": 5, "u_plus": 3, "dimension": 1,
+                           "grid": {"half_length": 30, "n1": 64},
+                           "stepper": {"t_final": 0.5, "dt_out": 0.25}}
 # what each command leaves in its output directory after a good run of OK, sorted
 SNAPS = [f"snapshots/field-{k:05d}.txt" for k in range(21)]
 LEFT_BY = {
@@ -118,6 +124,7 @@ def test_each_command_leaves_only_its_own_artifacts(tmp_path, caplog, command):
     ({"flux": [0, 0, "0.5"]}, "flux"),
     ({"flux": [0, 0, True]}, "flux"),
     ({"flux": [0, 0, 0.5, None]}, "flux"),
+    (NOT_CONVEX_ON_RUN_RANGE, "flux"),
 ])
 @pytest.mark.parametrize("command", ["run", "simulate", "profile"])
 def test_bad_config_exits_1(tmp_path, caplog, command, doc, field):

@@ -1,4 +1,4 @@
-"""Golden norm series: two tiny runs pinned to their recorded values.
+"""Golden norm series: three tiny runs pinned to their recorded values.
 
 A refactor of the solver, the config layer or the norm recording must
 leave every channel of ``norms.csv`` where it was.  The expected values
@@ -28,6 +28,14 @@ CONFIGS = {
         "grid": {"half_length": 20.0, "n1": 128},
         "stepper": {"t_final": 0.5, "dt_out": 0.125, "frame": "lab"},
         "perturbation": {"kind": "gaussian-bump", "amplitude": 0.02},
+        "p_list": [2.0, 4.0]},
+    # moving frame, 3-d, quartic flux with local Lax-Friedrichs dissipation:
+    # the background is the discrete wave of the LLF scheme
+    "llf-3d-quartic": {
+        "flux": "convex-quartic", "u_minus": 1.0, "u_plus": -1.0, "dimension": 3,
+        "grid": {"half_length": 15.0, "n1": 64, "nprime": 4},
+        "stepper": {"t_final": 0.5, "dt_out": 0.125, "llf": True},
+        "perturbation": {"kind": "random-nonzero-mode", "amplitude": 0.02, "seed": 3},
         "p_list": [2.0, 4.0]},
 }
 
@@ -91,6 +99,48 @@ GOLDEN = {
         "zmode_Linf": [
             0.0023020267872762012, 0.0018104424831650867, 0.0014971000335978202,
             0.0012855150756118094, 0.001152004057408118],
+    },
+    "llf-3d-quartic": {
+        "t": [0.0, 0.125, 0.25, 0.375, 0.5],
+        "Phi_L2": [
+            5.674580857249957e-15, 2.28827173415218e-05, 1.872901294469926e-05,
+            1.6100666764485907e-05, 1.4246373143833492e-05],
+        "Phi_L4": [
+            3.2433381473046432e-15, 2.1730429031852478e-05, 1.6389867262498306e-05,
+            1.3406590434429001e-05, 1.1487355664840607e-05],
+        "boundary_leak": [
+            1.1102230246251565e-16, 1.1102230246251565e-16, 1.1102230246251565e-16,
+            1.1102230246251565e-16, 1.1102230246251565e-16],
+        "dzmode_L2": [
+            9.264307736104383e-16, 7.152919673347302e-05, 3.226734078809665e-05,
+            1.9156322029775615e-05, 1.3280102625078159e-05],
+        "mass_drift": [
+            0.0, 2.2481504831640958e-17, 8.691699519517009e-17, 1.0922893233408776e-17,
+            8.081137971188707e-18],
+        "nzmode_L2": [
+            0.0243261884518248, 0.0003641049207632041, 5.441639896622981e-06,
+            7.981727979115336e-08, 1.1459267735596405e-09],
+        "nzmode_Linf": [
+            0.019999999999999993, 0.0003539869293469611, 5.796539008688997e-06,
+            8.976846830634211e-08, 1.3340285317381406e-09],
+        "nzmode_W1L2": [
+            0.1223469896980908, 0.0018375638311194649, 2.7591960573766346e-05,
+            4.064931125448045e-07, 5.856583326149662e-09],
+        "nzmode_W1L4": [
+            0.09054515491061493, 0.0014509365015259422, 2.2848663354720047e-05,
+            3.4661538441033135e-07, 5.086831947701573e-09],
+        "pert_L2": [
+            0.0243261884518248, 0.0003666067960229311, 2.1625991960066643e-05,
+            1.4226417882082506e-05, 1.0941985428679778e-05],
+        "pert_Linf": [
+            0.02000000000000099, 0.00039302086579118267, 1.988782959994051e-05,
+            1.0251930834370704e-05, 7.20040646412512e-06],
+        "zmode_L2": [
+            1.4244770463197828e-15, 4.275686572025416e-05, 2.093017160685378e-05,
+            1.4226193973002185e-05, 1.0941985368674755e-05],
+        "zmode_Linf": [
+            1.0009354456386177e-15, 3.903395802947948e-05, 1.5137607387537971e-05,
+            1.0180468828707018e-05, 7.1993744222668965e-06],
     },
 }
 

@@ -130,23 +130,23 @@ def setup(shock_sym):
 
 
 class TestShiftNormalize:
-    def test_translation_recovered(self, setup, shock_sym):
+    def test_translation_recovered(self, setup):
         prof, grid = setup
         u0, _ = sl.eval_profile(prof, grid.x1 - 1.0)
-        a = sl.shift_normalize(sl.Field(grid=grid, values=u0), prof, shock_sym)
+        a = sl.shift_normalize(sl.Field(grid=grid, values=u0), prof)
         assert a == pytest.approx(-1.0, abs=1e-6)
 
-    def test_unshifted_profile(self, setup, shock_sym):
+    def test_unshifted_profile(self, setup):
         prof, grid = setup
         u0, _ = sl.eval_profile(prof, grid.x1)
-        a = sl.shift_normalize(sl.Field(grid=grid, values=u0), prof, shock_sym)
+        a = sl.shift_normalize(sl.Field(grid=grid, values=u0), prof)
         assert a == pytest.approx(0.0, abs=1e-12)
 
-    def test_mass_free_bump_no_shift(self, setup, shock_sym):
+    def test_mass_free_bump_no_shift(self, setup):
         prof, grid = setup
         u0, _ = sl.eval_profile(prof, grid.x1)
         bump = 0.01 * (grid.x1 / 2.0) * np.exp(-((grid.x1 / 2.0) ** 2))
-        a = sl.shift_normalize(sl.Field(grid=grid, values=u0 + bump), prof, shock_sym)
+        a = sl.shift_normalize(sl.Field(grid=grid, values=u0 + bump), prof)
         assert a == pytest.approx(0.0, abs=1e-12)
 
     def test_rebased_antiderivative_mass(self, setup, shock_sym):
@@ -155,16 +155,16 @@ class TestShiftNormalize:
         u0, _ = sl.eval_profile(prof, grid.x1)
         u0 = u0 + 0.01 * np.exp(-((grid.x1 / 2.0) ** 2))
         fld = sl.Field(grid=grid, values=u0)
-        a = sl.shift_normalize(fld, prof, shock_sym)
+        a = sl.shift_normalize(fld, prof)
         rebased, _ = sl.eval_profile(prof, grid.x1 + a)
         anti = sl.antiderivative(u0 - rebased, grid)
         tol = 1e-10 * shock_sym.strength * grid.half_length
         assert abs(anti[-1]) <= tol
 
-    def test_works_on_2d_field(self, setup, shock_sym):
+    def test_works_on_2d_field(self, setup):
         prof, _ = setup
         grid = sl.ChannelGrid(dimension=2, half_length=30.0, n1=256, nprime=8)
         u0, _ = sl.eval_profile(prof, grid.x1 - 0.5)
         vals = np.broadcast_to(u0[:, None], grid.shape).copy()
-        a = sl.shift_normalize(sl.Field(grid=grid, values=vals), prof, shock_sym)
+        a = sl.shift_normalize(sl.Field(grid=grid, values=vals), prof)
         assert a == pytest.approx(-0.5, abs=1e-5)

@@ -308,7 +308,7 @@ class TestDiscreteWave:
         shock = sl.make_shock(flux, *states)
         g = sl.ChannelGrid(dimension=1, half_length=30.0, n1=512)
         prof = sl.solve_profile(shock, 34.0, 1e-3)
-        u = sl.discrete_wave(g, shock, flux, prof, a, llf)
+        u = sl.discrete_wave(g, prof, a, llf)
         resid = sl.rhs(sl.Field(grid=g, values=u, frame="moving"), shock, flux, llf)
         cont, dcont = sl.eval_profile(prof, g.x1 + a, extend=True)
         # round-off on every row but the phase row, which keeps the flux
@@ -319,24 +319,23 @@ class TestDiscreteWave:
         assert abs(sl.integrate(u - cont, g)) <= 1e-14
         assert u[0] == cont[0] and u[-1] == cont[-1]
 
-    def test_offset_from_continuous_profile_is_second_order(self, shock_sym,
-                                                            burgers1):
+    def test_offset_from_continuous_profile_is_second_order(self, shock_sym):
         prof = sl.solve_profile(shock_sym, 19.0, 1e-3)
         offsets = []
         for n1 in (257, 513):
             g = sl.ChannelGrid(dimension=1, half_length=15.0, n1=n1)
-            u = sl.discrete_wave(g, shock_sym, burgers1, prof, 0.0)
+            u = sl.discrete_wave(g, prof, 0.0)
             cont, _ = sl.eval_profile(prof, g.x1)
             offsets.append(np.max(np.abs(u - cont)))
         assert offsets[0] / offsets[1] == pytest.approx(4.0, rel=0.02)
 
 
-    def test_newton_cap_raises(self, shock_sym, burgers1, monkeypatch):
+    def test_newton_cap_raises(self, shock_sym, monkeypatch):
         monkeypatch.setattr(sl.solver, "WAVE_MAX_ITER", 1)
         g = sl.ChannelGrid(dimension=1, half_length=15.0, n1=129)
         prof = sl.solve_profile(shock_sym, 19.0, 1e-3)
         with pytest.raises(WaveNotConvergedError):
-            sl.discrete_wave(g, shock_sym, burgers1, prof, 0.0)
+            sl.discrete_wave(g, prof, 0.0)
 
 
 class TestStepRule:

@@ -188,6 +188,8 @@ def verify_area_inequality(samples, c0: float, c1: float, alpha: float,
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:
         raise ValueError("samples must be an (N, 2) array of (t, f) pairs, N >= 2")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("samples must be finite")
     _check_area_params(c0, c1, alpha, beta, gamma, max(t_min, 0.0))
     t = arr[:, 0]
     f = arr[:, 1]
@@ -250,7 +252,7 @@ class BoundReport:
     kind: str
     channel: str
     p: float
-    theta: float          # algebraic exponent, or fitted rate for nonzero-exp
+    theta: float          # algebraic exponent of the kind
     sup_ratio: float
     t_at_sup: float
     early_sup: float
@@ -262,29 +264,18 @@ def theorem_bound_check(series: NormSeries, p: float, kind: str) -> BoundReport:
     """Check a decay statement by normalized-ratio boundedness.
 
     Forms r(t) = value(t) * (1+t)^theta with the candidate exponent for the
-    kind, or value(t) * exp(c_fit t) for kind "nonzero-exp" with c_fit the
-    fitted exponential rate.  The statement is consistent when the sup of r
-    over the late window [T/2, T] does not exceed the sup over the early
-    window [BOUND_T_START, T/2] by more than the slack factor.
+    kind.  The statement is consistent when the sup of r over the late
+    window [T/2, T] does not exceed the sup over the early window
+    [BOUND_T_START, T/2] by more than the slack factor.
     """
-    if kind == "nonzero-exp":
-        name = "nzmode_L2"
-        v = series.channel(name)
-        fit = fit_exponential_rate(series, name,
-                                   window=(BOUND_T_START, float(series.times[-1])))
-        rate = fit.rate
-        r = v * np.exp(rate * series.times)
-        theta = rate
-    elif kind in _ALGEBRAIC_KINDS:
-        if not p > 2.0:
-            raise BadExponentError(f"algebraic kinds need p > 2, got {p}")
-        channel_name, theta_fn = _ALGEBRAIC_KINDS[kind]
-        name = channel_name(p)
-        v = series.channel(name)
-        theta = theta_fn(p)
-        r = v * (1.0 + series.times) ** theta
-    else:
+    if kind not in _ALGEBRAIC_KINDS:
         raise BadKindError(f"unknown kind {kind!r}")
+    if not p > 2.0:
+        raise BadExponentError(f"algebraic kinds need p > 2, got {p}")
+    channel_name, theta_fn = _ALGEBRAIC_KINDS[kind]
+    name = channel_name(p)
+    theta = theta_fn(p)
+    r = series.channel(name) * (1.0 + series.times) ** theta
 
     t = series.times
     t_end = float(t[-1])

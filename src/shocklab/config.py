@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 from .errors import ConfigParseError, ConfigValidationError
@@ -78,7 +79,7 @@ class ExperimentConfig:
 def default_half_length(strength: float) -> float:
     """Domain half-length rule: tails scale like exp(-c * strength * |x1|),
     so the box must grow as the shock weakens."""
-    if strength <= 0.0:
+    if not strength > 0.0:
         return 30.0
     return max(30.0 / strength, 30.0)
 
@@ -101,13 +102,29 @@ def build_flux(cfg: ExperimentConfig) -> FluxSpec:
     return polynomial_flux(cfg.flux, u_lo=lo, u_hi=hi)
 
 
+def _nonfinite(obj, prefix: str = ""):
+    """Dotted names of the fields of the config dataclass ``obj`` holding a
+    NaN or an infinity, alone or in a list (JSON lets both through)."""
+    for f in fields(obj):
+        value, name = getattr(obj, f.name), prefix + f.name
+        if is_dataclass(value):
+            yield from _nonfinite(value, name + ".")
+        elif any(isinstance(v, float) and not math.isfinite(v)
+                 for v in (value if isinstance(value, (list, tuple)) else [value])):
+            yield name
+
+
 def validate_config(cfg: ExperimentConfig) -> list[str]:
     """Aggregate validation; raises ConfigValidationError listing every issue.
 
-    Returns a list of non-fatal warnings (currently only the perturbation
-    amplitude knob exceeding a tenth of the shock strength).
+    NaNs and infinities are reported alone, one issue per field.  Returns a
+    list of non-fatal warnings (currently only the perturbation amplitude
+    knob exceeding a tenth of the shock strength).
     """
-    issues: list[tuple[str, str]] = []
+    issues = [(name, "must be finite") for name in _nonfinite(cfg)]
+    if issues:
+        # every later check would misread a NaN or an infinity
+        raise ConfigValidationError(issues)
     warnings: list[str] = []
 
     flux = None

@@ -21,10 +21,6 @@ class StepTooLargeError(ShockLabError):
     """Profile integration lost monotonicity; reduce the step."""
 
 
-class WrongFluxError(ShockLabError):
-    """Closed-form formula requested for a flux it does not describe."""
-
-
 class TailTooShortError(ShockLabError):
     """Profile tails carry too few samples for a rate fit."""
 

@@ -12,7 +12,7 @@ never see partial files.  A failed command keeps its output up to the
 failure: no norms.csv after a failed set-up, the norms.csv rows and
 snapshots before a failed step or monitor.
 
-Exit codes: 0 success; 1 an unreadable CSV or violated lemma hypotheses in
+Exit codes: 0 success; 1 an unusable CSV or violated lemma hypotheses in
 check-area (a bad config exits 1 in `cli` before any work starts); 2 a
 failed profile solve or simulation; 3 a mass drift beyond its allowance, a
 failed analysis, or a tail check or area inequality that does not pass.
@@ -227,8 +227,9 @@ def check_area(csv_path, c0: float, c1: float, alpha: float, beta: float,
     """The check-area command: the area inequality on the first two (t, f)
     columns of a CSV, its report printed as JSON.
 
-    1 with one error line for an unreadable CSV or parameters that violate
-    the lemma hypotheses, 3 when the inequality or a sampled hypothesis
+    1 with one error line for an unreadable CSV, samples that are not
+    finite or whose times do not increase, or parameters that violate the
+    lemma hypotheses, 3 when the inequality or a sampled hypothesis
     check fails.
     """
     try:
@@ -237,12 +238,15 @@ def check_area(csv_path, c0: float, c1: float, alpha: float, beta: float,
         log.error("cannot read %s: %s", csv_path, exc)
         return EXIT_CONFIG
     if data.ndim != 2 or data.shape[1] < 2:
-        log.error("expected a CSV with (t, f) columns")
+        log.error("expected (t, f) columns in %s", csv_path)
         return EXIT_CONFIG
     try:
         report = verify_area_inequality(data[:, :2], c0, c1, alpha, beta, gamma, t_min)
     except HypothesisViolatedError as exc:
         log.error("parameters violate the lemma hypotheses: %s", exc)
+        return EXIT_CONFIG
+    except ValueError as exc:
+        log.error("unusable samples in %s: %s", csv_path, exc)
         return EXIT_CONFIG
     print(json.dumps(report_to_dict(report), indent=2, sort_keys=True))
     return EXIT_OK if report.passed and not report.hypothesis_violations else EXIT_ANALYSIS

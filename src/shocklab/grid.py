@@ -99,51 +99,38 @@ class Field:
             raise ValueError(f"unknown frame {self.frame!r}")
 
 
-def _values_and_weights(values, grid: ChannelGrid | None):
-    if isinstance(values, Field):
-        return values.values, values.grid.weights
-    if grid is None:
-        raise ValueError("plain arrays need an explicit grid")
-    arr = np.asarray(values, dtype=float)
+def _weights(arr: np.ndarray, grid: ChannelGrid) -> np.ndarray:
+    """Quadrature weights for a grid-shaped array or an x1 slice."""
     if arr.shape == grid.shape:
-        return arr, grid.weights
-    if arr.ndim == 1 and arr.shape == (grid.n1,):
-        return arr, grid.w1
+        return grid.weights
+    if arr.shape == (grid.n1,):
+        return grid.w1
     raise ValueError(f"array shape {arr.shape} fits neither the grid nor an x1 slice")
 
 
-def lp_norm(values, p, grid: ChannelGrid | None = None) -> float:
+def lp_norm(arr: np.ndarray, p, grid: ChannelGrid) -> float:
     """L^p norm by trapezoid-in-x1, uniform-in-x' quadrature; p=inf is max|.|.
 
-    Accepts a Field, a full grid-shaped array, or a 1-d x1 slice (the last
-    two need ``grid``).
+    ``arr`` is grid-shaped or a 1-d x1 slice.
     """
     if not p >= 1.0:
         raise BadExponentError(f"need p >= 1, got {p}")
-    arr, w = _values_and_weights(values, grid)
+    w = _weights(arr, grid)
     if np.isinf(p):
         return float(np.max(np.abs(arr)))
     return float(np.sum(w * np.abs(arr) ** p) ** (1.0 / p))
 
 
-def integrate(values, grid: ChannelGrid | None = None) -> float:
+def integrate(arr: np.ndarray, grid: ChannelGrid) -> float:
     """Signed full-domain quadrature with the same weights as lp_norm."""
-    arr, w = _values_and_weights(values, grid)
-    return float(np.sum(w * arr))
+    return float(np.sum(_weights(arr, grid) * arr))
 
 
-def gradient(values, grid: ChannelGrid | None = None) -> list[np.ndarray]:
-    """Central-difference gradient components, one array per direction.
+def gradient(arr: np.ndarray, grid: ChannelGrid) -> list[np.ndarray]:
+    """Central-difference gradient components, one array per axis of ``arr``.
 
     One-sided differences at the x1 boundaries, periodic wrap transversally.
     """
-    if isinstance(values, Field):
-        grid = values.grid
-        arr = values.values
-    else:
-        if grid is None:
-            raise ValueError("plain arrays need an explicit grid")
-        arr = np.asarray(values, dtype=float)
     out = []
     d1 = np.empty_like(arr)
     d1[1:-1] = (arr[2:] - arr[:-2]) / (2.0 * grid.h1)
@@ -153,17 +140,6 @@ def gradient(values, grid: ChannelGrid | None = None) -> list[np.ndarray]:
     for axis in range(1, arr.ndim):
         out.append((np.roll(arr, -1, axis) - np.roll(arr, 1, axis)) / (2.0 * grid.hprime))
     return out
-
-
-def h1_seminorm(values, grid: ChannelGrid | None = None) -> float:
-    """L2 norm of the central-difference gradient magnitude."""
-    if isinstance(values, Field):
-        grid = values.grid
-    comps = gradient(values, grid)
-    mag_sq = np.zeros_like(comps[0])
-    for c in comps:
-        mag_sq += c * c
-    return lp_norm(np.sqrt(mag_sq), 2.0, grid)
 
 
 def save_field_text(fld: Field, path) -> None:

@@ -14,20 +14,17 @@ from .grid import ChannelGrid, Field, integrate
 from .profile import ShockProfile, eval_profile
 
 
-def zero_mode(fld: Field) -> np.ndarray:
-    """Transverse average at each x1 (identity for a 1-d field)."""
-    if fld.values.ndim == 1:
-        return fld.values.copy()
-    axes = tuple(range(1, fld.values.ndim))
-    return fld.values.mean(axis=axes)
+def zero_mode(values: np.ndarray) -> np.ndarray:
+    """Transverse average at each x1 (a copy for a 1-d array)."""
+    if values.ndim == 1:
+        return values.copy()
+    return values.mean(axis=tuple(range(1, values.ndim)))
 
 
-def nonzero_mode(fld: Field) -> Field:
-    """Field minus its broadcast zero mode; transverse average vanishes."""
-    zm = zero_mode(fld)
-    shape = (fld.grid.n1,) + (1,) * (fld.values.ndim - 1)
-    return Field(grid=fld.grid, values=fld.values - zm.reshape(shape),
-                 time=fld.time, frame=fld.frame)
+def nonzero_mode(values: np.ndarray) -> np.ndarray:
+    """Values minus their broadcast zero mode; transverse average vanishes."""
+    zm = zero_mode(values)
+    return values - zm.reshape(zm.shape + (1,) * (values.ndim - 1))
 
 
 def antiderivative(zero_pert: np.ndarray, grid: ChannelGrid) -> np.ndarray:

@@ -1,12 +1,13 @@
-"""Viscous shock profile: ODE integration, closed-form oracle, tail checks.
+"""Viscous shock profile: ODE integration, evaluation, tail checks.
 
 The profile solves the first integral of the traveling-wave equation,
 
     U'(xi) = f1(U) - s U - (f1(u_plus) - s u_plus),
 
-whose right-hand side is the scalar h(U) of the flux module.  Both end
-states are degenerate fixed points, so integration starts from the
-midpoint anchor U(0) = (u_minus + u_plus)/2 and marches outward.
+whose right-hand side vanishes at both end states (by Rankine-Hugoniot)
+and is negative between them for a convex flux.  Both end states are
+degenerate fixed points, so integration starts from the midpoint anchor
+U(0) = (u_minus + u_plus)/2 and marches outward.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 
 from .errors import (NotAdmissibleError, OutOfRangeError, StepTooLargeError,
-                     TailTooShortError, WrongFluxError)
+                     TailTooShortError)
 from .flux import ShockData
 
 # Clamp distance, as a fraction of the shock strength.
@@ -126,23 +127,6 @@ def solve_profile(shock: ShockData, half_length: float, step: float) -> ShockPro
     xi = step * np.arange(-n_half, n_half + 1, dtype=float)
     du = np.asarray(g(u_samples), dtype=float)
     return ShockProfile(shock=shock, xi=xi, u=u_samples, du=du)
-
-
-def burgers_profile(shock: ShockData, xi):
-    """Closed-form Burgers profile, the oracle for solve_profile.
-
-    U(xi) = s - (d/2) tanh(d xi / 4) and U'(xi) = -(d^2/8) sech^2(d xi / 4)
-    with d the shock strength.  Accepts scalars or arrays.
-    """
-    if shock.flux.name != "burgers":
-        raise WrongFluxError(f"closed form is for burgers, not {shock.flux.name!r}")
-    d = shock.strength
-    arg = d * np.asarray(xi, dtype=float) / 4.0
-    u = shock.speed - (d / 2.0) * np.tanh(arg)
-    du = -(d * d / 8.0) / np.cosh(arg) ** 2
-    if np.ndim(xi) == 0:
-        return float(u), float(du)
-    return u, du
 
 
 def eval_profile(profile: ShockProfile, xi, extend: bool = False):

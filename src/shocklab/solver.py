@@ -348,10 +348,9 @@ def build_perturbation(cfg: ExperimentConfig, grid: ChannelGrid) -> np.ndarray:
 def _record_norms(u: np.ndarray, bg: np.ndarray, grid: ChannelGrid,
                   p_list, mass0: float) -> dict:
     """All per-output diagnostics of the perturbation u - background."""
-    pert = Field(grid=grid, values=u - bg.reshape((grid.n1,) + (1,) * (u.ndim - 1)))
-    phi = pert.values
-    zm = zero_mode(pert)
-    nz = nonzero_mode(pert).values
+    phi = u - bg.reshape((grid.n1,) + (1,) * (u.ndim - 1))
+    zm = zero_mode(phi)
+    nz = nonzero_mode(phi)
     anti = antiderivative(zm, grid)
     dzm = gradient(zm, grid)[0]
 

@@ -32,6 +32,21 @@ def shock_quartic(quartic1):
 
 
 @pytest.fixture(scope="session")
+def zero_flux():
+    """Zero flux and a (1, -1) shock of it, for pure-diffusion checks.
+
+    f = 0 is not strictly convex, so `polynomial_flux` would reject it.
+    """
+    def zero(u):
+        return u * 0.0
+
+    fx = sl.FluxSpec("zero", zero, zero, zero, -4.0, 4.0)
+    sh = sl.ShockData(flux=fx, u_minus=1.0, u_plus=-1.0, speed=0.0,
+                      strength=2.0, admissible=False)
+    return fx, sh
+
+
+@pytest.fixture(scope="session")
 def profile_sym(shock_sym):
     """Reference profile for the (1, -1) shock covering |xi| <= 20."""
     return sl.solve_profile(shock_sym, 20.0, 1e-3)

@@ -177,13 +177,6 @@ class TestTheoremBoundCheck:
         assert sl.analysis._theta_pert_l2(6.0) == pytest.approx(4.0 / 48.0)
         assert sl.analysis._theta_pert_linf(6.0) == pytest.approx(52.0 / 480.0)
 
-    def test_exponential_kind(self):
-        t = np.linspace(0.0, 30.0, 301)
-        s = series_of(t, nzmode_L2=np.exp(-0.5 * t))
-        rep = sl.theorem_bound_check(s, 2.0, "nonzero-exp")
-        assert rep.consistent
-        assert rep.theta == pytest.approx(0.5, abs=1e-6)
-
     def test_bad_kind(self):
         with pytest.raises(BadKindError):
             sl.theorem_bound_check(self._series(-0.5), 4.0, "no-such-kind")

@@ -135,6 +135,14 @@ def test_flux_is_checked_on_the_run_range():
     assert validate_config(cfg) == []
 
 
+def test_nan_end_state_is_the_only_issue():
+    # the defaults that scale with the strength stay finite
+    cfg = config_from_dict({"u_minus": float("nan")})
+    with pytest.raises(ConfigValidationError) as exc_info:
+        validate_config(cfg)
+    assert field_names(exc_info) == ["u_minus"]
+
+
 @pytest.mark.parametrize("path", WORKLOADS, ids=[p.stem for p in WORKLOADS])
 def test_workloads_validate(path):
     validate_config(config_from_dict(json.loads(path.read_text())))

@@ -38,6 +38,21 @@ NOT_CONVEX_ON_RUN_RANGE = {"flux": [0, 0, 0.5, 0, -0.0033333333333333335],
                            "u_minus": 5, "u_plus": 3, "dimension": 1,
                            "grid": {"half_length": 30, "n1": 64},
                            "stepper": {"t_final": 0.5, "dt_out": 0.25}}
+# JSON lets NaN and Infinity through; each one below is in a config that
+# otherwise runs
+NAN, INF = float("nan"), float("inf")
+RUNS = dict(SMALL, stepper={"t_final": 2.0, "dt_out": 0.1})
+NON_FINITE = [
+    (dict(RUNS, stepper={"t_final": INF, "dt_out": 0.1}), "stepper.t_final"),
+    (dict(RUNS, grid={"half_length": INF, "n1": 64}), "grid.half_length"),
+    (dict(RUNS, grid={"half_length": NAN, "n1": 64}), "grid.half_length"),
+    (dict(RUNS, perturbation={"amplitude": INF}), "perturbation.amplitude"),
+    (dict(RUNS, perturbation={"amplitude": NAN}), "perturbation.amplitude"),
+    (dict(RUNS, u_minus=NAN), "u_minus"),
+    (dict(RUNS, p_list=[2, INF]), "p_list"),
+    (dict(RUNS, fit_window=[1, INF]), "fit_window"),
+    (dict(RUNS, flux=[0, 0, 0.5, NAN]), "flux"),
+]
 # what each command leaves in its output directory after a good run of OK, sorted
 SNAPS = [f"snapshots/field-{k:05d}.txt" for k in range(21)]
 LEFT_BY = {
@@ -125,7 +140,7 @@ def test_each_command_leaves_only_its_own_artifacts(tmp_path, caplog, command):
     ({"flux": [0, 0, True]}, "flux"),
     ({"flux": [0, 0, 0.5, None]}, "flux"),
     (NOT_CONVEX_ON_RUN_RANGE, "flux"),
-])
+] + NON_FINITE)
 @pytest.mark.parametrize("command", ["run", "simulate", "profile"])
 def test_bad_config_exits_1(tmp_path, caplog, command, doc, field):
     code, out, errors = run(tmp_path, command, doc, caplog)
@@ -206,7 +221,9 @@ def test_failed_rerun_leaves_no_earlier_results(tmp_path, caplog):
     assert files(out) == ["config-echo.json"]
 
 
-@pytest.mark.parametrize("content", [None, "t,f\n1,abc\n"], ids=["missing", "malformed"])
+@pytest.mark.parametrize("content", [None, "t,f\n1,abc\n", "0,1\n2,0.5\n1,0.3\n",
+                                     "0,1\n1,nan\n2,0.3\n"],
+                         ids=["missing", "malformed", "times-not-increasing", "nan"])
 def test_check_area_unreadable_csv_exits_1(tmp_path, caplog, content):
     csv = tmp_path / "samples.csv"
     if content is not None:

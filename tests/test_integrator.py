@@ -135,19 +135,12 @@ class TestTemporalOrder:
 
 
 class TestExactDiffusion:
-    @pytest.fixture(scope="class")
-    def heat(self):
-        fx = sl.polynomial_flux([0.0], c0=1.0)
-        sh = sl.ShockData(flux=fx, u_minus=1.0, u_plus=-1.0, speed=0.0,
-                          strength=2.0, admissible=False)
-        return fx, sh
-
     @pytest.mark.parametrize("dimension", [1, 2, 3])
-    def test_eigenmode_decays_by_exp_lambda_dt(self, heat, dimension):
+    def test_eigenmode_decays_by_exp_lambda_dt(self, zero_flux, dimension):
         # a DST-I x Fourier eigenvector of the interior Laplacian with zero
         # boundary rows shrinks by exactly exp(Lambda dt), at a step far
         # beyond the explicit diffusion limit
-        fx, sh = heat
+        fx, sh = zero_flux
         g = sl.ChannelGrid(dimension=dimension, half_length=10.0, n1=256, nprime=16)
         j, q1, q2 = 40, 2, 1
         i = np.arange(g.n1)

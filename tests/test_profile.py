@@ -5,8 +5,7 @@ import pytest
 
 import shocklab as sl
 from shocklab.errors import (NotAdmissibleError, OutOfRangeError,
-                             StepTooLargeError, TailTooShortError,
-                             WrongFluxError)
+                             StepTooLargeError, TailTooShortError)
 
 from conftest import closed_form_sym
 
@@ -58,27 +57,6 @@ class TestSolveProfile:
         prof_m = sl.solve_profile(mirrored, 12.0, 1e-3)
         # U_mirror(xi) = -U(-xi)
         assert np.max(np.abs(prof_m.u - (-prof.u[::-1]))) < 1e-12
-
-
-class TestBurgersClosedForm:
-    def test_symmetric_at_origin(self, shock_sym):
-        u, du = sl.burgers_profile(shock_sym, 0.0)
-        assert u == pytest.approx(0.0)
-        assert du == pytest.approx(-0.5)
-
-    def test_far_field(self, shock_sym):
-        u, _ = sl.burgers_profile(shock_sym, 60.0)
-        assert u == pytest.approx(-1.0, abs=1e-12)
-
-    def test_speed_two_shock(self, burgers1):
-        sh = sl.make_shock(burgers1, 3.0, 1.0)
-        u, du = sl.burgers_profile(sh, 0.0)
-        assert u == pytest.approx(2.0)
-        assert du == pytest.approx(-0.5)
-
-    def test_wrong_flux(self, shock_quartic):
-        with pytest.raises(WrongFluxError):
-            sl.burgers_profile(shock_quartic, 0.0)
 
 
 class TestEvalProfile:

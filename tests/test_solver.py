@@ -29,15 +29,6 @@ def make_config(**over):
     return ExperimentConfig(**base)
 
 
-@pytest.fixture(scope="module")
-def diffusion_setup():
-    """Zero-flux system for pure-diffusion checks."""
-    fx = sl.polynomial_flux([0.0], c0=1.0)
-    sh = sl.ShockData(flux=fx, u_minus=1.0, u_plus=-1.0, speed=0.0,
-                      strength=2.0, admissible=False)
-    return fx, sh
-
-
 class TestRhs:
     def test_constant_field_is_steady(self, burgers1, shock_sym):
         g = sl.ChannelGrid(dimension=2, half_length=10.0, n1=64, nprime=8)
@@ -94,8 +85,8 @@ class TestCflDt:
         full = sl.cfl_dt(fld, burgers1, 1.0)
         assert sl.cfl_dt(fld, burgers1, 0.5) == pytest.approx(0.5 * full)
 
-    def test_pure_diffusion_bound(self, diffusion_setup):
-        fx, _ = diffusion_setup
+    def test_pure_diffusion_bound(self, zero_flux):
+        fx, _ = zero_flux
         g = sl.ChannelGrid(dimension=2, half_length=30.0, n1=1201, nprime=16)
         fld = sl.Field(grid=g, values=np.zeros(g.shape), frame="lab")
         # advective bound inactive for a zero-velocity field
@@ -110,10 +101,10 @@ class TestAdvance:
         out = sl.advance(fld, 0.0, shock_sym, burgers1)
         np.testing.assert_array_equal(out.values, fld.values)
 
-    def test_heat_decay_factor(self, diffusion_setup):
+    def test_heat_decay_factor(self, zero_flux):
         # one RK4 step of transverse diffusion shrinks a resolved sine by
         # the discrete heat factor to O(dt^5)
-        fx, sh = diffusion_setup
+        fx, sh = zero_flux
         g = sl.ChannelGrid(dimension=2, half_length=10.0, n1=64, nprime=32)
         v = 0.01 * np.broadcast_to(np.sin(2.0 * np.pi * g.xprime), g.shape).copy()
         fld = sl.Field(grid=g, values=v, frame="lab")

@@ -15,7 +15,7 @@ from .config import (ExperimentConfig, GridSpec, PerturbationSpec, StepperSpec,
 from .errors import ShockLabError
 from .experiment import run_experiment
 from .flux import (FluxSpec, ShockData, burgers_flux, convex_quartic_flux,
-                   make_shock, polynomial_flux, shock_speed)
+                   polynomial_flux)
 from .grid import ChannelGrid, Field, gradient, integrate, lp_norm
 from .modes import antiderivative, nonzero_mode, shift_normalize, zero_mode
 from .profile import (ShockProfile, TailReport, eval_profile, solve_profile,
@@ -34,9 +34,9 @@ __all__ = [
     "area_bound", "build_flux", "build_perturbation", "burgers_flux", "cfl_dt",
     "convex_quartic_flux", "discrete_wave", "emit_config", "eval_profile",
     "fit_algebraic_rate", "fit_exponential_rate", "gn_ratio_monitor",
-    "gradient", "integrate", "lp_norm", "make_shock", "nonzero_mode",
-    "nonzero_mode_dt", "parse_config", "polynomial_flux", "rhs",
-    "run_1d_reference", "run_experiment", "run_simulation", "shift_normalize",
-    "shock_speed", "simulate", "solve_profile", "theorem_bound_check",
-    "verify_area_inequality", "verify_profile_bounds", "zero_mode",
+    "gradient", "integrate", "lp_norm", "nonzero_mode", "nonzero_mode_dt",
+    "parse_config", "polynomial_flux", "rhs", "run_1d_reference",
+    "run_experiment", "run_simulation", "shift_normalize", "simulate",
+    "solve_profile", "theorem_bound_check", "verify_area_inequality",
+    "verify_profile_bounds", "zero_mode",
 ]

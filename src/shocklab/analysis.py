@@ -183,7 +183,8 @@ def verify_area_inequality(samples, c0: float, c1: float, alpha: float,
     bound, cumulative trapezoid against the integral bound) are checked
     with 1% slack for sampling error; violations are reported, not raised.
     ``worst_margin`` is max(f - bound) over the checked samples, so a
-    negative margin means the bound holds with room to spare.
+    negative margin means the bound holds with room to spare.  Samples
+    none of which has t >= t_min (or a NaN t_min) raise ValueError.
     """
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:
@@ -195,6 +196,9 @@ def verify_area_inequality(samples, c0: float, c1: float, alpha: float,
     f = arr[:, 1]
     if not np.all(np.diff(t) > 0.0):
         raise ValueError("sample times must be strictly increasing")
+    check = t >= t_min
+    if not np.any(check):
+        raise ValueError(f"no sample at t >= t_min = {t_min:g}")
 
     violations = []
     quotients = np.diff(f) / np.diff(t)
@@ -216,11 +220,10 @@ def verify_area_inequality(samples, c0: float, c1: float, alpha: float,
             f"integral bound fails first at t={t[k]:g}: "
             f"integral {running[k]:g} > {int_bound[k]:g}")
 
-    check = t >= t_min
     margins = np.array([f[k] - area_bound(c0, c1, alpha, beta, gamma, t[k])
                         for k in np.flatnonzero(check)])
-    worst = float(margins.max()) if margins.size else float("-inf")
-    return AreaReport(passed=bool(margins.size == 0 or worst <= 0.0),
+    worst = float(margins.max())
+    return AreaReport(passed=worst <= 0.0,
                       worst_margin=worst, n_checked=int(check.sum()),
                       hypothesis_violations=tuple(violations))
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 from .errors import ConfigParseError, ConfigValidationError
-from .flux import (FluxSpec, burgers_flux, convex_quartic_flux, make_shock,
+from .flux import (FluxSpec, ShockData, burgers_flux, convex_quartic_flux,
                    polynomial_flux)
 
 log = logging.getLogger("shocklab")
@@ -141,7 +141,7 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         issues.append(("dimension", "must be 1, 2, or 3"))
     if cfg.u_minus == cfg.u_plus:
         issues.append(("u_plus", "end states must differ (degenerate shock)"))
-    elif flux is not None and not make_shock(flux, cfg.u_minus, cfg.u_plus).admissible:
+    elif flux is not None and not ShockData(flux, cfg.u_minus, cfg.u_plus).admissible:
         issues.append(("u_minus",
                        "ordering is not Lax-admissible for this flux "
                        "(need f1'(u_minus) > s > f1'(u_plus))"))
@@ -186,9 +186,10 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
 
     if not cfg.p_list or any(not p >= 1.0 for p in cfg.p_list):
         issues.append(("p_list", "need a non-empty list of exponents >= 1"))
-    if cfg.fit_window is not None:
-        if len(cfg.fit_window) != 2 or not cfg.fit_window[0] < cfg.fit_window[1]:
-            issues.append(("fit_window", "must be a pair t_a < t_b"))
+    window = cfg.fit_window
+    if window is not None and (len(window) != 2
+                               or not 0.0 <= window[0] < window[1] <= st.t_final):
+        issues.append(("fit_window", "must be a pair 0 <= t_a < t_b <= t_final"))
 
     if issues:
         raise ConfigValidationError(issues)

@@ -228,9 +228,9 @@ def check_area(csv_path, c0: float, c1: float, alpha: float, beta: float,
     columns of a CSV, its report printed as JSON.
 
     1 with one error line for an unreadable CSV, samples that are not
-    finite or whose times do not increase, or parameters that violate the
-    lemma hypotheses, 3 when the inequality or a sampled hypothesis
-    check fails.
+    finite, whose times do not increase or that all lie before t_min, or
+    parameters that violate the lemma hypotheses, 3 when the inequality or
+    a sampled hypothesis check fails.
     """
     try:
         data = np.loadtxt(csv_path, delimiter=",", comments="#", skiprows=skip_rows)

@@ -1,14 +1,18 @@
-"""Flux functions, shock data and entropy admissibility.
+"""Fluxes and the shock they carry.
 
 One scalar flux f1 serves every direction of the channel.  It is strictly
 convex; with a convex flux the entropy condition f1'(u_minus) > s >
 f1'(u_plus) forces u_minus > u_plus, so the profile is monotone
 decreasing.  All formulas below use that orientation.
+
+A shock is its flux and its two end states, (flux, u_minus, u_plus);
+its speed, strength and admissibility are derived from those three.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -17,13 +21,10 @@ from .errors import EqualStatesError
 
 ScalarFn = Callable[[float], float]
 
-# Relative tolerance on the Rankine-Hugoniot residual of a stored shock.
-RH_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class FluxSpec:
-    """Scalar flux f with its first and second derivatives.
+    """Scalar flux f with its derivative, valid on [u_lo, u_hi].
 
     One flux serves every direction: the law is u_t + sum_i d_i f(u) = Lap u,
     so f is also the strictly convex longitudinal flux f_1 that does all the
@@ -33,10 +34,8 @@ class FluxSpec:
     evaluators.
     """
 
-    name: str
     f1: ScalarFn
     df1: ScalarFn
-    ddf1: ScalarFn
     u_lo: float
     u_hi: float
 
@@ -47,19 +46,16 @@ class FluxSpec:
 
 def burgers_flux(*, u_lo: float = -4.0, u_hi: float = 4.0) -> FluxSpec:
     """f(u) = u^2/2; f'' = 1."""
-    return FluxSpec("burgers", lambda u: 0.5 * u * u, lambda u: u,
-                    lambda u: u * 0.0 + 1.0, u_lo, u_hi)
+    return FluxSpec(lambda u: 0.5 * u * u, lambda u: u, u_lo, u_hi)
 
 
 def convex_quartic_flux(*, u_lo: float = -4.0, u_hi: float = 4.0) -> FluxSpec:
     """f(u) = u^2/2 + u^4/12; f'' = 1 + u^2 >= 1."""
-    return FluxSpec("convex-quartic",
-                    lambda u: 0.5 * u * u + u ** 4 / 12.0,
-                    lambda u: u + u ** 3 / 3.0,
-                    lambda u: 1.0 + u * u, u_lo, u_hi)
+    return FluxSpec(lambda u: 0.5 * u * u + u ** 4 / 12.0,
+                    lambda u: u + u ** 3 / 3.0, u_lo, u_hi)
 
 
-def polynomial_flux(coefficients: Sequence[float], *, name: str = "poly",
+def polynomial_flux(coefficients: Sequence[float], *,
                     u_lo: float = -4.0, u_hi: float = 4.0) -> FluxSpec:
     """Flux from ascending polynomial coefficients: f(u) = sum c_k u^k.
 
@@ -69,70 +65,57 @@ def polynomial_flux(coefficients: Sequence[float], *, name: str = "poly",
     coeffs = np.asarray(coefficients, dtype=float)
     if coeffs.ndim != 1 or coeffs.size == 0:
         raise ValueError("coefficients must be a non-empty 1-d sequence")
-    dcoeffs = np.polynomial.polynomial.polyder(coeffs)
-    ddcoeffs = np.polynomial.polynomial.polyder(coeffs, 2)
-    polyval = np.polynomial.polynomial.polyval
+    polynomial = np.polynomial.polynomial
+    ddf = polynomial.polyval(np.linspace(u_lo, u_hi, 201), polynomial.polyder(coeffs, 2))
+    if not np.min(ddf) > 0.0:
+        raise ValueError("polynomial is not convex on the validity range")
+    dcoeffs = polynomial.polyder(coeffs)
 
     def f(u, c=coeffs):
-        return polyval(u, c)
+        return polynomial.polyval(u, c)
 
     def df(u, c=dcoeffs):
-        return polyval(u, c)
+        return polynomial.polyval(u, c)
 
-    def ddf(u, c=ddcoeffs):
-        return polyval(u, c)
-
-    if not np.min(ddf(np.linspace(u_lo, u_hi, 201))) > 0.0:
-        raise ValueError("polynomial is not convex on the validity range")
-    return FluxSpec(name, f, df, ddf, u_lo, u_hi)
+    return FluxSpec(f, df, u_lo, u_hi)
 
 
 @dataclass(frozen=True)
 class ShockData:
-    """End states, speed, and strength of a single shock.
+    """A shock of ``flux`` joining ``u_minus`` (left) to ``u_plus`` (right).
 
-    ``speed`` satisfies the Rankine-Hugoniot relation
-    -s(u_plus - u_minus) + f1(u_plus) - f1(u_minus) = 0; the constructor
-    rejects data violating it beyond round-off.
+    The flux and the two end states are the whole shock; the Rankine-Hugoniot
+    speed, the strength and the Lax admissibility flag derive from them, so
+    no shock holds a speed that disagrees with its states.
     """
 
     flux: FluxSpec
     u_minus: float
     u_plus: float
-    speed: float
-    strength: float
-    admissible: bool
 
     def __post_init__(self):
         if self.u_minus == self.u_plus:
             raise EqualStatesError("end states coincide")
         if not self.strength > 0.0:
             raise ValueError("shock strength must be positive")
-        resid = abs(-self.speed * (self.u_plus - self.u_minus)
-                    + self.flux.f1(self.u_plus) - self.flux.f1(self.u_minus))
-        if resid > RH_TOL * max(1.0, abs(self.flux.f1(self.u_minus))):
-            raise ValueError(f"Rankine-Hugoniot residual too large: {resid:g}")
+
+    @cached_property
+    def speed(self) -> float:
+        """Rankine-Hugoniot speed s = [f1] / [u]."""
+        f1 = self.flux.f1
+        return float((f1(self.u_plus) - f1(self.u_minus)) / (self.u_plus - self.u_minus))
+
+    @property
+    def strength(self) -> float:
+        return abs(self.u_minus - self.u_plus)
+
+    @property
+    def admissible(self) -> bool:
+        """The Lax entropy condition f1'(u_minus) > s > f1'(u_plus)."""
+        df1, s = self.flux.df1, self.speed
+        return bool(df1(self.u_minus) - s > 0.0 and df1(self.u_plus) - s < 0.0)
 
     @property
     def u_span(self) -> tuple[float, float]:
         """Closed interval between the end states, (low, high)."""
         return (min(self.u_minus, self.u_plus), max(self.u_minus, self.u_plus))
-
-
-def shock_speed(flux: FluxSpec, u_minus: float, u_plus: float) -> float:
-    """Rankine-Hugoniot speed s = [f1] / [u]."""
-    if u_minus == u_plus:
-        raise EqualStatesError(f"u_minus == u_plus == {u_minus}")
-    return (flux.f1(u_plus) - flux.f1(u_minus)) / (u_plus - u_minus)
-
-
-def make_shock(flux: FluxSpec, u_minus: float, u_plus: float) -> ShockData:
-    """Assemble a ShockData with RH speed and the Lax admissibility flag.
-
-    The flag is the Lax entropy condition f1'(u_minus) > s > f1'(u_plus).
-    """
-    s = shock_speed(flux, u_minus, u_plus)
-    admissible = (flux.df1(u_minus) - s > 0.0) and (flux.df1(u_plus) - s < 0.0)
-    return ShockData(flux=flux, u_minus=float(u_minus), u_plus=float(u_plus),
-                     speed=float(s), strength=abs(u_minus - u_plus),
-                     admissible=admissible)

@@ -42,7 +42,7 @@ from .config import ExperimentConfig, StepperSpec, build_flux, validate_config
 from .errors import (BlowupError, BoundaryLeakError, MassDriftError,
                      NonzeroModePresentError, OutOfRangeError, RangeExceededError,
                      WaveNotConvergedError)
-from .flux import FluxSpec, ShockData, make_shock
+from .flux import FluxSpec, ShockData
 from .grid import ChannelGrid, Field, gradient, integrate, lp_norm
 from .modes import antiderivative, nonzero_mode, shift_normalize, zero_mode
 from .profile import ShockProfile, eval_profile, solve_profile
@@ -141,6 +141,12 @@ def advective_dt(fld: Field, flux: FluxSpec, safety: float, speed: float = 0.0) 
     return safety * _min_spacing(fld.grid) / (vmax + abs(speed) + CFL_EPS)
 
 
+def _varies_transversally(v: np.ndarray) -> bool:
+    """Whether some x1 row of ``v`` is not constant on the torus."""
+    first = v[(slice(None),) + (slice(0, 1),) * (v.ndim - 1)]
+    return v.ndim > 1 and not np.all(v == first)
+
+
 def nonzero_mode_dt(fld: Field) -> float:
     """Step bound 1/(2 lambda_1) for data that vary transversally, else inf.
 
@@ -150,10 +156,9 @@ def nonzero_mode_dt(fld: Field) -> float:
     and that ETDRK4 treats explicitly; a larger step leaves it unresolved.
     Transversally constant data stay so and need no such bound.
     """
-    v = fld.values
-    grid = fld.grid
-    if v.ndim == 1 or np.all(v == v[(slice(None),) + (slice(0, 1),) * (v.ndim - 1)]):
+    if not _varies_transversally(fld.values):
         return math.inf
+    grid = fld.grid
     lam1 = (2.0 * math.sin(math.pi / grid.nprime) / grid.hprime) ** 2
     return 1.0 / (2.0 * lam1)
 
@@ -442,7 +447,7 @@ def solve_config_profile(cfg: ExperimentConfig) -> ShockProfile:
     """Profile of the config's shock at PROFILE_STEP on half_length +
     PROFILE_PAD, so that a background shifted by up to PROFILE_PAD - 1 (the
     guard in `_setup`) stays inside the solved range."""
-    shock = make_shock(build_flux(cfg), cfg.u_minus, cfg.u_plus)
+    shock = ShockData(build_flux(cfg), cfg.u_minus, cfg.u_plus)
     return solve_profile(shock, cfg.grid.half_length + PROFILE_PAD, PROFILE_STEP)
 
 
@@ -481,9 +486,9 @@ def _setup(cfg: ExperimentConfig, prof: ShockProfile | None,
     n_sub is the largest such step within `advective_dt` and
     `nonzero_mode_dt` on the initial field; the advective bound adds |s| in
     both frames, which in the lab frame is a conservative margin.  The meta
-    records the problem, dt, a and the initial mass.
+    records the problem, dt, a and the initial mass.  ``cfg`` has passed
+    `validate_config`.
     """
-    validate_config(cfg)
     if prof is None:
         prof = solve_config_profile(cfg)
     shock = prof.shock
@@ -532,6 +537,7 @@ def simulate(cfg: ExperimentConfig, prof: ShockProfile | None = None
     MassDriftError instead; a step may raise BlowupError.  `run_simulation`
     collects the stream into the run's `NormSeries`.
     """
+    validate_config(cfg)
     setup = _setup(cfg, prof)
     return setup.meta, _evolve(cfg, setup)
 
@@ -578,15 +584,19 @@ def run_1d_reference(cfg: ExperimentConfig) -> NormSeries:
     """Norm series of the same scheme restricted to n=1, which closes the
     zero-mode dynamics exactly.
 
-    Valid only when the initial non-zero mode vanishes, i.e. for
-    transversally constant perturbation kinds.  The run takes the n_sub,
-    hence the step, of the n-d run of ``cfg`` (whose `advective_dt` sees the
-    transverse spacing too), so its norms are those of the n-d zero mode.
+    Valid only when the initial non-zero mode vanishes: initial data of the
+    n-d run that vary transversally raise NonzeroModePresentError.  The run
+    takes the n_sub, hence the step, of the n-d run of ``cfg`` (whose
+    `advective_dt` sees the transverse spacing too), so its norms are those
+    of the n-d zero mode.
     """
-    if cfg.perturbation.kind == "random-nonzero-mode":
-        raise NonzeroModePresentError(
-            "1-d reference needs a transversally constant perturbation")
+    validate_config(cfg)
     setup = _setup(cfg, None)
+    if _varies_transversally(setup.u0.values):
+        raise NonzeroModePresentError(
+            "1-d reference needs transversally constant initial data")
+    # not validated again: the kind may need a transverse direction, but
+    # its data are constant here, so the 1-d data are their x1 column
     cfg1 = replace(cfg, dimension=1)
     setup1 = _setup(cfg1, setup.prof, setup.n_sub)
     return NormSeries.from_rows([(f.time, r) for f, r in _evolve(cfg1, setup1)],

@@ -17,18 +17,18 @@ def quartic1():
 @pytest.fixture(scope="session")
 def shock_sym(burgers1):
     """Symmetric Burgers shock (1, -1): speed 0, strength 2."""
-    return sl.make_shock(burgers1, 1.0, -1.0)
+    return sl.ShockData(burgers1, 1.0, -1.0)
 
 
 @pytest.fixture(scope="session")
 def shock_moving(burgers1):
     """Asymmetric Burgers shock (2, 0): speed 1."""
-    return sl.make_shock(burgers1, 2.0, 0.0)
+    return sl.ShockData(burgers1, 2.0, 0.0)
 
 
 @pytest.fixture(scope="session")
 def shock_quartic(quartic1):
-    return sl.make_shock(quartic1, 1.0, -1.0)
+    return sl.ShockData(quartic1, 1.0, -1.0)
 
 
 @pytest.fixture(scope="session")
@@ -40,9 +40,8 @@ def zero_flux():
     def zero(u):
         return u * 0.0
 
-    fx = sl.FluxSpec("zero", zero, zero, zero, -4.0, 4.0)
-    sh = sl.ShockData(flux=fx, u_minus=1.0, u_plus=-1.0, speed=0.0,
-                      strength=2.0, admissible=False)
+    fx = sl.FluxSpec(zero, zero, -4.0, 4.0)
+    sh = sl.ShockData(flux=fx, u_minus=1.0, u_plus=-1.0)
     return fx, sh
 
 

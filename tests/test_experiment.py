@@ -32,6 +32,9 @@ COARSE_LAB = {"flux": "burgers", "u_minus": 2.0, "u_plus": 0.0, "dimension": 1,
 # the profile's tails on |x1| <= 3 + pad are too short to fit their decay rates
 SHORT_TAILS = {"dimension": 1, "grid": {"half_length": 3, "n1": 64}}
 NEGATIVE_SEED = {"perturbation": {"kind": "random-nonzero-mode", "seed": -1}}
+# a fit window past t_final holds no sample
+FIT_WINDOW_PAST_END = dict(SMALL, stepper={"t_final": 2.0, "dt_out": 0.1},
+                           fit_window=[10, 20])
 # a Lax shock whose flux f'' = 1 - u^2/25 vanishes at u_minus, inside the
 # run's flux range [1.98, 6.02]
 NOT_CONVEX_ON_RUN_RANGE = {"flux": [0, 0, 0.5, 0, -0.0033333333333333335],
@@ -53,6 +56,8 @@ NON_FINITE = [
     (dict(RUNS, fit_window=[1, INF]), "fit_window"),
     (dict(RUNS, flux=[0, 0, 0.5, NAN]), "flux"),
 ]
+# samples that pass check-area with --c0 1 --c1 10 --alpha 1
+AREA_CSV = "0,1\n1,0.5\n2,0.3\n"
 # what each command leaves in its output directory after a good run of OK, sorted
 SNAPS = [f"snapshots/field-{k:05d}.txt" for k in range(21)]
 LEFT_BY = {
@@ -140,7 +145,7 @@ def test_each_command_leaves_only_its_own_artifacts(tmp_path, caplog, command):
     ({"flux": [0, 0, True]}, "flux"),
     ({"flux": [0, 0, 0.5, None]}, "flux"),
     (NOT_CONVEX_ON_RUN_RANGE, "flux"),
-] + NON_FINITE)
+] + NON_FINITE + [(FIT_WINDOW_PAST_END, "fit_window")])
 @pytest.mark.parametrize("command", ["run", "simulate", "profile"])
 def test_bad_config_exits_1(tmp_path, caplog, command, doc, field):
     code, out, errors = run(tmp_path, command, doc, caplog)
@@ -221,16 +226,19 @@ def test_failed_rerun_leaves_no_earlier_results(tmp_path, caplog):
     assert files(out) == ["config-echo.json"]
 
 
-@pytest.mark.parametrize("content", [None, "t,f\n1,abc\n", "0,1\n2,0.5\n1,0.3\n",
-                                     "0,1\n1,nan\n2,0.3\n"],
-                         ids=["missing", "malformed", "times-not-increasing", "nan"])
-def test_check_area_unreadable_csv_exits_1(tmp_path, caplog, content):
+@pytest.mark.parametrize("content, options", [
+    (None, []), ("t,f\n1,abc\n", []), ("0,1\n2,0.5\n1,0.3\n", []),
+    ("0,1\n1,nan\n2,0.3\n", []), (AREA_CSV, ["--t-min", "100"]),
+    (AREA_CSV, ["--t-min", "nan"]),
+], ids=["missing", "malformed", "times-not-increasing", "nan", "t-min-past-last",
+        "t-min-nan"])
+def test_check_area_unreadable_csv_exits_1(tmp_path, caplog, content, options):
     csv = tmp_path / "samples.csv"
     if content is not None:
         csv.write_text(content)
     caplog.clear()
     code = cli.main(["check-area", "--csv", str(csv), "--c0", "1", "--c1", "1",
-                     "--alpha", "1", "--quiet"])
+                     "--alpha", "1", "--quiet", *options])
     errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
     assert code == EXIT_CONFIG
     assert len(errors) == 1 and str(csv) in errors[0]
@@ -240,3 +248,34 @@ def test_no_temporary_files_left(tmp_path, caplog):
     for command, doc in (("run", OK), ("simulate", LEAKING), ("run", ENDS_IN_TRANSIENT)):
         run(tmp_path, command, doc, caplog)
         assert not [p for p in (tmp_path / "out").rglob(".tmp-*")]
+
+
+def strict_json(text):
+    """``json.loads`` that rejects NaN and Infinity, which strict JSON lacks."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_outputs_are_strict_json(tmp_path, caplog, capsys):
+    assert run(tmp_path, "run", OK, caplog)[0] == EXIT_OK
+    out = tmp_path / "out"
+    strict_json((out / "config-echo.json").read_text())
+    assert "fit_Phi_L2" in strict_json((out / "rates.json").read_text())
+    assert run(tmp_path, "profile", OK, caplog)[0] == EXIT_OK
+    strict_json((out / "profile-tails.json").read_text())
+    csv = tmp_path / "samples.csv"
+    csv.write_text(AREA_CSV)
+
+    def check_area(t_min):
+        capsys.readouterr()
+        code = cli.main(["check-area", "--csv", str(csv), "--c0", "1", "--c1", "10",
+                         "--alpha", "1", "--t-min", t_min, "--quiet"])
+        printed = capsys.readouterr().out
+        return code, strict_json(printed) if printed else None
+
+    code, report = check_area("1")
+    assert code == EXIT_OK and report["verdict"] == "pass"
+    # past the last sample nothing is checked: no report, rather than a pass
+    # with a worst margin of -Infinity
+    assert check_area("100") == (EXIT_CONFIG, None)

@@ -114,7 +114,7 @@ class TestTemporalOrder:
     def test_error_ratio_under_halving(self, case, n_steps):
         cfg = make_config(**CASES[case])
         flux = sl.build_flux(cfg)
-        shock = sl.make_shock(flux, cfg.u_minus, cfg.u_plus)
+        shock = sl.ShockData(flux, cfg.u_minus, cfg.u_plus)
         grid = grid_of(cfg)
         prof = sl.solve_profile(shock, grid.half_length + solver.PROFILE_PAD, 1e-3)
         bg, _ = sl.eval_profile(prof, grid.x1)
@@ -177,7 +177,7 @@ class TestZeroStep:
         # boundary rows that vary transversally are carried through as well
         cfg = make_config(**CASES[case])
         flux = sl.build_flux(cfg)
-        shock = sl.make_shock(flux, cfg.u_minus, cfg.u_plus)
+        shock = sl.ShockData(flux, cfg.u_minus, cfg.u_plus)
         grid = grid_of(cfg)
         rng = np.random.default_rng(11)
         mid = 0.5 * (cfg.u_minus + cfg.u_plus)

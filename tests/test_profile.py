@@ -38,8 +38,7 @@ class TestSolveProfile:
         assert prof.u[0] < shock_sym.u_minus
 
     def test_rejects_inadmissible(self, burgers1):
-        sh = sl.ShockData(flux=burgers1, u_minus=-1.0, u_plus=1.0,
-                          speed=0.0, strength=2.0, admissible=False)
+        sh = sl.ShockData(flux=burgers1, u_minus=-1.0, u_plus=1.0)
         with pytest.raises(NotAdmissibleError):
             sl.solve_profile(sh, 10.0, 1e-2)
 
@@ -52,7 +51,7 @@ class TestSolveProfile:
             sl.solve_profile(shock_sym, 10.0, 0.2)  # step > half_length/100
 
     def test_mirror_symmetry(self, burgers1, shock_moving):
-        mirrored = sl.make_shock(burgers1, 0.0, -2.0)
+        mirrored = sl.ShockData(burgers1, 0.0, -2.0)
         prof = sl.solve_profile(shock_moving, 12.0, 1e-3)
         prof_m = sl.solve_profile(mirrored, 12.0, 1e-3)
         # U_mirror(xi) = -U(-xi)
@@ -113,7 +112,7 @@ class TestTailBounds:
         assert rep.k_smallest == pytest.approx(1.0, abs=0.01)
 
     def test_rate_scales_with_strength(self, burgers1):
-        sh = sl.make_shock(burgers1, 0.5, -0.5)  # strength 1
+        sh = sl.ShockData(burgers1, 0.5, -0.5)  # strength 1
         prof = sl.solve_profile(sh, 45.0, 5e-3)
         rep = sl.verify_profile_bounds(prof)
         assert rep.rate_per_strength_right == pytest.approx(0.5, rel=0.02)

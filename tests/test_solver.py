@@ -139,7 +139,7 @@ class TestOneFluxEveryDimension:
 
     @pytest.fixture(scope="class")
     def shock(self):
-        return sl.make_shock(sl.burgers_flux(), 1, -1)
+        return sl.ShockData(sl.burgers_flux(), 1, -1)
 
     @staticmethod
     def column_field(dimension, frame="moving"):
@@ -211,6 +211,18 @@ class TestModeInvariance:
                              - rec1.channels["zmode_L2"]))
         assert diff <= 1e-9
 
+    def test_1d_reference_runs_constant_nonzero_mode_kind(self):
+        # amplitude 0 leaves the data transversally constant, whatever the kind
+        cfg = make_config(dimension=2,
+                          perturbation=PerturbationSpec(kind="random-nonzero-mode",
+                                                        amplitude=0.0, width=2.0,
+                                                        seed=3))
+        rec2 = sl.run_simulation(cfg)
+        rec1 = sl.run_1d_reference(cfg)
+        diff = np.max(np.abs(rec2.channels["zmode_L2"]
+                             - rec1.channels["zmode_L2"]))
+        assert diff <= 1e-9
+
     def test_1d_reference_rejects_nonzero_mode(self):
         cfg = make_config(dimension=2,
                           perturbation=PerturbationSpec(kind="random-nonzero-mode",
@@ -238,7 +250,7 @@ class TestNonzeroModeDecay:
 
 class TestFrameEquivalence:
     def test_lab_and_moving_agree_on_shifted_samples(self, burgers1):
-        shock = sl.make_shock(burgers1, 2.0, 0.0)
+        shock = sl.ShockData(burgers1, 2.0, 0.0)
         t_final = 1.0
         fields = {}
         for frame in ("moving", "lab"):
@@ -296,7 +308,7 @@ class TestDiscreteWave:
     def test_steady_state_with_phase_condition(self, flux_name, states, llf, a):
         flux = (sl.burgers_flux() if flux_name == "burgers"
                 else sl.convex_quartic_flux())
-        shock = sl.make_shock(flux, *states)
+        shock = sl.ShockData(flux, *states)
         g = sl.ChannelGrid(dimension=1, half_length=30.0, n1=512)
         prof = sl.solve_profile(shock, 34.0, 1e-3)
         u = sl.discrete_wave(g, prof, a, llf)

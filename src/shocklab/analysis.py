@@ -131,6 +131,8 @@ def fit_exponential_rate(series: NormSeries, name: str,
 
 def _check_area_params(c0, c1, alpha, beta, gamma, t):
     issues = []
+    if not all(map(math.isfinite, (c0, c1, alpha, beta, gamma))):
+        issues.append("C0, C1, alpha, beta and gamma must be finite")
     if not c0 > 0.0:
         issues.append("C0 must be positive")
     if not c1 > 0.0:

@@ -2,7 +2,8 @@
 
 Subcommands profile, simulate, run and check-area; `experiment` documents
 what each writes and its exit codes.  A config that does not parse or
-validate exits 1 with one error line, before any work starts.
+validate, or an output directory that cannot be used, exits 1 with one
+error line, before any work starts.
 """
 
 from __future__ import annotations

@@ -186,6 +186,16 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
 
     if not cfg.p_list or any(not p >= 1.0 for p in cfg.p_list):
         issues.append(("p_list", "need a non-empty list of exponents >= 1"))
+    else:
+        # each p names its norm channels f"{p:g}"; two p must not share them
+        seen = {}
+        for p in cfg.p_list:
+            name = f"{p:g}"
+            if name in seen:
+                issues.append(("p_list", f"{seen[name]!r} and {p!r} share the "
+                               f"channel name {name}"))
+                break
+            seen[name] = p
     window = cfg.fit_window
     if window is not None and (len(window) != 2
                                or not 0.0 <= window[0] < window[1] <= st.t_final):

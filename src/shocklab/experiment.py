@@ -12,10 +12,12 @@ never see partial files.  A failed command keeps its output up to the
 failure: no norms.csv after a failed set-up, the norms.csv rows and
 snapshots before a failed step or monitor.
 
-Exit codes: 0 success; 1 an unusable CSV or violated lemma hypotheses in
-check-area (a bad config exits 1 in `cli` before any work starts); 2 a
-failed profile solve or simulation; 3 a mass drift beyond its allowance, a
-failed analysis, or a tail check or area inequality that does not pass.
+Exit codes: 0 success; 1 an unusable CSV or violated lemma hypotheses
+(a constant that is not finite included) in check-area, and a bad config
+or an unusable output directory, in `cli` before any work starts; 2 a
+failed profile solve or simulation, a perturbation zero on the grid
+included; 3 a mass drift beyond its allowance, a failed analysis, or a
+tail check or area inequality that does not pass.
 Each failure but a check that does not pass logs one error line, under the
 prefix the function's docstring names.
 """
@@ -34,8 +36,8 @@ from .analysis import (NormSeries, fit_algebraic_rate, fit_exponential_rate,
                        gn_ratio_monitor, report_to_dict, reports_to_json,
                        theorem_bound_check, verify_area_inequality)
 from .config import ExperimentConfig, emit_config
-from .errors import (HypothesisViolatedError, MassDriftError, NonPositiveValueError,
-                     ShockLabError, TooFewSamplesError)
+from .errors import (ConfigValidationError, HypothesisViolatedError, MassDriftError,
+                     NonPositiveValueError, ShockLabError, TooFewSamplesError)
 from .grid import save_field_text
 from .profile import ShockProfile, profile_to_text, verify_profile_bounds
 from .solver import simulate, solve_config_profile
@@ -120,12 +122,20 @@ def analyze_record(cfg: ExperimentConfig, norms: NormSeries) -> dict:
 
 
 def _prepare_out_dir(cfg: ExperimentConfig) -> None:
-    """Delete every `ARTIFACTS` file in cfg.out_dir, then echo the config there."""
-    for pattern in ARTIFACTS:
-        for path in glob.glob(os.path.join(glob.escape(cfg.out_dir), pattern)):
-            os.unlink(path)
-    _atomic_write(os.path.join(cfg.out_dir, "config-echo.json"),
-                  lambda tmp: emit_config(cfg, tmp))
+    """Delete every `ARTIFACTS` file in cfg.out_dir, then echo the config there.
+
+    A directory that cannot be used raises ConfigValidationError on out_dir.
+    """
+    try:
+        for pattern in ARTIFACTS:
+            for path in glob.glob(os.path.join(glob.escape(cfg.out_dir), pattern)):
+                os.unlink(path)
+        _atomic_write(os.path.join(cfg.out_dir, "config-echo.json"),
+                      lambda tmp: emit_config(cfg, tmp))
+    except OSError as exc:
+        raise ConfigValidationError(
+            [("out_dir", f"cannot use {cfg.out_dir} as the output directory: "
+                         f"{exc.strerror}")]) from exc
 
 
 def run_profile(cfg: ExperimentConfig) -> int:

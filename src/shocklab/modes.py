@@ -2,16 +2,16 @@
 
 The zero mode of a field is its transverse average over the unit torus;
 the non-zero mode is the mean-free remainder.  The anti-derivative of the
-zero-mode perturbation is the cumulative x1 integral from the left end,
-built in the moving frame where the boundary is quiescent.
+zero-mode perturbation is its cumulative x1 integral from the left end;
+the shift is its mass over u_plus - u_minus.  All take arrays and a grid.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grid import ChannelGrid, Field, integrate
-from .profile import ShockProfile, eval_profile
+from .flux import ShockData
+from .grid import ChannelGrid, integrate
 
 
 def zero_mode(values: np.ndarray) -> np.ndarray:
@@ -41,17 +41,13 @@ def antiderivative(zero_pert: np.ndarray, grid: ChannelGrid) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(steps)))
 
 
-def shift_normalize(u0: Field, profile: ShockProfile) -> float:
+def shift_normalize(pert: np.ndarray, shock: ShockData, grid: ChannelGrid) -> float:
     """Shift a of the background profile that zeroes the perturbation mass.
 
-    a = M / (u_plus - u_minus) with M the total mass of u0 - U and the end
-    states of ``profile.shock``; the translation identity
-    int(U(x+a) - U(x)) dx = a (u_plus - u_minus) then makes the
-    anti-derivative of u0 - U(.+a) vanish at both ends.
+    ``pert`` is u0 - U, the initial field less the unshifted profile of
+    ``shock``, and a = M / (u_plus - u_minus) with M its total mass; the
+    translation identity int(U(x+a) - U(x)) dx = a (u_plus - u_minus) then
+    makes the anti-derivative of u0 - U(.+a) vanish at both ends.
     The caller re-bases the background by evaluating the profile at xi + a.
     """
-    bg, _ = eval_profile(profile, u0.grid.x1, extend=True)
-    shape = (u0.grid.n1,) + (1,) * (u0.values.ndim - 1)
-    mass = integrate(u0.values - bg.reshape(shape), u0.grid)
-    shock = profile.shock
-    return mass / (shock.u_plus - shock.u_minus)
+    return integrate(pert, grid) / (shock.u_plus - shock.u_minus)

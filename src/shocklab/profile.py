@@ -7,7 +7,8 @@ The profile solves the first integral of the traveling-wave equation,
 whose right-hand side vanishes at both end states (by Rankine-Hugoniot)
 and is negative between them for a convex flux.  Both end states are
 degenerate fixed points, so integration starts from the midpoint anchor
-U(0) = (u_minus + u_plus)/2 and marches outward.
+U(0) = (u_minus + u_plus)/2 and marches outward, one RK4 march at step
++h and -h.  `eval_profile`, the one reader, extends U by the end states.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 
-from .errors import (NotAdmissibleError, OutOfRangeError, StepTooLargeError,
-                     TailTooShortError)
+from .errors import NotAdmissibleError, StepTooLargeError, TailTooShortError
 from .flux import ShockData
 
 # Clamp distance, as a fraction of the shock strength.
@@ -42,16 +42,6 @@ class ShockProfile:
     xi: np.ndarray
     u: np.ndarray
     du: np.ndarray
-
-    @property
-    def _spline(self) -> CubicHermiteSpline:
-        # Built on each use, not cached: its coefficients are several times
-        # the size of the samples and would live as long as the profile.
-        return CubicHermiteSpline(self.xi, self.u, self.du)
-
-    @property
-    def half_length(self) -> float:
-        return float(self.xi[-1])
 
 
 def _ode_rhs(shock: ShockData):
@@ -93,30 +83,20 @@ def solve_profile(shock: ShockData, half_length: float, step: float) -> ShockPro
     lo_clamp = u_lo + clamp_tol
     hi_clamp = u_hi - clamp_tol
 
-    def rk4_step(u, h):
-        k1 = g(u)
-        k2 = g(u + 0.5 * h * k1)
-        k3 = g(u + 0.5 * h * k2)
-        k4 = g(u + h * k3)
-        return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
     def march(h):
         u = 0.5 * (shock.u_minus + shock.u_plus)
         out = [u]
         for _ in range(n_half):
-            un = rk4_step(u, h)
-            if h > 0.0:
-                if un > u:
-                    raise StepTooLargeError("monotonicity lost on the forward march")
-                if un < u_lo - 10.0 * clamp_tol:
-                    raise StepTooLargeError("overshoot past u_plus; reduce step")
-                un = max(un, lo_clamp)
-            else:
-                if un < u:
-                    raise StepTooLargeError("monotonicity lost on the backward march")
-                if un > u_hi + 10.0 * clamp_tol:
-                    raise StepTooLargeError("overshoot past u_minus; reduce step")
-                un = min(un, hi_clamp)
+            k1 = g(u)
+            k2 = g(u + 0.5 * h * k1)
+            k3 = g(u + 0.5 * h * k2)
+            k4 = g(u + h * k3)
+            un = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if (un - u) * h > 0.0:
+                raise StepTooLargeError("monotonicity lost on the march; reduce step")
+            if not u_lo - 10.0 * clamp_tol <= un <= u_hi + 10.0 * clamp_tol:
+                raise StepTooLargeError("overshoot past an end state; reduce step")
+            un = min(max(un, lo_clamp), hi_clamp)
             out.append(un)
             u = un
         return out
@@ -129,36 +109,29 @@ def solve_profile(shock: ShockData, half_length: float, step: float) -> ShockPro
     return ShockProfile(shock=shock, xi=xi, u=u_samples, du=du)
 
 
-def eval_profile(profile: ShockProfile, xi, extend: bool = False):
-    """Evaluate (U, U') at xi by piecewise-cubic Hermite interpolation.
+def eval_profile(profile: ShockProfile, xi):
+    """Evaluate (U, U') at the array xi by piecewise-cubic Hermite interpolation.
 
     The interpolant uses the exact ODE slopes at the nodes and U' is
     recomputed from the ODE right-hand side at the interpolated value, so
-    the first integral is preserved exactly.  Outside the sampled range,
-    ``extend`` returns the end states with zero slope; otherwise the call
-    raises OutOfRangeError.
+    the first integral is preserved exactly.  Outside the sampled range U
+    is the end state on that side and U' is zero.
     """
-    xi_arr = np.asarray(xi, dtype=float)
+    xi = np.asarray(xi, dtype=float)
     lo, hi = profile.xi[0], profile.xi[-1]
-    below = xi_arr < lo
-    above = xi_arr > hi
-    outside = below | above
-    if np.any(outside) and not extend:
-        raise OutOfRangeError(f"xi outside sampled range [{lo}, {hi}]")
-
     shock = profile.shock
-    u = profile._spline(np.clip(xi_arr, lo, hi))
+    # built per call, not kept: its coefficients outweigh the samples
+    u = CubicHermiteSpline(profile.xi, profile.u, profile.du)(np.clip(xi, lo, hi))
     # Hermite interpolation of monotone data can overshoot only at round-off
     # level here; clip to the closed state interval to keep h(U) one-signed.
     span_lo, span_hi = shock.u_span
     u = np.clip(u, span_lo, span_hi)
     g = _ode_rhs(shock)
     du = g(u)
-    if extend:
-        u = np.where(below, shock.u_minus, np.where(above, shock.u_plus, u))
-        du = np.where(outside, 0.0, du)
-    if np.ndim(xi) == 0:
-        return float(u), float(du)
+    below = xi < lo
+    above = xi > hi
+    u = np.where(below, shock.u_minus, np.where(above, shock.u_plus, u))
+    du = np.where(below | above, 0.0, du)
     return u, du
 
 

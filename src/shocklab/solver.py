@@ -314,7 +314,9 @@ def build_perturbation(cfg: ExperimentConfig, grid: ChannelGrid) -> np.ndarray:
     "gaussian-bump" and "odd-bump" are transversally constant; the odd bump
     carries zero total mass.  "random-nonzero-mode" excites seeded resolved
     transverse Fourier modes (|k| <= N'/4) under a Gaussian envelope in x1,
-    so its transverse average vanishes identically.
+    so its transverse average vanishes identically.  A shape that vanishes
+    at every grid point, as a bump narrower than the spacing can, raises
+    OutOfRangeError.
     """
     p = cfg.perturbation
     if p.kind == "none" or p.amplitude == 0.0:
@@ -347,7 +349,11 @@ def build_perturbation(cfg: ExperimentConfig, grid: ChannelGrid) -> np.ndarray:
         raise ValueError(f"unknown perturbation kind {p.kind!r}")
 
     pert = np.broadcast_to(pert, grid.shape)
-    return pert * (p.amplitude / float(np.max(np.abs(pert))))
+    peak = float(np.max(np.abs(pert)))
+    if peak == 0.0:
+        raise OutOfRangeError(f"perturbation.width {p.width:g}: the {p.kind} "
+                              "vanishes at every grid point")
+    return pert * (p.amplitude / peak)
 
 
 def _record_norms(u: np.ndarray, bg: np.ndarray, grid: ChannelGrid,
@@ -400,7 +406,7 @@ def discrete_wave(grid: ChannelGrid, prof: ShockProfile, a: float,
     by the Sherman-Morrison formula.  Returns the n1 samples of U_h.
     """
     shock = prof.shock
-    u, du = eval_profile(prof, grid.x1 + a, extend=True)
+    u, du = eval_profile(prof, grid.x1 + a)
     target = u.copy()
     w = grid.w1
     wi = w[1:-1]
@@ -471,7 +477,7 @@ def _background(prof: ShockProfile, grid: ChannelGrid, st: StepperSpec,
     """
     if st.frame == "moving":
         return discrete_wave(grid, prof, a, st.llf)
-    bg, _ = eval_profile(prof, grid.x1 - prof.shock.speed * t + a, extend=True)
+    bg, _ = eval_profile(prof, grid.x1 - prof.shock.speed * t + a)
     return bg
 
 
@@ -501,7 +507,8 @@ def _setup(cfg: ExperimentConfig, prof: ShockProfile | None,
     u0 = _background(prof, grid, st, 0.0, 0.0).reshape(column) \
         + build_perturbation(cfg, grid)
     fld = Field(grid=grid, values=u0, time=0.0, frame=st.frame)
-    a = shift_normalize(fld, prof)
+    u_profile, _ = eval_profile(prof, grid.x1)
+    a = shift_normalize(u0 - u_profile.reshape(column), shock, grid)
     if abs(a) > PROFILE_PAD - 1.0:
         raise OutOfRangeError(f"shift {a:g} too large for the solved profile range")
     bg = _background(prof, grid, st, a, 0.0)

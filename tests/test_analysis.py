@@ -93,6 +93,12 @@ class TestAreaBound:
         dict(c0=1.0, c1=1.0, alpha=1.0, beta=-0.1, gamma=0.0, t=1.0),
         dict(c0=1.0, c1=1.0, alpha=1.8, beta=0.5, gamma=0.0, t=1.0),
         dict(c0=1.0, c1=1.0, alpha=1.0, beta=0.0, gamma=-1.0, t=1.0),
+        # a non-finite constant gives an infinite or NaN bound that data
+        # cannot exceed
+        dict(c0=1.0, c1=math.inf, alpha=1.0, beta=0.0, gamma=0.0, t=1.0),
+        dict(c0=math.inf, c1=1.0, alpha=1.0, beta=0.0, gamma=0.0, t=1.0),
+        dict(c0=1.0, c1=1.0, alpha=1.0, beta=0.0, gamma=math.nan, t=1.0),
+        dict(c0=1.0, c1=1.0, alpha=1.0, beta=0.0, gamma=math.inf, t=1.0),
     ])
     def test_hypothesis_violations(self, bad):
         with pytest.raises(HypothesisViolatedError):

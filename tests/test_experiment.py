@@ -56,6 +56,10 @@ NON_FINITE = [
     (dict(RUNS, fit_window=[1, INF]), "fit_window"),
     (dict(RUNS, flux=[0, 0, 0.5, NAN]), "flux"),
 ]
+# two p values with the one channel name "4"
+P_NAMES_COINCIDE = dict(RUNS, p_list=[4, 4.0000001])
+# a bump this narrow underflows to zero at every node of the grid
+VANISHING_BUMP = dict(RUNS, perturbation={"width": 0.001})
 # samples that pass check-area with --c0 1 --c1 10 --alpha 1
 AREA_CSV = "0,1\n1,0.5\n2,0.3\n"
 # what each command leaves in its output directory after a good run of OK, sorted
@@ -145,7 +149,7 @@ def test_each_command_leaves_only_its_own_artifacts(tmp_path, caplog, command):
     ({"flux": [0, 0, True]}, "flux"),
     ({"flux": [0, 0, 0.5, None]}, "flux"),
     (NOT_CONVEX_ON_RUN_RANGE, "flux"),
-] + NON_FINITE + [(FIT_WINDOW_PAST_END, "fit_window")])
+] + NON_FINITE + [(FIT_WINDOW_PAST_END, "fit_window"), (P_NAMES_COINCIDE, "p_list")])
 @pytest.mark.parametrize("command", ["run", "simulate", "profile"])
 def test_bad_config_exits_1(tmp_path, caplog, command, doc, field):
     code, out, errors = run(tmp_path, command, doc, caplog)
@@ -178,6 +182,24 @@ def test_simulation_failure_exits_2(tmp_path, caplog, command, doc):
         snaps = [f for f in files(out) if f.startswith("snapshots/")]
         assert snaps == ["snapshots/field-00000.txt"]
     assert_plain_modes(out)
+
+
+@pytest.mark.parametrize("command", ["run", "simulate"])
+def test_vanishing_perturbation_exits_2(tmp_path, caplog, command):
+    code, out, errors = run(tmp_path, command, VANISHING_BUMP, caplog)
+    assert code == EXIT_SIMULATION
+    assert len(errors) == 1 and errors[0].startswith("simulation failed:")
+    assert "perturbation.width" in errors[0]
+    assert files(out) == ["config-echo.json"]
+
+
+@pytest.mark.parametrize("command", ["run", "simulate", "profile"])
+def test_unusable_out_dir_exits_1(tmp_path, caplog, command):
+    (tmp_path / "out").write_text("not a directory")
+    code, out, errors = run(tmp_path, command, OK, caplog)
+    assert code == EXIT_CONFIG
+    assert len(errors) == 1 and str(out) in errors[0]
+    assert out.read_text() == "not a directory"
 
 
 def test_run_ending_inside_the_transient_exits_3(tmp_path, caplog):
@@ -242,6 +264,24 @@ def test_check_area_unreadable_csv_exits_1(tmp_path, caplog, content, options):
     errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
     assert code == EXIT_CONFIG
     assert len(errors) == 1 and str(csv) in errors[0]
+
+
+@pytest.mark.parametrize("options", [
+    ["--c0", "1", "--c1", "inf"], ["--c0", "inf", "--c1", "10"],
+    ["--c0", "1", "--c1", "10", "--gamma", "nan"],
+], ids=["c1-inf", "c0-inf", "gamma-nan"])
+def test_check_area_non_finite_constant_exits_1(tmp_path, caplog, capsys, options):
+    # an infinite C0 or C1 made a vacuous pass with a worst margin of -Infinity
+    csv = tmp_path / "samples.csv"
+    csv.write_text(AREA_CSV)
+    caplog.clear()
+    code = cli.main(["check-area", "--csv", str(csv), "--alpha", "1", "--quiet",
+                     *options])
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert code == EXIT_CONFIG
+    assert len(errors) == 1
+    assert errors[0].startswith("parameters violate the lemma hypotheses:")
+    assert capsys.readouterr().out == ""
 
 
 def test_no_temporary_files_left(tmp_path, caplog):

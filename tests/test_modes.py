@@ -129,29 +129,30 @@ class TestShiftNormalize:
     def test_translation_recovered(self, setup):
         prof, grid = setup
         u0, _ = sl.eval_profile(prof, grid.x1 - 1.0)
-        a = sl.shift_normalize(sl.Field(grid=grid, values=u0), prof)
+        U, _ = sl.eval_profile(prof, grid.x1)
+        a = sl.shift_normalize(u0 - U, prof.shock, grid)
         assert a == pytest.approx(-1.0, abs=1e-6)
 
     def test_unshifted_profile(self, setup):
         prof, grid = setup
         u0, _ = sl.eval_profile(prof, grid.x1)
-        a = sl.shift_normalize(sl.Field(grid=grid, values=u0), prof)
+        U, _ = sl.eval_profile(prof, grid.x1)
+        a = sl.shift_normalize(u0 - U, prof.shock, grid)
         assert a == pytest.approx(0.0, abs=1e-12)
 
     def test_mass_free_bump_no_shift(self, setup):
         prof, grid = setup
-        u0, _ = sl.eval_profile(prof, grid.x1)
+        U, _ = sl.eval_profile(prof, grid.x1)
         bump = 0.01 * (grid.x1 / 2.0) * np.exp(-((grid.x1 / 2.0) ** 2))
-        a = sl.shift_normalize(sl.Field(grid=grid, values=u0 + bump), prof)
+        a = sl.shift_normalize((U + bump) - U, prof.shock, grid)
         assert a == pytest.approx(0.0, abs=1e-12)
 
     def test_rebased_antiderivative_mass(self, setup, shock_sym):
         # after the shift, Phi(+L) of the re-based perturbation is tiny
         prof, grid = setup
-        u0, _ = sl.eval_profile(prof, grid.x1)
-        u0 = u0 + 0.01 * np.exp(-((grid.x1 / 2.0) ** 2))
-        fld = sl.Field(grid=grid, values=u0)
-        a = sl.shift_normalize(fld, prof)
+        U, _ = sl.eval_profile(prof, grid.x1)
+        u0 = U + 0.01 * np.exp(-((grid.x1 / 2.0) ** 2))
+        a = sl.shift_normalize(u0 - U, prof.shock, grid)
         rebased, _ = sl.eval_profile(prof, grid.x1 + a)
         anti = sl.antiderivative(u0 - rebased, grid)
         tol = 1e-10 * shock_sym.strength * grid.half_length
@@ -161,6 +162,7 @@ class TestShiftNormalize:
         prof, _ = setup
         grid = sl.ChannelGrid(dimension=2, half_length=30.0, n1=256, nprime=8)
         u0, _ = sl.eval_profile(prof, grid.x1 - 0.5)
+        U, _ = sl.eval_profile(prof, grid.x1)
         vals = np.broadcast_to(u0[:, None], grid.shape).copy()
-        a = sl.shift_normalize(sl.Field(grid=grid, values=vals), prof)
+        a = sl.shift_normalize(vals - U[:, None], prof.shock, grid)
         assert a == pytest.approx(-0.5, abs=1e-5)

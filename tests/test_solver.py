@@ -313,7 +313,7 @@ class TestDiscreteWave:
         prof = sl.solve_profile(shock, 34.0, 1e-3)
         u = sl.discrete_wave(g, prof, a, llf)
         resid = sl.rhs(sl.Field(grid=g, values=u, frame="moving"), shock, flux, llf)
-        cont, dcont = sl.eval_profile(prof, g.x1 + a, extend=True)
+        cont, dcont = sl.eval_profile(prof, g.x1 + a)
         # round-off on every row but the phase row, which keeps the flux
         # imbalance of the boundary rows against the wave's tails
         phase_row = 1 + np.argmax(np.abs(dcont[1:-1]))

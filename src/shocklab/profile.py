@@ -77,11 +77,11 @@ def solve_profile(shock: ShockData, half_length: float, step: float) -> ShockPro
 
     g = _ode_rhs(shock)
     n_half = int(round(half_length / step))
-    u_hi = shock.u_minus        # left state, top of the decreasing profile
-    u_lo = shock.u_plus
     clamp_tol = CLAMP_TOL_FRACTION * shock.strength
-    lo_clamp = u_lo + clamp_tol
-    hi_clamp = u_hi - clamp_tol
+    lo_clamp = shock.u_plus + clamp_tol
+    hi_clamp = shock.u_minus - clamp_tol
+    lo_limit = shock.u_plus - 10.0 * clamp_tol
+    hi_limit = shock.u_minus + 10.0 * clamp_tol
 
     def march(h):
         u = 0.5 * (shock.u_minus + shock.u_plus)
@@ -94,7 +94,7 @@ def solve_profile(shock: ShockData, half_length: float, step: float) -> ShockPro
             un = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if (un - u) * h > 0.0:
                 raise StepTooLargeError("monotonicity lost on the march; reduce step")
-            if not u_lo - 10.0 * clamp_tol <= un <= u_hi + 10.0 * clamp_tol:
+            if not lo_limit <= un <= hi_limit:
                 raise StepTooLargeError("overshoot past an end state; reduce step")
             un = min(max(un, lo_clamp), hi_clamp)
             out.append(un)

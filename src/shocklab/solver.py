@@ -314,9 +314,9 @@ def build_perturbation(cfg: ExperimentConfig, grid: ChannelGrid) -> np.ndarray:
     "gaussian-bump" and "odd-bump" are transversally constant; the odd bump
     carries zero total mass.  "random-nonzero-mode" excites seeded resolved
     transverse Fourier modes (|k| <= N'/4) under a Gaussian envelope in x1,
-    so its transverse average vanishes identically.  A shape that vanishes
-    at every grid point, as a bump narrower than the spacing can, raises
-    OutOfRangeError.
+    so its transverse average vanishes identically.  A shape too small to
+    scale at every grid point, as a bump narrower than the spacing can be,
+    raises OutOfRangeError.
     """
     p = cfg.perturbation
     if p.kind == "none" or p.amplitude == 0.0:
@@ -350,9 +350,9 @@ def build_perturbation(cfg: ExperimentConfig, grid: ChannelGrid) -> np.ndarray:
 
     pert = np.broadcast_to(pert, grid.shape)
     peak = float(np.max(np.abs(pert)))
-    if peak == 0.0:
+    if peak == 0.0 or math.isinf(p.amplitude / peak):
         raise OutOfRangeError(f"perturbation.width {p.width:g}: the {p.kind} "
-                              "vanishes at every grid point")
+                              "underflows at every grid point")
     return pert * (p.amplitude / peak)
 
 

@@ -58,8 +58,9 @@ NON_FINITE = [
 ]
 # two p values with the one channel name "4"
 P_NAMES_COINCIDE = dict(RUNS, p_list=[4, 4.0000001])
-# a bump this narrow underflows to zero at every node of the grid
-VANISHING_BUMP = dict(RUNS, perturbation={"width": 0.001})
+# bumps this narrow underflow at every node of the grid: to zero, and to a
+# subnormal peak that the amplitude over it overflows
+VANISHING_BUMPS = [dict(RUNS, perturbation={"width": w}) for w in (0.001, 0.00877)]
 # samples that pass check-area with --c0 1 --c1 10 --alpha 1
 AREA_CSV = "0,1\n1,0.5\n2,0.3\n"
 # what each command leaves in its output directory after a good run of OK, sorted
@@ -184,9 +185,10 @@ def test_simulation_failure_exits_2(tmp_path, caplog, command, doc):
     assert_plain_modes(out)
 
 
+@pytest.mark.parametrize("doc", VANISHING_BUMPS, ids=["zero", "subnormal"])
 @pytest.mark.parametrize("command", ["run", "simulate"])
-def test_vanishing_perturbation_exits_2(tmp_path, caplog, command):
-    code, out, errors = run(tmp_path, command, VANISHING_BUMP, caplog)
+def test_vanishing_perturbation_exits_2(tmp_path, caplog, command, doc):
+    code, out, errors = run(tmp_path, command, doc, caplog)
     assert code == EXIT_SIMULATION
     assert len(errors) == 1 and errors[0].startswith("simulation failed:")
     assert "perturbation.width" in errors[0]

@@ -15,9 +15,9 @@ snapshots before a failed step or monitor.
 Exit codes: 0 success; 1 an unusable CSV or violated lemma hypotheses
 (a constant that is not finite included) in check-area, and a bad config
 or an unusable output directory, in `cli` before any work starts; 2 a
-failed profile solve or simulation, a perturbation zero on the grid
-included; 3 a mass drift beyond its allowance, a failed analysis, or a
-tail check or area inequality that does not pass.
+failed profile solve or simulation, a perturbation that underflows on the
+grid included; 3 a mass drift beyond its allowance, a failed analysis, or
+a tail check or area inequality that does not pass.
 Each failure but a check that does not pass logs one error line, under the
 prefix the function's docstring names.
 """

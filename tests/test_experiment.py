@@ -273,7 +273,7 @@ def test_check_area_unreadable_csv_exits_1(tmp_path, caplog, content, options):
     ["--c0", "1", "--c1", "10", "--gamma", "nan"],
 ], ids=["c1-inf", "c0-inf", "gamma-nan"])
 def test_check_area_non_finite_constant_exits_1(tmp_path, caplog, capsys, options):
-    # an infinite C0 or C1 made a vacuous pass with a worst margin of -Infinity
+    # an infinite C0 or C1 would pass any samples, with a worst margin of -Infinity
     csv = tmp_path / "samples.csv"
     csv.write_text(AREA_CSV)
     caplog.clear()

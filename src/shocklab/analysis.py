@@ -103,6 +103,15 @@ def _windowed_positive(series: NormSeries, name: str,
     return t, v
 
 
+@dataclass(frozen=True)
+class SkippedFit:
+    """A rate fit of ``channel`` that was not made, and why."""
+
+    kind: str
+    channel: str
+    reason: str
+
+
 def _fit_log_linear(series: NormSeries, name: str,
                     window: tuple[float, float] | None, kind: str) -> RateFit:
     """Least squares of log(value) against log(1+t) or t, by kind."""
@@ -346,6 +355,8 @@ def report_to_dict(report) -> dict:
         out["verdict"] = "consistent" if raw["consistent"] else "inconsistent"
     elif "passed" in raw:
         out["verdict"] = "pass" if raw["passed"] else "fail"
+    elif "reason" in raw:
+        out["verdict"] = "skipped"
     extras = {k: v for k, v in raw.items()
               if k not in ("kind", "theta", "rate", "prefactor", "window",
                            "residual", "consistent", "passed", "worst_margin")}

@@ -5,8 +5,9 @@
 config-echo.json, so the directory holds only what that command computed:
 profile writes profile.txt and profile-tails.json; simulate norms.csv (one
 column per recorded norm) and, with ``snapshots``, snapshots/field-*.txt;
-run what simulate writes plus rates.json (fits, bound-check reports,
-profile tails).  `check_area` writes no file and prints its report as JSON.
+run what simulate writes plus rates.json (fits, each skipped fit with its
+reason, bound-check reports, profile tails).  `check_area` writes no file
+and prints its report as JSON.
 Every file goes through `_atomic_write`, a temp-then-rename, so readers
 never see partial files.  A failed command keeps its output up to the
 failure: no norms.csv after a failed set-up, the norms.csv rows and
@@ -32,9 +33,9 @@ import tempfile
 
 import numpy as np
 
-from .analysis import (NormSeries, fit_algebraic_rate, fit_exponential_rate,
-                       gn_ratio_monitor, report_to_dict, reports_to_json,
-                       theorem_bound_check, verify_area_inequality)
+from .analysis import (NormSeries, SkippedFit, fit_algebraic_rate,
+                       fit_exponential_rate, gn_ratio_monitor, report_to_dict,
+                       reports_to_json, theorem_bound_check, verify_area_inequality)
 from .config import ExperimentConfig, emit_config
 from .errors import (ConfigValidationError, HypothesisViolatedError, MassDriftError,
                      NonPositiveValueError, ShockLabError, TooFewSamplesError)
@@ -95,16 +96,27 @@ def default_fit_window(cfg: ExperimentConfig) -> tuple[float, float]:
     return (max(1.0, 0.5 * t_final), t_final)
 
 
+def _fit_or_skip(kind: str, norms: NormSeries, name: str, window):
+    """The fit, or a `SkippedFit` with the reason when the window cannot carry one."""
+    fit = fit_algebraic_rate if kind == "algebraic" else fit_exponential_rate
+    try:
+        return fit(norms, name, window)
+    except (TooFewSamplesError, NonPositiveValueError) as exc:
+        log.warning("skipping %s fit: %s", name, exc)
+        return SkippedFit(kind=kind, channel=name, reason=str(exc))
+
+
 def analyze_record(cfg: ExperimentConfig, norms: NormSeries) -> dict:
-    """All rate fits and bound checks for one simulation's norm series."""
+    """All rate fits and bound checks for one simulation's norm series.
+
+    A fit the window cannot carry is recorded as a `SkippedFit` under the
+    fit's own label, so rates.json says which fits were not made and why.
+    """
     window = cfg.fit_window or default_fit_window(cfg)
     reports: dict = {}
     for p in cfg.p_list:
         name = f"Phi_L{p:g}"
-        try:
-            reports[f"fit_{name}"] = fit_algebraic_rate(norms, name, window)
-        except (TooFewSamplesError, NonPositiveValueError) as exc:
-            log.warning("skipping %s fit: %s", name, exc)
+        reports[f"fit_{name}"] = _fit_or_skip("algebraic", norms, name, window)
         if p > 2.0:
             reports[f"bound_phi_L{p:g}"] = theorem_bound_check(norms, p, "phi-Lp")
             reports[f"bound_pert_L2_p{p:g}"] = theorem_bound_check(norms, p, "pert-L2")
@@ -114,10 +126,7 @@ def analyze_record(cfg: ExperimentConfig, norms: NormSeries) -> dict:
             except ShockLabError as exc:
                 log.warning("skipping G-N monitor at p=%g: %s", p, exc)
     if cfg.dimension >= 2:
-        try:
-            reports["fit_nzmode_L2"] = fit_exponential_rate(norms, "nzmode_L2", window)
-        except (TooFewSamplesError, NonPositiveValueError) as exc:
-            log.warning("skipping non-zero-mode fit: %s", exc)
+        reports["fit_nzmode_L2"] = _fit_or_skip("exponential", norms, "nzmode_L2", window)
     return reports
 
 

@@ -15,6 +15,9 @@ import numpy as np
 
 from .errors import BadExponentError
 
+# smallest normal double: a sum of |f|^p below it has lost its precision
+_TINY = np.finfo(float).tiny
+
 
 @dataclass(frozen=True)
 class ChannelGrid:
@@ -111,14 +114,24 @@ def _weights(arr: np.ndarray, grid: ChannelGrid) -> np.ndarray:
 def lp_norm(arr: np.ndarray, p, grid: ChannelGrid) -> float:
     """L^p norm by trapezoid-in-x1, uniform-in-x' quadrature; p=inf is max|.|.
 
-    ``arr`` is grid-shaped or a 1-d x1 slice.
+    ``arr`` is grid-shaped or a 1-d x1 slice.  The sum of |arr|^p is taken
+    directly; only when it underflows to zero or a subnormal, or overflows,
+    while max|arr| is positive and finite, is the norm recomputed as
+    max|arr| times the norm of arr / max|arr|.
     """
     if not p >= 1.0:
         raise BadExponentError(f"need p >= 1, got {p}")
     w = _weights(arr, grid)
+    mag = np.abs(arr)
     if np.isinf(p):
-        return float(np.max(np.abs(arr)))
-    return float(np.sum(w * np.abs(arr) ** p) ** (1.0 / p))
+        return float(np.max(mag))
+    with np.errstate(over="ignore"):
+        total = np.sum(w * mag ** p)
+    if not _TINY <= total < np.inf:
+        peak = np.max(mag)
+        if 0.0 < peak < np.inf:
+            return float(peak * np.sum(w * (mag / peak) ** p) ** (1.0 / p))
+    return float(total ** (1.0 / p))
 
 
 def integrate(arr: np.ndarray, grid: ChannelGrid) -> float:

@@ -8,7 +8,14 @@ whose right-hand side vanishes at both end states (by Rankine-Hugoniot)
 and is negative between them for a convex flux.  Both end states are
 degenerate fixed points, so integration starts from the midpoint anchor
 U(0) = (u_minus + u_plus)/2 and marches outward, one RK4 march at step
-+h and -h.  `eval_profile`, the one reader, extends U by the end states.
++h and -h.  A march ends early at its first fixed point, a step that
+leaves U unchanged: every later step is the same step.
+
+`eval_profile`, the one reader, evaluates the cubic Hermite interpolant of
+the samples and their ODE slopes in numpy, with the operation order of
+scipy's ``CubicHermiteSpline`` (a ``PPoly``), so its values are bit for
+bit those of that spline without importing ``scipy.interpolate``.  Outside
+the solved range it extends U by the end states.
 """
 
 from __future__ import annotations
@@ -16,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from .errors import NotAdmissibleError, StepTooLargeError, TailTooShortError
 from .flux import ShockData
@@ -76,6 +82,9 @@ def solve_profile(shock: ShockData, half_length: float, step: float) -> ShockPro
         raise ValueError("need 0 < step <= half_length/100")
 
     g = _ode_rhs(shock)
+    f1 = shock.flux.f1
+    s = shock.speed
+    anchor = f1(shock.u_plus) - s * shock.u_plus
     n_half = int(round(half_length / step))
     clamp_tol = CLAMP_TOL_FRACTION * shock.strength
     lo_clamp = shock.u_plus + clamp_tol
@@ -84,19 +93,29 @@ def solve_profile(shock: ShockData, half_length: float, step: float) -> ShockPro
     hi_limit = shock.u_minus + 10.0 * clamp_tol
 
     def march(h):
+        # g inlined, same operations in the same order
+        half_h = 0.5 * h
+        sixth_h = h / 6.0
         u = 0.5 * (shock.u_minus + shock.u_plus)
         out = [u]
         for _ in range(n_half):
-            k1 = g(u)
-            k2 = g(u + 0.5 * h * k1)
-            k3 = g(u + 0.5 * h * k2)
-            k4 = g(u + h * k3)
-            un = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k1 = f1(u) - s * u - anchor
+            v = u + half_h * k1
+            k2 = f1(v) - s * v - anchor
+            v = u + half_h * k2
+            k3 = f1(v) - s * v - anchor
+            v = u + h * k3
+            k4 = f1(v) - s * v - anchor
+            un = u + sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if (un - u) * h > 0.0:
                 raise StepTooLargeError("monotonicity lost on the march; reduce step")
             if not lo_limit <= un <= hi_limit:
                 raise StepTooLargeError("overshoot past an end state; reduce step")
             un = min(max(un, lo_clamp), hi_clamp)
+            if un == u:
+                # a fixed point of the step map: every later sample is u
+                out.extend([u] * (n_half + 1 - len(out)))
+                break
             out.append(un)
             u = un
         return out
@@ -109,19 +128,43 @@ def solve_profile(shock: ShockData, half_length: float, step: float) -> ShockPro
     return ShockProfile(shock=shock, xi=xi, u=u_samples, du=du)
 
 
+def _hermite(x, y, dydx, xq):
+    """Cubic Hermite interpolant of (x, y, dydx) at xq, inside [x[0], x[-1]].
+
+    The operations and their order are those of scipy's
+    ``CubicHermiteSpline(x, y, dydx)(xq)``: the same coefficient formulas,
+    computed only on the intervals that xq falls in, and ``PPoly``'s sum
+    in increasing powers of s = xq - x[k].  Keep that order: a Horner
+    form differs in the last bits, and the Newton seed of
+    ``solver.discrete_wave`` carries such bits into the non-zero mode.
+    """
+    k = np.clip(np.searchsorted(x, xq, "right") - 1, 0, x.size - 2)
+    x_k = x[k]
+    y_k = y[k]
+    d_k = dydx[k]
+    dx = x[k + 1] - x_k
+    slope = (y[k + 1] - y_k) / dx
+    t = (d_k + dydx[k + 1] - 2 * slope) / dx
+    c0 = t / dx
+    c1 = (slope - d_k) / dx - t
+    s = xq - x_k
+    ss = s * s
+    return y_k + d_k * s + c1 * ss + c0 * (ss * s)
+
+
 def eval_profile(profile: ShockProfile, xi):
     """Evaluate (U, U') at the array xi by piecewise-cubic Hermite interpolation.
 
-    The interpolant uses the exact ODE slopes at the nodes and U' is
-    recomputed from the ODE right-hand side at the interpolated value, so
-    the first integral is preserved exactly.  Outside the sampled range U
-    is the end state on that side and U' is zero.
+    The interpolant uses the exact ODE slopes at the nodes and is bit for
+    bit scipy's ``CubicHermiteSpline`` on the samples (see `_hermite`).
+    U' is recomputed from the ODE right-hand side at the interpolated
+    value, so the first integral is preserved exactly.  Outside the
+    sampled range U is the end state on that side and U' is zero.
     """
     xi = np.asarray(xi, dtype=float)
     lo, hi = profile.xi[0], profile.xi[-1]
     shock = profile.shock
-    # built per call, not kept: its coefficients outweigh the samples
-    u = CubicHermiteSpline(profile.xi, profile.u, profile.du)(np.clip(xi, lo, hi))
+    u = _hermite(profile.xi, profile.u, profile.du, np.clip(xi, lo, hi))
     # Hermite interpolation of monotone data can overshoot only at round-off
     # level here; clip to the closed state interval to keep h(U) one-signed.
     span_lo, span_hi = shock.u_span

@@ -2,12 +2,14 @@
 
 import json
 import logging
+import math
 import os
 import stat
 
 import pytest
 
 from shocklab import cli
+from shocklab.analysis import MIN_FIT_SAMPLES
 from shocklab.experiment import (EXIT_ANALYSIS, EXIT_CONFIG, EXIT_OK,
                                  EXIT_SIMULATION)
 
@@ -61,6 +63,12 @@ P_NAMES_COINCIDE = dict(RUNS, p_list=[4, 4.0000001])
 # bumps this narrow underflow at every node of the grid: to zero, and to a
 # subnormal peak that the amplitude over it overflows
 VANISHING_BUMPS = [dict(RUNS, perturbation={"width": w}) for w in (0.001, 0.00877)]
+# the default fit window (1, 2) holds the 3 outputs 1, 1.5 and 2, fewer
+# than MIN_FIT_SAMPLES
+TOO_FEW_TO_FIT = {"dimension": 2, "grid": {"half_length": 15, "n1": 64, "nprime": 4},
+                  "stepper": {"t_final": 2.0, "dt_out": 0.5}, "p_list": [2, 4]}
+# with p this large the direct sum of |Phi|^p underflows to 0
+LARGE_P = dict(RUNS, p_list=[2000])
 # samples that pass check-area with --c0 1 --c1 10 --alpha 1
 AREA_CSV = "0,1\n1,0.5\n2,0.3\n"
 # what each command leaves in its output directory after a good run of OK, sorted
@@ -114,6 +122,35 @@ def test_run_writes_every_artifact(tmp_path, caplog):
     assert files(out) == LEFT_BY["run"]
     assert_plain_modes(out)
     assert "fit_Phi_L2" in json.loads((out / "rates.json").read_text())
+
+
+def test_run_records_each_skipped_fit(tmp_path, caplog):
+    code, out, errors = run(tmp_path, "run", TOO_FEW_TO_FIT, caplog)
+    assert (code, errors) == (EXIT_OK, [])
+    rates = json.loads((out / "rates.json").read_text())
+    reason = f"3 samples in window; need {MIN_FIT_SAMPLES}"
+    for label, kind, channel in [("fit_Phi_L2", "algebraic", "Phi_L2"),
+                                 ("fit_Phi_L4", "algebraic", "Phi_L4"),
+                                 ("fit_nzmode_L2", "exponential", "nzmode_L2")]:
+        assert rates[label] == {"kind": kind, "channel": channel, "reason": reason,
+                                "verdict": "skipped", "exponent": None,
+                                "prefactor": None, "window": None, "residual": None,
+                                "worst_margin": None}, label
+    assert rates["bound_phi_L4"]["verdict"] == "consistent"
+
+
+def test_large_p_norm_is_recorded_and_fitted(tmp_path, caplog):
+    code, out, errors = run(tmp_path, "run", LARGE_P, caplog)
+    assert (code, errors) == (EXIT_OK, [])
+    lines = (out / "norms.csv").read_text().splitlines()
+    column = lines[0].split(",").index("Phi_L2000")
+    values = [float(line.split(",")[column]) for line in lines[1:]]
+    assert len(values) == 21
+    assert all(0.0 < v < math.inf for v in values)
+    rates = json.loads((out / "rates.json").read_text())
+    assert rates["fit_Phi_L2000"]["verdict"] is None
+    assert rates["fit_Phi_L2000"]["exponent"] < 0.0
+    assert "gn_ratio_p2000" in rates
 
 
 def test_simulate_writes_echo_and_norms(tmp_path, caplog):

@@ -90,6 +90,25 @@ class TestLpNorm:
             assert lhs <= rhs + 1e-8
 
 
+    @pytest.mark.parametrize("scale, p", [(3e-3, 2000.0), (5e-2, 400.0), (10.0, 400.0)])
+    def test_large_p_neither_underflows_nor_overflows(self, fine_line, scale, p):
+        # the direct sum of |f|^p is 0 for the first two and inf for the third
+        v = scale / np.cosh(fine_line.x1)
+        with np.errstate(over="ignore"):
+            assert not 0.0 < np.sum(fine_line.w1 * np.abs(v) ** p) < np.inf
+        # the same norm through logs: exp(log-sum-exp(log w + p log|f|) / p)
+        terms = np.log(fine_line.w1) + p * np.log(np.abs(v))
+        top = terms.max()
+        expected = np.exp((top + np.log(np.sum(np.exp(terms - top)))) / p)
+        got = sl.lp_norm(v, p, fine_line)
+        assert 0.0 < got < np.inf
+        assert got == pytest.approx(expected, rel=1e-13)
+        assert got == pytest.approx(scale * sl.lp_norm(v / scale, p, fine_line), rel=1e-13)
+
+    def test_zero_stays_zero(self, small_plane):
+        assert sl.lp_norm(np.zeros(small_plane.shape), 2000.0, small_plane) == 0.0
+
+
 class TestIntegrate:
     def test_odd_function_cancels(self, fine_line):
         v = fine_line.x1 * np.exp(-fine_line.x1 ** 2)

@@ -2,12 +2,76 @@
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicHermiteSpline
 
 import shocklab as sl
 from shocklab.errors import (NotAdmissibleError, StepTooLargeError,
                              TailTooShortError)
 
 from conftest import closed_form_sym
+
+# the bit-identity shocks: symmetric Burgers, symmetric quartic, and an
+# asymmetric moving shock of a quartic polynomial flux (f'' > 0 everywhere)
+IDENTITY_SHOCKS = {
+    "burgers": lambda: sl.ShockData(sl.burgers_flux(), 1.0, -1.0),
+    "quartic": lambda: sl.ShockData(sl.convex_quartic_flux(), 1.0, -1.0),
+    "polynomial": lambda: sl.ShockData(
+        sl.polynomial_flux([0.0, 0.3, 0.5, 0.1, 0.02]), 2.0, 0.5),
+}
+IDENTITY_HALF_LENGTH = 30.0
+IDENTITY_STEP = 1e-2
+
+
+def reference_march(shock, half_length, step):
+    """The profile samples by the plain RK4 loop, every step taken, as oracle."""
+    f1, s = shock.flux.f1, shock.speed
+    anchor = f1(shock.u_plus) - s * shock.u_plus
+
+    def g(u):
+        return f1(u) - s * u - anchor
+
+    n_half = int(round(half_length / step))
+    clamp_tol = 1e-14 * shock.strength
+    lo_clamp = shock.u_plus + clamp_tol
+    hi_clamp = shock.u_minus - clamp_tol
+    lo_limit = shock.u_plus - 10.0 * clamp_tol
+    hi_limit = shock.u_minus + 10.0 * clamp_tol
+
+    def march(h):
+        u = 0.5 * (shock.u_minus + shock.u_plus)
+        out = [u]
+        for _ in range(n_half):
+            k1 = g(u)
+            k2 = g(u + 0.5 * h * k1)
+            k3 = g(u + 0.5 * h * k2)
+            k4 = g(u + h * k3)
+            un = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            assert (un - u) * h <= 0.0 and lo_limit <= un <= hi_limit
+            un = min(max(un, lo_clamp), hi_clamp)
+            out.append(un)
+            u = un
+        return out
+
+    return np.array(march(-step)[::-1] + march(step)[1:])
+
+
+def reference_eval(profile, xi):
+    """`eval_profile` with scipy's CubicHermiteSpline as the interpolant."""
+    shock = profile.shock
+    lo, hi = profile.xi[0], profile.xi[-1]
+    spline = CubicHermiteSpline(profile.xi, profile.u, profile.du)
+    u = np.clip(spline(np.clip(xi, lo, hi)), *shock.u_span)
+    du = shock.flux.f1(u) - shock.speed * u - (
+        shock.flux.f1(shock.u_plus) - shock.speed * shock.u_plus)
+    below, above = xi < lo, xi > hi
+    u = np.where(below, shock.u_minus, np.where(above, shock.u_plus, u))
+    return u, np.where(below | above, 0.0, du)
+
+
+@pytest.fixture(scope="module", params=sorted(IDENTITY_SHOCKS))
+def identity_profile(request):
+    shock = IDENTITY_SHOCKS[request.param]()
+    return request.param, sl.solve_profile(shock, IDENTITY_HALF_LENGTH, IDENTITY_STEP)
 
 
 class TestSolveProfile:
@@ -50,6 +114,14 @@ class TestSolveProfile:
         with pytest.raises(ValueError):
             sl.solve_profile(shock_sym, 10.0, 0.2)  # step > half_length/100
 
+    def test_equals_reference_march(self, identity_profile):
+        name, prof = identity_profile
+        ref = reference_march(prof.shock, IDENTITY_HALF_LENGTH, IDENTITY_STEP)
+        np.testing.assert_array_equal(prof.u, ref)
+        if name == "quartic":
+            # the march stopped at a fixed point; the samples after it repeat
+            assert np.sum(np.diff(prof.u) == 0.0) > 100
+
     def test_mirror_symmetry(self, burgers1, shock_moving):
         mirrored = sl.ShockData(burgers1, 0.0, -2.0)
         prof = sl.solve_profile(shock_moving, 12.0, 1e-3)
@@ -59,6 +131,18 @@ class TestSolveProfile:
 
 
 class TestEvalProfile:
+    def test_equals_cubic_hermite_spline(self, identity_profile):
+        _, prof = identity_profile
+        rng = np.random.default_rng(7)
+        lo, hi = prof.xi[0], prof.xi[-1]
+        xi = np.concatenate([prof.xi, [lo, hi, np.nextafter(lo, hi), np.nextafter(hi, lo),
+                                       lo - 1.0, hi + 1.0],
+                             rng.uniform(lo, hi, 20000), rng.uniform(-1.0, 1.0, 2000)])
+        u, du = sl.eval_profile(prof, xi)
+        u_ref, du_ref = reference_eval(prof, xi)
+        np.testing.assert_array_equal(u, u_ref)
+        np.testing.assert_array_equal(du, du_ref)
+
     def test_nodes_exact(self, profile_sym):
         k = 1234
         u, du = sl.eval_profile(profile_sym, float(profile_sym.xi[k]))

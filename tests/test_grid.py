@@ -89,7 +89,6 @@ class TestLpNorm:
                    * sl.lp_norm(v, 2.0, small_plane) ** (2.0 / p))
             assert lhs <= rhs + 1e-8
 
-
     @pytest.mark.parametrize("scale, p", [(3e-3, 2000.0), (5e-2, 400.0), (10.0, 400.0)])
     def test_large_p_neither_underflows_nor_overflows(self, fine_line, scale, p):
         # the direct sum of |f|^p is 0 for the first two and inf for the third

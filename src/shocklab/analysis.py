@@ -3,7 +3,9 @@
 The decay statements under test carry unknown constants, so the checks are
 formulated as normalized-ratio boundedness: multiply the measured norm by
 the candidate rate and ask whether the late-time sup stays within a small
-slack of the early-time sup.
+slack of the early-time sup.  A check its data cannot carry raises
+TooFewSamplesError, NonPositiveValueError, ZeroDenominatorError or
+RoundOffError, which `experiment` records as a `Skipped`.
 """
 
 from __future__ import annotations
@@ -15,10 +17,13 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import (BadExponentError, BadKindError, HypothesisViolatedError,
-                     MissingChannelError, NonPositiveValueError,
+                     MissingChannelError, NonPositiveValueError, RoundOffError,
                      TooFewSamplesError, ZeroDenominatorError)
 
 MIN_FIT_SAMPLES = 10
+# Round-off as a fraction of the shock strength: no check is made on samples
+# that all lie at or below it, and the leak monitor ignores end values below it.
+ROUNDOFF_FRACTION = 1e-12
 # Slack factor on late-window vs early-window sups in theorem_bound_check;
 # absorbs discretization drift.
 CONSISTENCY_SLACK = 1.05
@@ -90,8 +95,33 @@ class RateFit:
     n_samples: int
 
 
-def _windowed_positive(series: NormSeries, name: str,
-                       window: tuple[float, float] | None):
+@dataclass(frozen=True)
+class Skipped:
+    """A check of ``channel`` that was not made, and why."""
+
+    kind: str
+    channel: str
+    reason: str
+
+
+def _check_above_roundoff(series: NormSeries, what: str, *values) -> None:
+    """RoundOffError when all ``values`` are <= ROUNDOFF_FRACTION * strength (or 0)."""
+    floor = ROUNDOFF_FRACTION * series.meta.get("strength", 0.0)
+    if all(np.all(v <= floor) for v in values):
+        raise RoundOffError(f"every sample of {what} is at or below the "
+                            f"round-off floor {floor:.3g}")
+
+
+def log_linear_fit(x, y):
+    """Least-squares line y ~ slope * x + intercept; (slope, intercept, rms misfit)."""
+    slope, intercept = np.polyfit(x, y, 1)
+    rms = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
+    return slope, intercept, rms
+
+
+def _fit_log_linear(series: NormSeries, name: str,
+                    window: tuple[float, float] | None, kind: str) -> RateFit:
+    """Least squares of log(value) against log(1+t) or t, by kind."""
     mask = series.window_mask(window)
     t = series.times[mask]
     v = series.channel(name)[mask]
@@ -100,26 +130,9 @@ def _windowed_positive(series: NormSeries, name: str,
     if np.any(v <= 0.0):
         raise NonPositiveValueError(
             f"channel {name!r} has non-positive values in the fit window")
-    return t, v
-
-
-@dataclass(frozen=True)
-class SkippedFit:
-    """A rate fit of ``channel`` that was not made, and why."""
-
-    kind: str
-    channel: str
-    reason: str
-
-
-def _fit_log_linear(series: NormSeries, name: str,
-                    window: tuple[float, float] | None, kind: str) -> RateFit:
-    """Least squares of log(value) against log(1+t) or t, by kind."""
-    t, v = _windowed_positive(series, name, window)
-    x = np.log1p(t) if kind == "algebraic" else t
-    y = np.log(v)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
+    _check_above_roundoff(series, f"channel {name!r} in the fit window", v)
+    slope, intercept, resid = log_linear_fit(np.log1p(t) if kind == "algebraic" else t,
+                                             np.log(v))
     return RateFit(kind=kind, rate=float(slope if kind == "algebraic" else -slope),
                    prefactor=float(np.exp(intercept)),
                    window=(float(t[0]), float(t[-1])),
@@ -289,7 +302,8 @@ def theorem_bound_check(series: NormSeries, p: float, kind: str) -> BoundReport:
     channel_name, theta_fn = _ALGEBRAIC_KINDS[kind]
     name = channel_name(p)
     theta = theta_fn(p)
-    r = series.channel(name) * (1.0 + series.times) ** theta
+    values = series.channel(name)
+    r = values * (1.0 + series.times) ** theta
 
     t = series.times
     t_end = float(t[-1])
@@ -298,6 +312,8 @@ def theorem_bound_check(series: NormSeries, p: float, kind: str) -> BoundReport:
     late = (t >= t_mid) & (t <= t_end)
     if not np.any(early) or not np.any(late):
         raise TooFewSamplesError("early/late windows are empty; run longer")
+    _check_above_roundoff(series, f"channel {name!r} in the early/late windows",
+                          values[early | late])
     k_sup = int(np.argmax(r))
     early_sup = float(np.max(r[early]))
     late_sup = float(np.max(r[late]))
@@ -333,6 +349,7 @@ def gn_ratio_monitor(series: NormSeries, p: float) -> GNReport:
     denom = dz ** a * phi ** b
     if np.any(denom == 0.0):
         raise ZeroDenominatorError("ratio denominator vanishes at some sample")
+    _check_above_roundoff(series, f"zmode_Linf, dzmode_L2 and Phi_L{p:g}", zinf, dz, phi)
     ratio = zinf ** 2 / denom
     k = int(np.argmax(ratio))
     return GNReport(p=float(p), max_ratio=float(ratio[k]),

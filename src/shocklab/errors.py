@@ -61,6 +61,10 @@ class NonPositiveValueError(ShockLabError):
     """Log-space fit requested on non-positive values."""
 
 
+class RoundOffError(ShockLabError):
+    """Every sample a check would use lies at the round-off floor."""
+
+
 class HypothesisViolatedError(ShockLabError):
     """Parameters violate the hypotheses of the decay bound."""
 

@@ -5,9 +5,9 @@
 config-echo.json, so the directory holds only what that command computed:
 profile writes profile.txt and profile-tails.json; simulate norms.csv (one
 column per recorded norm) and, with ``snapshots``, snapshots/field-*.txt;
-run what simulate writes plus rates.json (fits, each skipped fit with its
-reason, bound-check reports, profile tails).  `check_area` writes no file
-and prints its report as JSON.
+run what simulate writes plus rates.json: every rate fit, bound check and
+G-N monitor, made or skipped with its reason, and the profile tails.
+`check_area` writes no file and prints its report as JSON.
 Every file goes through `_atomic_write`, a temp-then-rename, so readers
 never see partial files.  A failed command keeps its output up to the
 failure: no norms.csv after a failed set-up, the norms.csv rows and
@@ -17,8 +17,10 @@ Exit codes: 0 success; 1 an unusable CSV or violated lemma hypotheses
 (a constant that is not finite included) in check-area, and a bad config
 or an unusable output directory, in `cli` before any work starts; 2 a
 failed profile solve or simulation, a perturbation that underflows on the
-grid included; 3 a mass drift beyond its allowance, a failed analysis, or
-a tail check or area inequality that does not pass.
+grid included; 3 a mass drift beyond its allowance, a failed analysis (a
+run that ends inside the transient t < 1, profile tails too short to fit),
+or a tail check or area inequality that does not pass.  A check the run's
+data cannot carry is a skipped record in rates.json, not an exit 3.
 Each failure but a check that does not pass logs one error line, under the
 prefix the function's docstring names.
 """
@@ -33,12 +35,13 @@ import tempfile
 
 import numpy as np
 
-from .analysis import (NormSeries, SkippedFit, fit_algebraic_rate,
+from .analysis import (NormSeries, Skipped, fit_algebraic_rate,
                        fit_exponential_rate, gn_ratio_monitor, report_to_dict,
                        reports_to_json, theorem_bound_check, verify_area_inequality)
 from .config import ExperimentConfig, emit_config
 from .errors import (ConfigValidationError, HypothesisViolatedError, MassDriftError,
-                     NonPositiveValueError, ShockLabError, TooFewSamplesError)
+                     NonPositiveValueError, RoundOffError, ShockLabError,
+                     TooFewSamplesError, ZeroDenominatorError)
 from .grid import save_field_text
 from .profile import ShockProfile, profile_to_text, verify_profile_bounds
 from .solver import simulate, solve_config_profile
@@ -96,37 +99,42 @@ def default_fit_window(cfg: ExperimentConfig) -> tuple[float, float]:
     return (max(1.0, 0.5 * t_final), t_final)
 
 
-def _fit_or_skip(kind: str, norms: NormSeries, name: str, window):
-    """The fit, or a `SkippedFit` with the reason when the window cannot carry one."""
-    fit = fit_algebraic_rate if kind == "algebraic" else fit_exponential_rate
+def _made_or_skipped(kind: str, channel: str, check, *args):
+    """``check(*args)``, or a `Skipped` with the reason when the data cannot carry it."""
     try:
-        return fit(norms, name, window)
-    except (TooFewSamplesError, NonPositiveValueError) as exc:
-        log.warning("skipping %s fit: %s", name, exc)
-        return SkippedFit(kind=kind, channel=name, reason=str(exc))
+        return check(*args)
+    except (TooFewSamplesError, NonPositiveValueError, ZeroDenominatorError,
+            RoundOffError) as exc:
+        log.warning("skipping %s check of %s: %s", kind, channel, exc)
+        return Skipped(kind=kind, channel=channel, reason=str(exc))
 
 
 def analyze_record(cfg: ExperimentConfig, norms: NormSeries) -> dict:
-    """All rate fits and bound checks for one simulation's norm series.
+    """Every rate fit, bound check and G-N monitor for one simulation's norm series.
 
-    A fit the window cannot carry is recorded as a `SkippedFit` under the
-    fit's own label, so rates.json says which fits were not made and why.
+    Each check goes through `_made_or_skipped`, so one the data cannot
+    carry is recorded as a `Skipped` with its reason under its own label.
+    A run that ends inside the transient raises TooFewSamplesError.
     """
     window = cfg.fit_window or default_fit_window(cfg)
     reports: dict = {}
     for p in cfg.p_list:
         name = f"Phi_L{p:g}"
-        reports[f"fit_{name}"] = _fit_or_skip("algebraic", norms, name, window)
+        reports[f"fit_{name}"] = _made_or_skipped("algebraic", name, fit_algebraic_rate,
+                                                  norms, name, window)
         if p > 2.0:
-            reports[f"bound_phi_L{p:g}"] = theorem_bound_check(norms, p, "phi-Lp")
-            reports[f"bound_pert_L2_p{p:g}"] = theorem_bound_check(norms, p, "pert-L2")
-            reports[f"bound_pert_Linf_p{p:g}"] = theorem_bound_check(norms, p, "pert-Linf")
-            try:
-                reports[f"gn_ratio_p{p:g}"] = gn_ratio_monitor(norms, p)
-            except ShockLabError as exc:
-                log.warning("skipping G-N monitor at p=%g: %s", p, exc)
+            for label, kind, channel in ((f"bound_phi_L{p:g}", "phi-Lp", name),
+                                         (f"bound_pert_L2_p{p:g}", "pert-L2", "pert_L2"),
+                                         (f"bound_pert_Linf_p{p:g}", "pert-Linf",
+                                          "pert_Linf")):
+                reports[label] = _made_or_skipped(kind, channel, theorem_bound_check,
+                                                  norms, p, kind)
+            reports[f"gn_ratio_p{p:g}"] = _made_or_skipped("gn-ratio", name,
+                                                           gn_ratio_monitor, norms, p)
     if cfg.dimension >= 2:
-        reports["fit_nzmode_L2"] = _fit_or_skip("exponential", norms, "nzmode_L2", window)
+        reports["fit_nzmode_L2"] = _made_or_skipped("exponential", "nzmode_L2",
+                                                    fit_exponential_rate, norms,
+                                                    "nzmode_L2", window)
     return reports
 
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import log_linear_fit
 from .errors import NotAdmissibleError, StepTooLargeError, TailTooShortError
 from .flux import ShockData
 
@@ -196,12 +197,6 @@ class TailReport:
     passed: bool
 
 
-def _fit_tail(abs_xi, log_du):
-    slope, intercept = np.polyfit(abs_xi, log_du, 1)
-    resid = log_du - (slope * abs_xi + intercept)
-    return -float(slope), float(np.sqrt(np.mean(resid ** 2)))
-
-
 def verify_profile_bounds(profile: ShockProfile) -> TailReport:
     """Fit exponential tail rates of |U'| and report the smallest K.
 
@@ -228,8 +223,11 @@ def verify_profile_bounds(profile: ShockProfile) -> TailReport:
             f"tail windows hold {int(left.sum())}/{int(right.sum())} samples; "
             f"need at least {MIN_TAIL_SAMPLES}")
 
-    rate_r, resid_r = _fit_tail(profile.xi[right], np.log(np.abs(profile.du[right])))
-    rate_l, resid_l = _fit_tail(-profile.xi[left], np.log(np.abs(profile.du[left])))
+    slope_r, _, resid_r = log_linear_fit(profile.xi[right],
+                                         np.log(np.abs(profile.du[right])))
+    slope_l, _, resid_l = log_linear_fit(-profile.xi[left],
+                                         np.log(np.abs(profile.du[left])))
+    rate_r, rate_l = -float(slope_r), -float(slope_l)
     onset_r = float(profile.xi[right][0])
     onset_l = float(-profile.xi[left][-1])
 

@@ -37,7 +37,7 @@ import numpy as np
 from scipy.fft import dst, idst, irfftn, rfftn
 from scipy.linalg import solve_banded
 
-from .analysis import NormSeries
+from .analysis import ROUNDOFF_FRACTION, NormSeries
 from .config import ExperimentConfig, StepperSpec, build_flux, validate_config
 from .errors import (BlowupError, BoundaryLeakError, MassDriftError,
                      NonzeroModePresentError, OutOfRangeError, RangeExceededError,
@@ -51,9 +51,8 @@ from .profile import ShockProfile, eval_profile, solve_profile
 CFL_EPS = 1e-30
 # Perturbation magnitude at the domain ends above this fraction of its sup
 # means the box is too small for the run.  End values below the absolute
-# floor LEAK_FLOOR_FRACTION * strength are round-off and never trip it.
+# floor ROUNDOFF_FRACTION * strength are round-off and never trip it.
 LEAK_FRACTION = 1e-4
-LEAK_FLOOR_FRACTION = 1e-12
 # Permitted mass drift grows linearly in time: |drift| <= this * (1 + t).
 MASS_DRIFT_RATE = 1e-8
 # Extra profile half-length beyond the box, so the shifted background stays
@@ -540,7 +539,7 @@ def simulate(cfg: ExperimentConfig, prof: ShockProfile | None = None
     The stream computes each (field, norm row) at t = 0, dt_out, ...,
     t_final when asked and never modifies a yielded field.  An output whose
     monitor trips raises BoundaryLeakError (end values below
-    LEAK_FLOOR_FRACTION of the shock strength do not count) or
+    ROUNDOFF_FRACTION of the shock strength do not count) or
     MassDriftError instead; a step may raise BlowupError.  `run_simulation`
     collects the stream into the run's `NormSeries`.
     """
@@ -562,7 +561,7 @@ def _evolve(cfg: ExperimentConfig, setup: _Setup) -> Iterator[tuple[Field, dict]
     shock, grid, st = prof.shock, fld.grid, cfg.stepper
     dt, a, mass0 = meta["dt"], meta["shift"], meta["mass_initial"]
     n_out = int(round(st.t_final / st.dt_out))
-    leak_floor = LEAK_FLOOR_FRACTION * shock.strength
+    leak_floor = ROUNDOFF_FRACTION * shock.strength
     guard = _blowup_guard(fld.values)
 
     yield fld, _record_norms(fld.values, bg, grid, cfg.p_list, mass0)

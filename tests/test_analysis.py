@@ -7,11 +7,11 @@ import pytest
 from scipy.integrate import quad
 
 import shocklab as sl
-from shocklab.analysis import NormSeries
+from shocklab.analysis import ROUNDOFF_FRACTION, NormSeries
 from shocklab.errors import (BadExponentError, BadKindError,
                              HypothesisViolatedError, MissingChannelError,
-                             NonPositiveValueError, TooFewSamplesError,
-                             ZeroDenominatorError)
+                             NonPositiveValueError, RoundOffError,
+                             TooFewSamplesError, ZeroDenominatorError)
 
 
 def series_of(t, **channels):
@@ -136,6 +136,14 @@ class TestVerifyAreaInequality:
         assert rep.passed
         assert rep.hypothesis_violations == ()
 
+    def test_increasing_samples_violate_derivative_bound(self):
+        # the difference quotient 0.3 first exceeds 1.01 / (1 + t) past t = 2.367
+        rep = sl.verify_area_inequality(
+            self._samples(lambda t: 0.3 * t),
+            c0=1.0, c1=1000.0, alpha=1.0, beta=0.0, gamma=0.0, t_min=1.0)
+        assert rep.hypothesis_violations == (
+            "derivative bound fails first at t=2.375: quotient 0.3 > 0.296296",)
+
 
 class TestTheoremBoundCheck:
     def _series(self, decay):
@@ -257,6 +265,41 @@ class TestGNMonitor:
         t = np.linspace(0.0, 1.0, 11)
         with pytest.raises(MissingChannelError):
             sl.gn_ratio_monitor(series_of(t, zmode_Linf=np.ones_like(t)), 4.0)
+
+
+# every check of the run, on a series that holds each channel it reads
+CHECKS = {
+    "algebraic": lambda s: sl.fit_algebraic_rate(s, "Phi_L4"),
+    "exponential": lambda s: sl.fit_exponential_rate(s, "Phi_L4"),
+    "phi-Lp": lambda s: sl.theorem_bound_check(s, 4.0, "phi-Lp"),
+    "pert-L2": lambda s: sl.theorem_bound_check(s, 4.0, "pert-L2"),
+    "pert-Linf": lambda s: sl.theorem_bound_check(s, 4.0, "pert-Linf"),
+    "gn-ratio": lambda s: sl.gn_ratio_monitor(s, 4.0),
+}
+
+
+@pytest.mark.parametrize("check", CHECKS.values(), ids=CHECKS.keys())
+class TestRoundOff:
+    STRENGTH = 2.0
+
+    def _series(self, last, meta):
+        t = np.linspace(0.0, 4.0, 41)
+        v = np.full_like(t, 1e-16)
+        v[-1] = last
+        return NormSeries(t, {name: v for name in ("Phi_L4", "pert_L2", "pert_Linf",
+                                                   "zmode_Linf", "dzmode_L2")}, meta)
+
+    def test_every_sample_at_round_off_is_not_checked(self, check):
+        floor = ROUNDOFF_FRACTION * self.STRENGTH
+        with pytest.raises(RoundOffError, match="round-off floor 2e-12"):
+            check(self._series(floor, {"strength": self.STRENGTH}))
+
+    def test_one_sample_above_round_off_is_checked(self, check):
+        check(self._series(1.5 * ROUNDOFF_FRACTION * self.STRENGTH,
+                           {"strength": self.STRENGTH}))
+
+    def test_series_without_strength_is_checked(self, check):
+        check(self._series(1e-16, {}))
 
 
 class TestNormSeries:

@@ -69,6 +69,34 @@ TOO_FEW_TO_FIT = {"dimension": 2, "grid": {"half_length": 15, "n1": 64, "nprime"
                   "stepper": {"t_final": 2.0, "dt_out": 0.5}, "p_list": [2, 4]}
 # with p this large the direct sum of |Phi|^p underflows to 0
 LARGE_P = dict(RUNS, p_list=[2000])
+# outputs up to 1.5: the default fit window (1, 1.5) holds 6 samples and the
+# bound checks' early window [1, 0.75] none
+SHORT_RUN = dict(RUNS, stepper={"t_final": 1.5, "dt_out": 0.1}, p_list=[2, 4])
+# the lab frame measures against the continuous profile, so a zero bump gives
+# a perturbation that starts at exactly 0 and then grows
+ZERO_BUMP_IN_LAB_FRAME = dict(RUNS, perturbation={"amplitude": 0.0}, p_list=[4],
+                              stepper={"t_final": 2.0, "dt_out": 0.1, "frame": "lab"})
+# with no perturbation every norm channel is 1e-16 to 4e-16, round-off
+NO_PERTURBATION = dict(RUNS, perturbation={"kind": "none"}, p_list=[4])
+# one more broken rule of validate_config each, after the cases above
+BROKEN_RULES = [
+    ({"flux": "no-such-flux"}, "flux"),
+    ({"dimension": 4}, "dimension"),
+    ({"u_minus": 1, "u_plus": 1}, "u_plus"),
+    ({"u_minus": -1, "u_plus": 1}, "u_minus"),
+    ({"grid": {"half_length": -1}}, "grid.half_length"),
+    ({"grid": {"n1": 8}}, "grid.n1"),
+    ({"grid": {"nprime": 2}}, "grid.nprime"),
+    ({"stepper": {"cfl_safety": 1.5}}, "stepper.cfl_safety"),
+    ({"stepper": {"frame": "rotating"}}, "stepper.frame"),
+    ({"perturbation": {"kind": "no-such-kind"}}, "perturbation.kind"),
+    ({"dimension": 1, "perturbation": {"kind": "random-nonzero-mode"}},
+     "perturbation.kind"),
+    ({"perturbation": {"amplitude": -0.01}}, "perturbation.amplitude"),
+    ({"perturbation": {"width": 0}}, "perturbation.width"),
+    ({"p_list": [0.5]}, "p_list"),
+    ({"p_list": []}, "p_list"),
+]
 # samples that pass check-area with --c0 1 --c1 10 --alpha 1
 AREA_CSV = "0,1\n1,0.5\n2,0.3\n"
 # what each command leaves in its output directory after a good run of OK, sorted
@@ -124,6 +152,13 @@ def test_run_writes_every_artifact(tmp_path, caplog):
     assert "fit_Phi_L2" in json.loads((out / "rates.json").read_text())
 
 
+def skipped(kind, channel, reason):
+    """The rates.json record of a check that was not made."""
+    return {"kind": kind, "channel": channel, "reason": reason, "verdict": "skipped",
+            "exponent": None, "prefactor": None, "window": None, "residual": None,
+            "worst_margin": None}
+
+
 def test_run_records_each_skipped_fit(tmp_path, caplog):
     code, out, errors = run(tmp_path, "run", TOO_FEW_TO_FIT, caplog)
     assert (code, errors) == (EXIT_OK, [])
@@ -132,11 +167,48 @@ def test_run_records_each_skipped_fit(tmp_path, caplog):
     for label, kind, channel in [("fit_Phi_L2", "algebraic", "Phi_L2"),
                                  ("fit_Phi_L4", "algebraic", "Phi_L4"),
                                  ("fit_nzmode_L2", "exponential", "nzmode_L2")]:
-        assert rates[label] == {"kind": kind, "channel": channel, "reason": reason,
-                                "verdict": "skipped", "exponent": None,
-                                "prefactor": None, "window": None, "residual": None,
-                                "worst_margin": None}, label
+        assert rates[label] == skipped(kind, channel, reason), label
     assert rates["bound_phi_L4"]["verdict"] == "consistent"
+
+
+def test_short_run_records_each_skipped_check(tmp_path, caplog):
+    # the bound checks' empty windows once ended the analysis with exit 3
+    # and no rates.json
+    code, out, errors = run(tmp_path, "run", SHORT_RUN, caplog)
+    assert (code, errors) == (EXIT_OK, [])
+    rates = json.loads((out / "rates.json").read_text())
+    fits = f"6 samples in window; need {MIN_FIT_SAMPLES}"
+    bounds = "early/late windows are empty; run longer"
+    checks = {label: rep for label, rep in rates.items()
+              if label.startswith(("fit", "bound"))}
+    assert checks == {
+        "fit_Phi_L2": skipped("algebraic", "Phi_L2", fits),
+        "fit_Phi_L4": skipped("algebraic", "Phi_L4", fits),
+        "bound_phi_L4": skipped("phi-Lp", "Phi_L4", bounds),
+        "bound_pert_L2_p4": skipped("pert-L2", "pert_L2", bounds),
+        "bound_pert_Linf_p4": skipped("pert-Linf", "pert_Linf", bounds),
+    }
+    assert rates["gn_ratio_p4"]["max_ratio"] > 0.0
+
+
+def test_vanishing_gn_denominator_is_recorded(tmp_path, caplog):
+    code, out, errors = run(tmp_path, "run", ZERO_BUMP_IN_LAB_FRAME, caplog)
+    assert (code, errors) == (EXIT_OK, [])
+    rates = json.loads((out / "rates.json").read_text())
+    assert rates["gn_ratio_p4"] == skipped("gn-ratio", "Phi_L4",
+                                           "ratio denominator vanishes at some sample")
+
+
+def test_run_at_round_off_makes_no_check(tmp_path, caplog):
+    code, out, errors = run(tmp_path, "run", NO_PERTURBATION, caplog)
+    assert (code, errors) == (EXIT_OK, [])
+    rates = json.loads((out / "rates.json").read_text())
+    assert sorted(rates) == ["bound_pert_L2_p4", "bound_pert_Linf_p4", "bound_phi_L4",
+                             "fit_Phi_L4", "gn_ratio_p4", "profile_tails"]
+    for label, rep in rates.items():
+        if label != "profile_tails":
+            assert rep["verdict"] == "skipped", label
+            assert "round-off floor 2e-12" in rep["reason"], label
 
 
 def test_large_p_norm_is_recorded_and_fitted(tmp_path, caplog):
@@ -187,12 +259,29 @@ def test_each_command_leaves_only_its_own_artifacts(tmp_path, caplog, command):
     ({"flux": [0, 0, True]}, "flux"),
     ({"flux": [0, 0, 0.5, None]}, "flux"),
     (NOT_CONVEX_ON_RUN_RANGE, "flux"),
-] + NON_FINITE + [(FIT_WINDOW_PAST_END, "fit_window"), (P_NAMES_COINCIDE, "p_list")])
+] + NON_FINITE + [(FIT_WINDOW_PAST_END, "fit_window"), (P_NAMES_COINCIDE, "p_list")]
+    + BROKEN_RULES)
 @pytest.mark.parametrize("command", ["run", "simulate", "profile"])
 def test_bad_config_exits_1(tmp_path, caplog, command, doc, field):
     code, out, errors = run(tmp_path, command, doc, caplog)
     assert code == EXIT_CONFIG
     assert len(errors) == 1 and f"{field}:" in errors[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", [None, '{"dimension": 1', "[1, 2]"],
+                         ids=["missing", "malformed", "not-an-object"])
+@pytest.mark.parametrize("command", ["run", "simulate", "profile"])
+def test_unparsable_config_exits_1(tmp_path, caplog, command, content):
+    config = tmp_path / "config.json"
+    if content is not None:
+        config.write_text(content)
+    out = tmp_path / "out"
+    caplog.clear()
+    code = cli.main([command, "--config", str(config), "--out", str(out), "--quiet"])
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert code == EXIT_CONFIG
+    assert len(errors) == 1 and str(config) in errors[0]
     assert not out.exists()
 
 
@@ -290,9 +379,9 @@ def test_failed_rerun_leaves_no_earlier_results(tmp_path, caplog):
 @pytest.mark.parametrize("content, options", [
     (None, []), ("t,f\n1,abc\n", []), ("0,1\n2,0.5\n1,0.3\n", []),
     ("0,1\n1,nan\n2,0.3\n", []), (AREA_CSV, ["--t-min", "100"]),
-    (AREA_CSV, ["--t-min", "nan"]),
+    (AREA_CSV, ["--t-min", "nan"]), ("0\n1\n2\n", []),
 ], ids=["missing", "malformed", "times-not-increasing", "nan", "t-min-past-last",
-        "t-min-nan"])
+        "t-min-nan", "one-column"])
 def test_check_area_unreadable_csv_exits_1(tmp_path, caplog, content, options):
     csv = tmp_path / "samples.csv"
     if content is not None:

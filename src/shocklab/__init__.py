@@ -13,14 +13,14 @@ from .analysis import (NormSeries, RateFit, area_bound, fit_algebraic_rate,
 from .config import (ExperimentConfig, GridSpec, PerturbationSpec, StepperSpec,
                      build_flux, emit_config, parse_config)
 from .errors import ShockLabError
-from .experiment import run_experiment
+from .experiment import build_problem, run_experiment
 from .flux import (FluxSpec, ShockData, burgers_flux, convex_quartic_flux,
                    polynomial_flux)
 from .grid import ChannelGrid, Field, gradient, integrate, lp_norm
 from .modes import antiderivative, nonzero_mode, shift_normalize, zero_mode
 from .profile import (ShockProfile, TailReport, eval_profile, solve_profile,
                       verify_profile_bounds)
-from .solver import (advance, advective_dt, build_perturbation,
+from .solver import (Problem, advance, advective_dt, build_perturbation,
                      cfl_dt, discrete_wave, nonzero_mode_dt, rhs,
                      run_1d_reference, run_simulation, simulate)
 
@@ -28,10 +28,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChannelGrid", "ExperimentConfig", "Field", "FluxSpec", "GridSpec",
-    "NormSeries", "PerturbationSpec", "RateFit",
-    "ShockData", "ShockLabError", "ShockProfile",
-    "StepperSpec", "TailReport", "advance", "advective_dt", "antiderivative",
-    "area_bound", "build_flux", "build_perturbation", "burgers_flux", "cfl_dt",
+    "NormSeries", "PerturbationSpec", "Problem", "RateFit", "ShockData",
+    "ShockLabError", "ShockProfile", "StepperSpec", "TailReport", "advance",
+    "advective_dt", "antiderivative", "area_bound", "build_flux",
+    "build_perturbation", "build_problem", "burgers_flux", "cfl_dt",
     "convex_quartic_flux", "discrete_wave", "emit_config", "eval_profile",
     "fit_algebraic_rate", "fit_exponential_rate", "gn_ratio_monitor",
     "gradient", "integrate", "lp_norm", "nonzero_mode", "nonzero_mode_dt",

@@ -37,7 +37,6 @@ class StepperSpec:
     t_final: float = 50.0
     dt_out: float = 0.5
     cfl_safety: float = 0.8
-    frame: str = "moving"
     llf: bool = False
 
 
@@ -163,8 +162,6 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         issues.append(("stepper.dt_out", "must lie in (0, t_final]"))
     elif abs((n_out := st.t_final / st.dt_out) - round(n_out)) > DT_OUT_REL_TOL * n_out:
         issues.append(("stepper.dt_out", "must divide t_final into whole outputs"))
-    if st.frame not in ("moving", "lab"):
-        issues.append(("stepper.frame", "must be 'moving' or 'lab'"))
 
     pert = cfg.perturbation
     if pert.kind not in PERTURBATION_KINDS:

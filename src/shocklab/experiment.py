@@ -1,12 +1,14 @@
 """Every command's work, artifacts and exit code; `cli` only dispatches here.
 
-`run_profile`, `run_simulate` and `run_experiment` first delete every
-`ARTIFACTS` file in the config's output directory and echo the config to
-config-echo.json, so the directory holds only what that command computed:
-profile writes profile.txt and profile-tails.json; simulate norms.csv (one
-column per recorded norm) and, with ``snapshots``, snapshots/field-*.txt;
-run what simulate writes plus rates.json: every rate fit, bound check and
-G-N monitor, made or skipped with its reason, and the profile tails.
+`build_problem` makes the `solver.Problem` of a config, which simulate and
+run evolve.  `run_profile`, `run_simulate` and `run_experiment` first
+delete every `ARTIFACTS` file in the config's output directory and echo
+the config to config-echo.json, so the directory holds only what that
+command computed: profile writes profile.txt and profile-tails.json;
+simulate norms.csv (one column per recorded norm) and, with ``snapshots``,
+snapshots/field-*.txt; run what simulate writes plus rates.json: every
+rate fit, bound check and G-N monitor, made or skipped with its reason,
+and the profile tails.
 `check_area` writes no file and prints its report as JSON.
 Every file goes through `_atomic_write`, a temp-then-rename, so readers
 never see partial files.  A failed command keeps its output up to the
@@ -38,13 +40,14 @@ import numpy as np
 from .analysis import (NormSeries, Skipped, fit_algebraic_rate,
                        fit_exponential_rate, gn_ratio_monitor, report_to_dict,
                        reports_to_json, theorem_bound_check, verify_area_inequality)
-from .config import ExperimentConfig, emit_config
+from .config import ExperimentConfig, build_flux, emit_config, validate_config
 from .errors import (ConfigValidationError, HypothesisViolatedError, MassDriftError,
                      NonPositiveValueError, RoundOffError, ShockLabError,
                      TooFewSamplesError, ZeroDenominatorError)
-from .grid import save_field_text
-from .profile import ShockProfile, profile_to_text, verify_profile_bounds
-from .solver import simulate, solve_config_profile
+from .flux import ShockData
+from .grid import ChannelGrid, save_field_text
+from .profile import ShockProfile, profile_to_text, solve_profile, verify_profile_bounds
+from .solver import PROFILE_PAD, Problem, build_perturbation, simulate
 
 log = logging.getLogger("shocklab")
 
@@ -56,6 +59,27 @@ EXIT_ANALYSIS = 3
 # every file a command writes in cfg.out_dir besides config-echo.json
 ARTIFACTS = ("norms.csv", "rates.json", "profile.txt", "profile-tails.json",
              "snapshots/field-*.txt")
+# Step of the RK4 march that solves the profile ODE.
+PROFILE_STEP = 1e-3
+
+
+def _solve_profile(cfg: ExperimentConfig) -> ShockProfile:
+    """The config's profile on half_length + PROFILE_PAD, at PROFILE_STEP."""
+    shock = ShockData(build_flux(cfg), cfg.u_minus, cfg.u_plus)
+    return solve_profile(shock, cfg.grid.half_length + PROFILE_PAD, PROFILE_STEP)
+
+
+def build_problem(cfg: ExperimentConfig) -> Problem:
+    """The `solver.Problem` of ``cfg``, after `validate_config`; N' = 1 in 1-d."""
+    validate_config(cfg)
+    g, st, pert = cfg.grid, cfg.stepper, cfg.perturbation
+    grid = ChannelGrid(dimension=cfg.dimension, half_length=g.half_length, n1=g.n1,
+                       nprime=g.nprime if cfg.dimension > 1 else 1)
+    return Problem(profile=_solve_profile(cfg), grid=grid,
+                   perturbation=build_perturbation(grid, pert.kind, pert.amplitude,
+                                                   pert.width, pert.seed),
+                   t_final=st.t_final, dt_out=st.dt_out, cfl_safety=st.cfl_safety,
+                   llf=st.llf, p_list=tuple(cfg.p_list))
 
 
 def _atomic_write(path, writer) -> None:
@@ -164,7 +188,7 @@ def run_profile(cfg: ExperimentConfig) -> int:
     """
     _prepare_out_dir(cfg)
     try:
-        prof = solve_config_profile(cfg)
+        prof = _solve_profile(cfg)
     except ShockLabError as exc:
         log.error("profile failed: %s", exc)
         return EXIT_SIMULATION
@@ -188,16 +212,20 @@ def run_simulate(cfg: ExperimentConfig) -> int:
     return stream_to_dir(cfg)[0]
 
 
-def stream_to_dir(cfg: ExperimentConfig,
-                  prof: ShockProfile | None = None) -> tuple[int, NormSeries | None]:
-    """Write the `simulate` stream into cfg.out_dir as it comes; (exit code, norms).
+def stream_to_dir(cfg: ExperimentConfig
+                  ) -> tuple[int, Problem | None, NormSeries | None]:
+    """Build the `build_problem` of ``cfg`` and write its `simulate` stream
+    into cfg.out_dir as it comes; (exit code, problem, norms).
 
     A mass drift beyond its allowance gives 3 and one `mass conservation
-    failed:` line, any other failure 2 and one `simulation failed:` line.
+    failed:` line, any other failure, a failed profile solve included, 2
+    and one `simulation failed:` line.
     """
     rows, code, snap_dir = [], EXIT_OK, os.path.join(cfg.out_dir, "snapshots")
+    problem = None
     try:
-        meta, stream = simulate(cfg, prof)
+        problem = build_problem(cfg)
+        meta, stream = simulate(problem)
         for k, (fld, row) in enumerate(stream):
             if cfg.snapshots:
                 _atomic_write(os.path.join(snap_dir, f"field-{k:05d}.txt"),
@@ -210,10 +238,10 @@ def stream_to_dir(cfg: ExperimentConfig,
         log.error("simulation failed: %s", exc)
         code = EXIT_SIMULATION
     if not rows:
-        return code, None
+        return code, problem, None
     norms = NormSeries.from_rows(rows, meta)
     norms_to_csv(norms, os.path.join(cfg.out_dir, "norms.csv"))
-    return code, norms
+    return code, problem, norms
 
 
 def run_experiment(cfg: ExperimentConfig) -> int:
@@ -221,23 +249,18 @@ def run_experiment(cfg: ExperimentConfig) -> int:
 
     Exit code 0 means the simulation finished with no blow-up, boundary
     leak or mass drift beyond its allowance and the analysis succeeded; 2
-    flags a failed profile solve (one `simulation failed:` line) or
-    simulation (as `stream_to_dir`), 3 a mass drift beyond its allowance
-    (as `stream_to_dir`) or an analysis failure (one `analysis failed:` line).
+    flags a failed profile solve or simulation, 3 a mass drift beyond its
+    allowance (both as `stream_to_dir`) or an analysis failure (one
+    `analysis failed:` line).
     """
     _prepare_out_dir(cfg)
-    try:
-        prof = solve_config_profile(cfg)
-    except ShockLabError as exc:
-        log.error("simulation failed: %s", exc)
-        return EXIT_SIMULATION
-    code, norms = stream_to_dir(cfg, prof)
+    code, problem, norms = stream_to_dir(cfg)
     if code != EXIT_OK:
         return code
 
     try:
         reports = analyze_record(cfg, norms)
-        reports["profile_tails"] = verify_profile_bounds(prof)
+        reports["profile_tails"] = verify_profile_bounds(problem.profile)
         _atomic_write(os.path.join(cfg.out_dir, "rates.json"),
                       lambda tmp: reports_to_json(reports, tmp))
     except ShockLabError as exc:

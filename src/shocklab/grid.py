@@ -82,14 +82,12 @@ class ChannelGrid:
 class Field:
     """Solution values on a channel grid at one instant.
 
-    ``frame`` is "moving" when x1 is the shock-attached coordinate
-    xi = x1 - s t, or "lab" for the resting coordinate.
+    x1 is the shock-attached coordinate xi = x1 - s t.
     """
 
     grid: ChannelGrid
     values: np.ndarray
     time: float = 0.0
-    frame: str = "moving"
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -98,8 +96,6 @@ class Field:
                 f"values shape {self.values.shape} does not match grid {self.grid.shape}")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field contains non-finite values")
-        if self.frame not in ("moving", "lab"):
-            raise ValueError(f"unknown frame {self.frame!r}")
 
 
 def _weights(arr: np.ndarray, grid: ChannelGrid) -> np.ndarray:
@@ -159,7 +155,7 @@ def save_field_text(fld: Field, path) -> None:
     """Text snapshot: one header line, then the x1-by-x' matrix."""
     g = fld.grid
     header = (f"shocklab-field n={g.dimension} N1={g.n1} Nprime={g.nprime} "
-              f"L={g.half_length!r} t={fld.time!r} frame={fld.frame}")
+              f"L={g.half_length!r} t={fld.time!r}")
     flat = fld.values.reshape(g.n1, -1)
     np.savetxt(path, flat, fmt="%.17e", header=header)
 
@@ -171,4 +167,4 @@ def load_field_text(path) -> Field:
     grid = ChannelGrid(dimension=int(meta["n"]), half_length=float(meta["L"]),
                        n1=int(meta["N1"]), nprime=int(meta["Nprime"]))
     values = np.loadtxt(path).reshape(grid.shape)
-    return Field(grid=grid, values=values, time=float(meta["t"]), frame=meta["frame"])
+    return Field(grid=grid, values=values, time=float(meta["t"]))

@@ -4,15 +4,14 @@ Space: conservative central differencing of interface fluxes (optional
 local Lax-Friedrichs dissipation), second-order central Laplacian,
 periodic transversally, Dirichlet in x1: the boundary rows keep their
 initial values and the interior stencil reads them.
-The moving frame folds the shock speed into the longitudinal flux,
-g(u) = f1(u) - s u, which keeps the differencing conservative and the
-background profile stationary.
+The scheme works in the frame moving with the shock: it folds the shock
+speed into the longitudinal flux, g(u) = f1(u) - s u, which keeps the
+differencing conservative and the background profile stationary.
 
-Background: in the moving frame the perturbation is measured against the
-scheme's own discrete traveling wave, found by Newton with a phase
-condition (the freezing method of Beyn & Thuemmler, SIAM J. Appl. Dyn.
-Syst. 3, 2004), so an unperturbed run stays at round-off.  The lab frame
-keeps the translated continuous profile and its O(h1^2) offset.
+Background: the perturbation is measured against the scheme's own
+discrete traveling wave, found by Newton with a phase condition (the
+freezing method of Beyn & Thuemmler, SIAM J. Appl. Dyn. Syst. 3, 2004),
+so an unperturbed run stays at round-off.
 
 Time: fourth-order exponential time differencing, ETDRK4 (Cox & Matthews,
 J. Comput. Phys. 176, 2002).  The discrete Laplacian of the interior rows,
@@ -23,6 +22,9 @@ decay of a non-zero mode, which drives the zero mode through the flux at
 twice the smallest transverse diffusion rate, a forcing the explicit
 stages must resolve.  The phi-functions come from the contour integral of
 Kassam & Trefethen (SIAM J. Sci. Comput. 26, 2005).
+
+A run is a `Problem`; `experiment.build_problem` makes the `Problem` of a
+config, a layer this module does not import.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterator
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -38,14 +40,13 @@ from scipy.fft import dst, idst, irfftn, rfftn
 from scipy.linalg import solve_banded
 
 from .analysis import ROUNDOFF_FRACTION, NormSeries
-from .config import ExperimentConfig, StepperSpec, build_flux, validate_config
 from .errors import (BlowupError, BoundaryLeakError, MassDriftError,
                      NonzeroModePresentError, OutOfRangeError, RangeExceededError,
                      WaveNotConvergedError)
 from .flux import FluxSpec, ShockData
 from .grid import ChannelGrid, Field, gradient, integrate, lp_norm
 from .modes import antiderivative, nonzero_mode, shift_normalize, zero_mode
-from .profile import ShockProfile, eval_profile, solve_profile
+from .profile import ShockProfile, eval_profile
 
 # Guard against division by a vanishing advective speed in the CFL bound.
 CFL_EPS = 1e-30
@@ -58,8 +59,6 @@ MASS_DRIFT_RATE = 1e-8
 # Extra profile half-length beyond the box, so the shifted background stays
 # inside the solved range.
 PROFILE_PAD = 4.0
-# Step of the RK4 march that solves the profile ODE.
-PROFILE_STEP = 1e-3
 # Contour points of the Kassam-Trefethen phi-function quadrature.
 CONTOUR_POINTS = 32
 # Newton for the discrete traveling wave: finite-difference step of the
@@ -71,7 +70,7 @@ WAVE_MAX_ITER = 10
 
 
 def _rhs_values(u: np.ndarray, grid: ChannelGrid, shock: ShockData,
-                flux: FluxSpec, moving: bool, llf: bool) -> np.ndarray:
+                flux: FluxSpec, llf: bool) -> np.ndarray:
     """Semi-discrete right-hand side on raw values; boundary rows are zero."""
     umin, umax = float(u.min()), float(u.max())
     if umin < flux.u_lo or umax > flux.u_hi:
@@ -79,12 +78,12 @@ def _rhs_values(u: np.ndarray, grid: ChannelGrid, shock: ShockData,
             f"values [{umin:g}, {umax:g}] left the flux validity range "
             f"[{flux.u_lo:g}, {flux.u_hi:g}]")
 
-    s = shock.speed if moving else 0.0
+    s = shock.speed
     h1 = grid.h1
 
     # one flux serves every direction, so f and f' are evaluated once
     f = flux.f1(u)
-    g_long = f - s * u if moving else f
+    g_long = f - s * u
     fh = 0.5 * (g_long[:-1] + g_long[1:])
     if llf:
         df = flux.df1(u)
@@ -112,13 +111,12 @@ def _rhs_values(u: np.ndarray, grid: ChannelGrid, shock: ShockData,
 
 
 def rhs(fld: Field, shock: ShockData, flux: FluxSpec, llf: bool = False) -> np.ndarray:
-    """Right-hand side -sum_i d_i f(u) + Lap u (+ s d_1 u in the moving frame).
+    """Right-hand side -sum_i d_i f(u) + s d_1 u + Lap u, s the shock speed.
 
     The boundary rows in x1 do not evolve and serve the interior stencil as
     Dirichlet data; transverse directions wrap periodically.
     """
-    return _rhs_values(fld.values, fld.grid, shock, flux,
-                       moving=(fld.frame == "moving"), llf=llf)
+    return _rhs_values(fld.values, fld.grid, shock, flux, llf)
 
 
 def _min_spacing(grid: ChannelGrid) -> float:
@@ -128,9 +126,8 @@ def _min_spacing(grid: ChannelGrid) -> float:
 def advective_dt(fld: Field, flux: FluxSpec, safety: float, speed: float = 0.0) -> float:
     """Advective step bound h/(max |f'| + |speed|) of `advance`.
 
-    ``speed`` is added to the flux speeds; `_setup` passes the shock speed
-    in both frames, the frame speed in the moving frame and a conservative
-    margin in the lab frame.  It is the only limit for transversally
+    ``speed`` is added to the flux speeds; `_setup` passes the shock speed,
+    the speed of the frame.  It is the only limit for transversally
     constant data; data with a non-zero mode are further bounded by
     `nonzero_mode_dt`.
     """
@@ -265,12 +262,11 @@ def advance(fld: Field, dt: float, shock: ShockData, flux: FluxSpec,
     midpoint.
     """
     grid = fld.grid
-    moving = fld.frame == "moving"
     u = fld.values
     lam, e2m1, q, f1, f2x2, f3 = _etdrk4_coefficients(grid, float(dt))
 
     def spectral_rhs(v):
-        return _to_spectral(_rhs_values(v, grid, shock, flux, moving, llf)[1:-1])
+        return _to_spectral(_rhs_values(v, grid, shock, flux, llf)[1:-1])
 
     def stage(d):
         """F(u + d) - L d for the spectral stage increment d."""
@@ -304,34 +300,34 @@ def advance(fld: Field, dt: float, shock: ShockData, flux: FluxSpec,
     if float(un.min()) < lo or float(un.max()) > hi:
         raise BlowupError(
             f"values [{un.min():g}, {un.max():g}] exceeded the guard [{lo:g}, {hi:g}]")
-    return Field(grid=grid, values=un, time=fld.time + dt, frame=fld.frame)
+    return Field(grid=grid, values=un, time=fld.time + dt)
 
 
-def build_perturbation(cfg: ExperimentConfig, grid: ChannelGrid) -> np.ndarray:
-    """Initial perturbation, normalized so its max magnitude equals the amplitude.
+def build_perturbation(grid: ChannelGrid, kind: str, amplitude: float, width: float,
+                       seed: int) -> np.ndarray:
+    """Initial perturbation, normalized so its max magnitude equals ``amplitude``.
 
     "gaussian-bump" and "odd-bump" are transversally constant; the odd bump
-    carries zero total mass.  "random-nonzero-mode" excites seeded resolved
-    transverse Fourier modes (|k| <= N'/4) under a Gaussian envelope in x1,
-    so its transverse average vanishes identically.  A shape too small to
-    scale at every grid point, as a bump narrower than the spacing can be,
-    raises OutOfRangeError.
+    carries zero total mass.  "random-nonzero-mode" excites ``seed``-ed
+    resolved transverse Fourier modes (|k| <= N'/4) under a Gaussian
+    envelope in x1, so its transverse average vanishes identically.  A
+    shape too small to scale at every grid point, as a bump narrower than
+    the spacing can be, raises OutOfRangeError.
     """
-    p = cfg.perturbation
-    if p.kind == "none" or p.amplitude == 0.0:
+    if kind == "none" or amplitude == 0.0:
         return np.zeros(grid.shape)
 
     column = (grid.n1,) + (1,) * (grid.dimension - 1)
     x1 = grid.x1.reshape(column)
-    envelope = np.exp(-((x1 / p.width) ** 2))
-    if p.kind == "gaussian-bump":
+    envelope = np.exp(-((x1 / width) ** 2))
+    if kind == "gaussian-bump":
         pert = envelope
-    elif p.kind == "odd-bump":
-        pert = (x1 / p.width) * envelope
-    elif p.kind == "random-nonzero-mode":
+    elif kind == "odd-bump":
+        pert = (x1 / width) * envelope
+    elif kind == "random-nonzero-mode":
         if grid.dimension == 1:
             raise ValueError("random-nonzero-mode needs a transverse direction")
-        rng = np.random.default_rng(p.seed)
+        rng = np.random.default_rng(seed)
         kmax = max(1, grid.nprime // 4)
         trans = np.zeros(grid.shape[1:])
         for axis in range(grid.dimension - 1):
@@ -345,14 +341,14 @@ def build_perturbation(cfg: ExperimentConfig, grid: ChannelGrid) -> np.ndarray:
                     + b * np.sin(2.0 * np.pi * k * coord)
         pert = envelope * trans
     else:
-        raise ValueError(f"unknown perturbation kind {p.kind!r}")
+        raise ValueError(f"unknown perturbation kind {kind!r}")
 
     pert = np.broadcast_to(pert, grid.shape)
     peak = float(np.max(np.abs(pert)))
-    if peak == 0.0 or math.isinf(p.amplitude / peak):
-        raise OutOfRangeError(f"perturbation.width {p.width:g}: the {p.kind} "
+    if peak == 0.0 or math.isinf(amplitude / peak):
+        raise OutOfRangeError(f"perturbation.width {width:g}: the {kind} "
                               "underflows at every grid point")
-    return pert * (p.amplitude / peak)
+    return pert * (amplitude / peak)
 
 
 def _record_norms(u: np.ndarray, bg: np.ndarray, grid: ChannelGrid,
@@ -385,7 +381,7 @@ def _record_norms(u: np.ndarray, bg: np.ndarray, grid: ChannelGrid,
 
 def discrete_wave(grid: ChannelGrid, prof: ShockProfile, a: float,
                   llf: bool = False) -> np.ndarray:
-    """Discrete traveling wave U_h of the moving-frame scheme at phase a.
+    """Discrete traveling wave U_h of the scheme at phase a.
 
     The shock and its flux are ``prof.shock``.
 
@@ -417,7 +413,7 @@ def discrete_wave(grid: ChannelGrid, prof: ShockProfile, a: float,
     e_m[m] = 1.0
 
     def residual(v):
-        return _rhs_values(v, grid, shock, shock.flux, True, llf)[1:-1]
+        return _rhs_values(v, grid, shock, shock.flux, llf)[1:-1]
 
     for _ in range(WAVE_MAX_ITER):
         f = residual(u)
@@ -448,93 +444,83 @@ def discrete_wave(grid: ChannelGrid, prof: ShockProfile, a: float,
         f"{np.max(np.abs(update)):g} after {WAVE_MAX_ITER} iterations")
 
 
-def solve_config_profile(cfg: ExperimentConfig) -> ShockProfile:
-    """Profile of the config's shock at PROFILE_STEP on half_length +
-    PROFILE_PAD, so that a background shifted by up to PROFILE_PAD - 1 (the
-    guard in `_setup`) stays inside the solved range."""
-    shock = ShockData(build_flux(cfg), cfg.u_minus, cfg.u_plus)
-    return solve_profile(shock, cfg.grid.half_length + PROFILE_PAD, PROFILE_STEP)
+@dataclass(frozen=True, eq=False)
+class Problem:
+    """One run of `simulate`: the solved profile of the shock (``.shock``
+    holds the flux), the grid, the initial perturbation on it, outputs
+    every ``dt_out`` up to ``t_final`` with Phi_Lp channels for ``p_list``,
+    and the step's options.  The profile covers the grid's x1 range plus
+    PROFILE_PAD, as a background shifted by up to PROFILE_PAD - 1 (the
+    guard in `_setup`) must stay inside it.
+    """
+
+    profile: ShockProfile
+    grid: ChannelGrid
+    perturbation: np.ndarray
+    t_final: float
+    dt_out: float
+    cfl_safety: float
+    llf: bool
+    p_list: tuple[float, ...]
 
 
 class _Setup(NamedTuple):
     """Everything a run builds before its first step."""
 
-    prof: ShockProfile
     u0: Field
     background: np.ndarray
     n_sub: int
     meta: dict
 
 
-def _background(prof: ShockProfile, grid: ChannelGrid, st: StepperSpec,
-                a: float, t: float) -> np.ndarray:
-    """Background of the run at phase a and time t, on the x1 grid.
-
-    In the moving frame it is the scheme's own discrete wave at phase a,
-    the same at every t; in the lab frame it is the translated continuous
-    profile U(x1 - s t + a), O(h1^2) off the scheme's steady state.
-    """
-    if st.frame == "moving":
-        return discrete_wave(grid, prof, a, st.llf)
-    bg, _ = eval_profile(prof, grid.x1 - prof.shock.speed * t + a)
-    return bg
-
-
-def _setup(cfg: ExperimentConfig, prof: ShockProfile | None,
-           n_sub: int | None = None) -> _Setup:
+def _setup(problem: Problem, n_sub: int | None = None) -> _Setup:
     """Initial field, shift a against the profile, background and step of a run.
 
-    The shock is ``prof.shock``; ``prof`` is solved here when not given.
-    The initial field is the `_background` at phase 0 plus the
-    perturbation, and the run measures against the `_background` at the
+    The initial field is the `discrete_wave` at phase 0 plus the
+    perturbation, and the run measures against the `discrete_wave` at the
     phase a of `shift_normalize`.  Without ``n_sub``, the step dt_out /
     n_sub is the largest such step within `advective_dt` and
-    `nonzero_mode_dt` on the initial field; the advective bound adds |s| in
-    both frames, which in the lab frame is a conservative margin.  The meta
-    records the problem, dt, a and the initial mass.  ``cfg`` has passed
-    `validate_config`.
+    `nonzero_mode_dt` on the initial field.  The meta records the problem,
+    dt, a and the initial mass.
     """
-    if prof is None:
-        prof = solve_config_profile(cfg)
+    prof, grid = problem.profile, problem.grid
     shock = prof.shock
-    grid = ChannelGrid(dimension=cfg.dimension, half_length=cfg.grid.half_length,
-                       n1=cfg.grid.n1,
-                       nprime=cfg.grid.nprime if cfg.dimension > 1 else 1)
-    st = cfg.stepper
+    if problem.perturbation.shape != grid.shape:
+        raise ValueError(f"perturbation shape {problem.perturbation.shape} does not "
+                         f"match grid {grid.shape}")
 
     column = (grid.n1,) + (1,) * (grid.dimension - 1)
-    u0 = _background(prof, grid, st, 0.0, 0.0).reshape(column) \
-        + build_perturbation(cfg, grid)
-    fld = Field(grid=grid, values=u0, time=0.0, frame=st.frame)
+    u0 = discrete_wave(grid, prof, 0.0, problem.llf).reshape(column) \
+        + problem.perturbation
+    fld = Field(grid=grid, values=u0, time=0.0)
     u_profile, _ = eval_profile(prof, grid.x1)
     a = shift_normalize(u0 - u_profile.reshape(column), shock, grid)
     if abs(a) > PROFILE_PAD - 1.0:
         raise OutOfRangeError(f"shift {a:g} too large for the solved profile range")
-    bg = _background(prof, grid, st, a, 0.0)
+    bg = discrete_wave(grid, prof, a, problem.llf)
 
     if n_sub is None:
-        dt_bound = min(advective_dt(fld, shock.flux, st.cfl_safety, speed=shock.speed),
+        dt_bound = min(advective_dt(fld, shock.flux, problem.cfl_safety,
+                                    speed=shock.speed),
                        nonzero_mode_dt(fld))
-        n_sub = max(1, math.ceil(st.dt_out / dt_bound))
-    meta = {"p_list": [float(p) for p in cfg.p_list],
+        n_sub = max(1, math.ceil(problem.dt_out / dt_bound))
+    meta = {"p_list": [float(p) for p in problem.p_list],
             "dimension": grid.dimension, "n1": grid.n1, "nprime": grid.nprime,
-            "half_length": grid.half_length, "frame": st.frame,
-            "dt": st.dt_out / n_sub, "shift": a,
+            "half_length": grid.half_length,
+            "dt": problem.dt_out / n_sub, "shift": a,
             "mass_initial": integrate(u0 - bg.reshape(column), grid),
             "u_minus": shock.u_minus, "u_plus": shock.u_plus,
             "speed": shock.speed, "strength": shock.strength}
-    return _Setup(prof, fld, bg, n_sub, meta)
+    return _Setup(fld, bg, n_sub, meta)
 
 
-def simulate(cfg: ExperimentConfig, prof: ShockProfile | None = None
-             ) -> tuple[dict, Iterator[tuple[Field, dict]]]:
-    """Set up the run of ``cfg`` now; return its meta and its lazy output stream.
+def simulate(problem: Problem) -> tuple[dict, Iterator[tuple[Field, dict]]]:
+    """Set up ``problem`` now; return its meta and its lazy output stream.
 
-    ``prof`` is the config's `solve_config_profile`, solved here when not
-    given.  Set-up errors, such as a shift too large, raise at once; each
-    frame's initial field and background are those of `_setup`.  The step
-    is the largest one that divides dt_out exactly within `advective_dt`
-    and `nonzero_mode_dt`, so reruns are bit-identical.
+    Set-up errors, such as a shift too large, raise at once; the initial
+    field and background are those of `_setup`.  The step is the largest
+    one that divides dt_out exactly within `advective_dt` and
+    `nonzero_mode_dt`, so reruns are bit-identical.
 
     The stream computes each (field, norm row) at t = 0, dt_out, ...,
     t_final when asked and never modifies a yielded field.  An output whose
@@ -543,36 +529,34 @@ def simulate(cfg: ExperimentConfig, prof: ShockProfile | None = None
     MassDriftError instead; a step may raise BlowupError.  `run_simulation`
     collects the stream into the run's `NormSeries`.
     """
-    validate_config(cfg)
-    setup = _setup(cfg, prof)
-    return setup.meta, _evolve(cfg, setup)
+    setup = _setup(problem)
+    return setup.meta, _evolve(problem, setup)
 
 
-def run_simulation(cfg: ExperimentConfig, prof: ShockProfile | None = None) -> NormSeries:
-    """The whole `simulate` stream of ``cfg`` as one norm series; its meta is
-    that of `simulate`, with the run's dt."""
-    meta, stream = simulate(cfg, prof)
+def run_simulation(problem: Problem) -> NormSeries:
+    """The whole `simulate` stream of ``problem`` as one norm series; its meta
+    is that of `simulate`, with the run's dt."""
+    meta, stream = simulate(problem)
     return NormSeries.from_rows([(f.time, r) for f, r in stream], meta)
 
 
-def _evolve(cfg: ExperimentConfig, setup: _Setup) -> Iterator[tuple[Field, dict]]:
+def _evolve(problem: Problem, setup: _Setup) -> Iterator[tuple[Field, dict]]:
     """The time loop of `simulate`, with the leak and mass-drift monitors."""
-    prof, fld, bg, n_sub, meta = setup
-    shock, grid, st = prof.shock, fld.grid, cfg.stepper
-    dt, a, mass0 = meta["dt"], meta["shift"], meta["mass_initial"]
-    n_out = int(round(st.t_final / st.dt_out))
+    fld, bg, n_sub, meta = setup
+    shock, grid, p_list = problem.profile.shock, fld.grid, problem.p_list
+    dt, mass0 = meta["dt"], meta["mass_initial"]
+    n_out = int(round(problem.t_final / problem.dt_out))
     leak_floor = ROUNDOFF_FRACTION * shock.strength
     guard = _blowup_guard(fld.values)
 
-    yield fld, _record_norms(fld.values, bg, grid, cfg.p_list, mass0)
+    yield fld, _record_norms(fld.values, bg, grid, p_list, mass0)
     for k_out in range(1, n_out + 1):
         for _ in range(n_sub):
-            fld = advance(fld, dt, shock, shock.flux, llf=st.llf, blowup_bounds=guard)
-        t = k_out * st.dt_out
-        fld = Field(grid=grid, values=fld.values, time=t, frame=st.frame)
-        if st.frame == "lab":
-            bg = _background(prof, grid, st, a, t)
-        row = _record_norms(fld.values, bg, grid, cfg.p_list, mass0)
+            fld = advance(fld, dt, shock, shock.flux, llf=problem.llf,
+                          blowup_bounds=guard)
+        t = k_out * problem.dt_out
+        fld = Field(grid=grid, values=fld.values, time=t)
+        row = _record_norms(fld.values, bg, grid, p_list, mass0)
         leak, sup = row["boundary_leak"], row["pert_Linf"]
         if leak > max(LEAK_FRACTION * sup, leak_floor):
             raise BoundaryLeakError(
@@ -586,24 +570,23 @@ def _evolve(cfg: ExperimentConfig, setup: _Setup) -> Iterator[tuple[Field, dict]
         yield fld, row
 
 
-def run_1d_reference(cfg: ExperimentConfig) -> NormSeries:
+def run_1d_reference(problem: Problem) -> NormSeries:
     """Norm series of the same scheme restricted to n=1, which closes the
     zero-mode dynamics exactly.
 
     Valid only when the initial non-zero mode vanishes: initial data of the
     n-d run that vary transversally raise NonzeroModePresentError.  The run
-    takes the n_sub, hence the step, of the n-d run of ``cfg`` (whose
+    takes the n_sub, hence the step, of the n-d run of ``problem`` (whose
     `advective_dt` sees the transverse spacing too), so its norms are those
     of the n-d zero mode.
     """
-    validate_config(cfg)
-    setup = _setup(cfg, None)
+    setup = _setup(problem)
     if _varies_transversally(setup.u0.values):
         raise NonzeroModePresentError(
             "1-d reference needs transversally constant initial data")
-    # not validated again: the kind may need a transverse direction, but
-    # its data are constant here, so the 1-d data are their x1 column
-    cfg1 = replace(cfg, dimension=1)
-    setup1 = _setup(cfg1, setup.prof, setup.n_sub)
-    return NormSeries.from_rows([(f.time, r) for f, r in _evolve(cfg1, setup1)],
+    grid1 = replace(problem.grid, dimension=1, nprime=1)
+    problem1 = replace(problem, grid=grid1,
+                       perturbation=problem.perturbation.reshape(grid1.n1, -1)[:, 0])
+    setup1 = _setup(problem1, setup.n_sub)
+    return NormSeries.from_rows([(f.time, r) for f, r in _evolve(problem1, setup1)],
                                 setup1.meta)

@@ -55,7 +55,7 @@ def test_constructed_config_takes_the_strength_scaled_defaults():
     assert validate_config(ExperimentConfig()) == []
     cfg = ExperimentConfig(dimension=1, stepper=StepperSpec(t_final=0.5, dt_out=0.25))
     before = copy.deepcopy(cfg)
-    assert list(sl.run_simulation(cfg).times) == [0.0, 0.25, 0.5]
+    assert list(sl.run_simulation(sl.build_problem(cfg)).times) == [0.0, 0.25, 0.5]
     assert cfg == before
 
 

@@ -6,12 +6,15 @@ import math
 import os
 import stat
 
+import numpy as np
 import pytest
 
-from shocklab import cli
-from shocklab.analysis import MIN_FIT_SAMPLES
+from shocklab import cli, solver
+from shocklab.analysis import MIN_FIT_SAMPLES, NormSeries, report_to_dict
+from shocklab.config import config_from_dict
 from shocklab.experiment import (EXIT_ANALYSIS, EXIT_CONFIG, EXIT_OK,
-                                 EXIT_SIMULATION)
+                                 EXIT_SIMULATION, analyze_record)
+from shocklab.solver import discrete_wave
 
 SMALL = {"dimension": 1, "grid": {"half_length": 15, "n1": 64}}
 OK = dict(SMALL, stepper={"t_final": 2.0, "dt_out": 0.1}, p_list=[2], snapshots=True)
@@ -27,10 +30,10 @@ STEEP_QUARTIC = {"flux": "convex-quartic", "u_minus": 30, "u_plus": -30,
                  "dimension": 1, "grid": {"n1": 64}}
 # outputs at 0, 0.8 and 1.6 would stop short of t_final
 DT_OUT_NOT_DIVIDING = dict(SMALL, stepper={"t_final": 2.0, "dt_out": 0.8}, p_list=[2])
-# the lab frame on 32 points drifts in mass 355 times past its allowance
-COARSE_LAB = {"flux": "burgers", "u_minus": 2.0, "u_plus": 0.0, "dimension": 1,
-              "grid": {"half_length": 20, "n1": 32},
-              "stepper": {"t_final": 2.0, "dt_out": 0.1, "frame": "lab"}, "p_list": [2]}
+# a background offset from the discrete wave by 1e-7 drifts in mass 1.82
+# times past its allowance at t = 0.1, before any leak; by 1e-9 it does not
+DRIFTING = {"dimension": 1, "grid": {"half_length": 15, "n1": 256},
+            "stepper": {"t_final": 2, "dt_out": 0.1}, "p_list": [2]}
 # the profile's tails on |x1| <= 3 + pad are too short to fit their decay rates
 SHORT_TAILS = {"dimension": 1, "grid": {"half_length": 3, "n1": 64}}
 NEGATIVE_SEED = {"perturbation": {"kind": "random-nonzero-mode", "seed": -1}}
@@ -72,10 +75,6 @@ LARGE_P = dict(RUNS, p_list=[2000])
 # outputs up to 1.5: the default fit window (1, 1.5) holds 6 samples and the
 # bound checks' early window [1, 0.75] none
 SHORT_RUN = dict(RUNS, stepper={"t_final": 1.5, "dt_out": 0.1}, p_list=[2, 4])
-# the lab frame measures against the continuous profile, so a zero bump gives
-# a perturbation that starts at exactly 0 and then grows
-ZERO_BUMP_IN_LAB_FRAME = dict(RUNS, perturbation={"amplitude": 0.0}, p_list=[4],
-                              stepper={"t_final": 2.0, "dt_out": 0.1, "frame": "lab"})
 # with no perturbation every norm channel is 1e-16 to 4e-16, round-off
 NO_PERTURBATION = dict(RUNS, perturbation={"kind": "none"}, p_list=[4])
 # one more broken rule of validate_config each, after the cases above
@@ -88,7 +87,8 @@ BROKEN_RULES = [
     ({"grid": {"n1": 8}}, "grid.n1"),
     ({"grid": {"nprime": 2}}, "grid.nprime"),
     ({"stepper": {"cfl_safety": 1.5}}, "stepper.cfl_safety"),
-    ({"stepper": {"frame": "rotating"}}, "stepper.frame"),
+    # the lab frame is gone: its key fails as unknown, whatever the value
+    ({"stepper": {"frame": "moving"}}, "stepper.frame"),
     ({"perturbation": {"kind": "no-such-kind"}}, "perturbation.kind"),
     ({"dimension": 1, "perturbation": {"kind": "random-nonzero-mode"}},
      "perturbation.kind"),
@@ -191,12 +191,17 @@ def test_short_run_records_each_skipped_check(tmp_path, caplog):
     assert rates["gn_ratio_p4"]["max_ratio"] > 0.0
 
 
-def test_vanishing_gn_denominator_is_recorded(tmp_path, caplog):
-    code, out, errors = run(tmp_path, "run", ZERO_BUMP_IN_LAB_FRAME, caplog)
-    assert (code, errors) == (EXIT_OK, [])
-    rates = json.loads((out / "rates.json").read_text())
-    assert rates["gn_ratio_p4"] == skipped("gn-ratio", "Phi_L4",
-                                           "ratio denominator vanishes at some sample")
+def test_vanishing_gn_denominator_is_recorded():
+    # Phi vanishes at t = 0 for a perturbation of zero mass
+    cfg = config_from_dict(dict(RUNS, p_list=[4]))
+    times = 0.1 * np.arange(21)
+    channels = {name: 1e-3 / (1.0 + times) for name in
+                ("zmode_Linf", "dzmode_L2", "pert_L2", "pert_Linf", "Phi_L4")}
+    channels["Phi_L4"][0] = 0.0
+    norms = NormSeries(times=times, channels=channels, meta={"strength": 2.0})
+    reports = analyze_record(cfg, norms)
+    assert report_to_dict(reports["gn_ratio_p4"]) == skipped(
+        "gn-ratio", "Phi_L4", "ratio denominator vanishes at some sample")
 
 
 def test_run_at_round_off_makes_no_check(tmp_path, caplog):
@@ -355,14 +360,24 @@ def test_profile_with_short_tails_exits_3(tmp_path, caplog):
     assert files(out) == ["config-echo.json", "profile.txt"]
 
 
+def offset_background(monkeypatch, delta):
+    """Measure against the discrete wave plus ``delta``, off the steady state."""
+    monkeypatch.setattr(solver, "discrete_wave",
+                        lambda *args: discrete_wave(*args) + delta)
+
+
 @pytest.mark.parametrize("command", ["run", "simulate"])
-def test_mass_drift_exits_3_with_one_error(tmp_path, caplog, command):
-    code, out, errors = run(tmp_path, command, COARSE_LAB, caplog)
+def test_mass_drift_exits_3_with_one_error(tmp_path, caplog, monkeypatch, command):
+    offset_background(monkeypatch, 1e-7)
+    code, out, errors = run(tmp_path, command, DRIFTING, caplog)
     assert code == EXIT_ANALYSIS
     assert len(errors) == 1 and errors[0].startswith("mass conservation failed:")
     # the drift first exceeds its allowance at t = 0.1
     assert csv_times(out) == [0.0]
     assert "rates.json" not in files(out)
+    offset_background(monkeypatch, 1e-9)
+    code, out, errors = run(tmp_path, command, DRIFTING, caplog)
+    assert (code, errors) == (EXIT_OK, [])
 
 
 def test_failed_rerun_leaves_no_earlier_results(tmp_path, caplog):

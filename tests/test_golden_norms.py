@@ -2,7 +2,8 @@
 
 A refactor of the solver, the config layer or the norm recording must
 leave every channel of ``norms.csv`` where it was.  The expected values
-are what the code gave when this test was added; they are compared at
+are what the code gave when this test was added (moving-shock-1d: when
+it replaced a case in the lab frame, since removed); they are compared at
 rtol 1e-13, with entries below 1e-15 (round-off of O(1) fields, e.g.
 mass_drift) compared absolutely.
 """
@@ -11,25 +12,25 @@ import numpy as np
 import pytest
 
 from shocklab.config import config_from_dict
+from shocklab.experiment import build_problem
 from shocklab.solver import run_simulation
 
 CONFIGS = {
-    # moving frame, 2-d, non-zero mode: the step is bounded by nonzero_mode_dt
+    # 2-d, non-zero mode: the step is bounded by nonzero_mode_dt
     "moving-2d-nonzero-mode": {
         "flux": "burgers", "u_minus": 1.0, "u_plus": -1.0, "dimension": 2,
         "grid": {"half_length": 15.0, "n1": 64, "nprime": 8},
         "stepper": {"t_final": 0.5, "dt_out": 0.25},
         "perturbation": {"kind": "random-nonzero-mode", "amplitude": 0.02, "seed": 3},
         "p_list": [2.0, 4.0]},
-    # lab frame, 1-d, a moving shock: the background is the translated
-    # continuous profile
-    "lab-1d": {
+    # 1-d, a moving shock: the frame flux s u enters the scheme
+    "moving-shock-1d": {
         "flux": "burgers", "u_minus": 2.0, "u_plus": 0.0, "dimension": 1,
         "grid": {"half_length": 20.0, "n1": 128},
-        "stepper": {"t_final": 0.5, "dt_out": 0.125, "frame": "lab"},
+        "stepper": {"t_final": 0.5, "dt_out": 0.125},
         "perturbation": {"kind": "gaussian-bump", "amplitude": 0.02},
         "p_list": [2.0, 4.0]},
-    # moving frame, 3-d, quartic flux with local Lax-Friedrichs dissipation:
+    # 3-d, quartic flux with local Lax-Friedrichs dissipation:
     # the background is the discrete wave of the LLF scheme
     "llf-3d-quartic": {
         "flux": "convex-quartic", "u_minus": 1.0, "u_plus": -1.0, "dimension": 3,
@@ -66,39 +67,39 @@ GOLDEN = {
         "zmode_Linf": [
             1.1102230246251565e-16, 4.2348722557872254e-07, 3.2715811607020306e-07],
     },
-    "lab-1d": {
+    "moving-shock-1d": {
         "t": [0.0, 0.125, 0.25, 0.375, 0.5],
         "Phi_L2": [
-            0.006157207285183068, 0.005098225411075154, 0.004143053422730681,
-            0.0032905637479279746, 0.002548908167977255],
+            0.0061929187637517775, 0.0058111231202944225, 0.0054537948928797784,
+            0.005119753017742449, 0.004807808090287688],
         "Phi_L4": [
-            0.003884312611661061, 0.003209818302049873, 0.0026120583266124437,
-            0.00209205160801469, 0.0016546921056865996],
+            0.003910238018163833, 0.003655831317869391, 0.0034212401527025974,
+            0.0032040044922428297, 0.003002436823627571],
         "boundary_leak": [
-            2.05112509499876e-10, 7.185051717650492e-10, 1.3630518537285972e-09,
-            2.0934189288228608e-09, 2.9210332494921616e-09],
+            1.986318245285653e-10, 1.9863182453102533e-10, 1.9863182453063324e-10,
+            1.9863182453063407e-10, 1.9863182452977877e-10],
         "dzmode_L2": [
-            0.0031786958469525355, 0.002495462642121237, 0.001983474778447468,
-            0.0016659339160627566, 0.0015633784244753833],
+            0.0032406654296339345, 0.0030379350583520644, 0.002853295324665827,
+            0.002677628166823018, 0.002509260348408506],
         "mass_drift": [
-            0.0, 3.670741793209212e-10, 1.009599628711325e-09, 1.8713494552921464e-09,
-            2.932584666748804e-09],
+            0.0, 1.4472066123608074e-16, 1.8578820665075824e-17, 3.1262292017261717e-17,
+            1.408107571515549e-16],
         "nzmode_L2": [0.0, 0.0, 0.0, 0.0, 0.0],
         "nzmode_Linf": [0.0, 0.0, 0.0, 0.0, 0.0],
         "nzmode_W1L2": [0.0, 0.0, 0.0, 0.0, 0.0],
         "nzmode_W1L4": [0.0, 0.0, 0.0, 0.0, 0.0],
         "pert_L2": [
-            0.003900647339831472, 0.0031352393994324964, 0.0024820851664481124,
-            0.0019512424329519455, 0.0015706010646634116],
+            0.003951638322549016, 0.0037001360066907974, 0.0034642995201901237,
+            0.0032424223460905165, 0.0030340157502890134],
         "pert_Linf": [
-            0.0023020267872762012, 0.0018104424831650867, 0.0014971000335978202,
-            0.0012855150756118094, 0.001152004057408118],
+            0.002372069102544616, 0.0023085461742495816, 0.0022140159075212384,
+            0.0021045258035414793, 0.001989374748166961],
         "zmode_L2": [
-            0.003900647339831472, 0.0031352393994324964, 0.0024820851664481124,
-            0.0019512424329519455, 0.0015706010646634116],
+            0.003951638322549016, 0.0037001360066907974, 0.0034642995201901237,
+            0.0032424223460905165, 0.0030340157502890134],
         "zmode_Linf": [
-            0.0023020267872762012, 0.0018104424831650867, 0.0014971000335978202,
-            0.0012855150756118094, 0.001152004057408118],
+            0.002372069102544616, 0.0023085461742495816, 0.0022140159075212384,
+            0.0021045258035414793, 0.001989374748166961],
     },
     "llf-3d-quartic": {
         "t": [0.0, 0.125, 0.25, 0.375, 0.5],
@@ -147,7 +148,7 @@ GOLDEN = {
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_norm_series_unchanged(name):
-    norms = run_simulation(config_from_dict(CONFIGS[name]))
+    norms = run_simulation(build_problem(config_from_dict(CONFIGS[name])))
     expected = GOLDEN[name]
     assert sorted(norms.channels) == sorted(k for k in expected if k != "t")
     np.testing.assert_array_equal(norms.times, expected["t"])

@@ -146,11 +146,21 @@ class TestFieldIO:
     def test_text_roundtrip(self, tmp_path, small_plane):
         rng = np.random.default_rng(5)
         fld = sl.Field(grid=small_plane, values=rng.standard_normal(small_plane.shape),
-                       time=1.25, frame="lab")
+                       time=1.25)
         path = tmp_path / "snap.txt"
         sl.grid.save_field_text(fld, path)
         back = sl.grid.load_field_text(path)
         np.testing.assert_array_equal(back.values, fld.values)
         assert back.time == fld.time
-        assert back.frame == fld.frame
         assert back.grid == fld.grid
+
+    def test_header_with_a_frame_still_loads(self, tmp_path, small_plane):
+        # snapshots once named their frame in the header
+        fld = sl.Field(grid=small_plane, values=np.ones(small_plane.shape), time=0.5)
+        path = tmp_path / "snap.txt"
+        sl.grid.save_field_text(fld, path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text(lines[0].rstrip("\n") + " frame=moving\n" + "".join(lines[1:]))
+        back = sl.grid.load_field_text(path)
+        np.testing.assert_array_equal(back.values, fld.values)
+        assert (back.time, back.grid) == (fld.time, fld.grid)

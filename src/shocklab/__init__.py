@@ -7,8 +7,8 @@ decay of the perturbation through mode decomposition, anti-derivatives,
 and rate fits.
 """
 
-from .analysis import (NormSeries, RateFit, area_bound, fit_algebraic_rate,
-                       fit_exponential_rate, gn_ratio_monitor,
+from .analysis import (NormSeries, RateFit, analyze_record, area_bound,
+                       fit_algebraic_rate, fit_exponential_rate, gn_ratio_monitor,
                        theorem_bound_check, verify_area_inequality)
 from .config import (ExperimentConfig, GridSpec, PerturbationSpec, StepperSpec,
                      build_flux, emit_config, parse_config)
@@ -30,7 +30,7 @@ __all__ = [
     "ChannelGrid", "ExperimentConfig", "Field", "FluxSpec", "GridSpec",
     "NormSeries", "PerturbationSpec", "Problem", "RateFit", "ShockData",
     "ShockLabError", "ShockProfile", "StepperSpec", "TailReport", "advance",
-    "advective_dt", "antiderivative", "area_bound", "build_flux",
+    "advective_dt", "analyze_record", "antiderivative", "area_bound", "build_flux",
     "build_perturbation", "build_problem", "burgers_flux", "cfl_dt",
     "convex_quartic_flux", "discrete_wave", "emit_config", "eval_profile",
     "fit_algebraic_rate", "fit_exponential_rate", "gn_ratio_monitor",

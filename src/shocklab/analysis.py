@@ -1,16 +1,18 @@
-"""Decay-rate fitting, the area inequality, and normalized bound checks.
+"""Decay-rate fitting, the area inequality, normalized bound checks, and
+`analyze_record`, which makes every check of one run from its norm series.
 
 The decay statements under test carry unknown constants, so the checks are
 formulated as normalized-ratio boundedness: multiply the measured norm by
 the candidate rate and ask whether the late-time sup stays within a small
 slack of the early-time sup.  A check its data cannot carry raises
 TooFewSamplesError, NonPositiveValueError, ZeroDenominatorError or
-RoundOffError, which `experiment` records as a `Skipped`.
+RoundOffError, which `analyze_record` records as a `Skipped`.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -31,6 +33,8 @@ CONSISTENCY_SLACK = 1.05
 BOUND_T_START = 1.0
 # Relative slack on the sampled hypothesis checks of the area inequality.
 HYPOTHESIS_SLACK = 0.01
+
+log = logging.getLogger("shocklab")
 
 
 @dataclass
@@ -252,24 +256,19 @@ def verify_area_inequality(samples, c0: float, c1: float, alpha: float,
                       hypothesis_violations=tuple(violations))
 
 
-# Bound-check kinds mapped to (channel resolver, exponent in (1+t)^theta).
-def _theta_phi_lp(p):
-    return (p - 2.0) / (4.0 * p)
-
-
-def _theta_pert_l2(p):
-    return (p - 2.0) / (8.0 * p)
-
-
-def _theta_pert_linf(p):
-    return (p - 2.0) * (2.0 * p + 1.0) / (4.0 * p * (3.0 * p + 2.0))
-
-
-_ALGEBRAIC_KINDS = {
-    "phi-Lp": (lambda p: f"Phi_L{p:g}", _theta_phi_lp),
-    "pert-L2": (lambda p: "pert_L2", _theta_pert_l2),
-    "pert-Linf": (lambda p: "pert_Linf", _theta_pert_linf),
+# Each bound kind's rates.json label and channel, both formatted with p, and
+# its exponent theta(p) in (1+t)^theta.
+_BOUND_KINDS = {
+    "phi-Lp": ("bound_phi_L{p:g}", "Phi_L{p:g}", lambda p: (p - 2.0) / (4.0 * p)),
+    "pert-L2": ("bound_pert_L2_p{p:g}", "pert_L2", lambda p: (p - 2.0) / (8.0 * p)),
+    "pert-Linf": ("bound_pert_Linf_p{p:g}", "pert_Linf",
+                  lambda p: (p - 2.0) * (2.0 * p + 1.0) / (4.0 * p * (3.0 * p + 2.0))),
 }
+
+
+def _has_bounds(p: float) -> bool:
+    """The bound statements and the G-N monitor are made for p > 2 only."""
+    return p > 2.0
 
 
 @dataclass(frozen=True)
@@ -295,13 +294,13 @@ def theorem_bound_check(series: NormSeries, p: float, kind: str) -> BoundReport:
     window [T/2, T] does not exceed the sup over the early window
     [BOUND_T_START, T/2] by more than the slack factor.
     """
-    if kind not in _ALGEBRAIC_KINDS:
+    if kind not in _BOUND_KINDS:
         raise BadKindError(f"unknown kind {kind!r}")
-    if not p > 2.0:
+    if not _has_bounds(p):
         raise BadExponentError(f"algebraic kinds need p > 2, got {p}")
-    channel_name, theta_fn = _ALGEBRAIC_KINDS[kind]
-    name = channel_name(p)
-    theta = theta_fn(p)
+    _, channel, theta_of = _BOUND_KINDS[kind]
+    name = channel.format(p=p)
+    theta = theta_of(p)
     values = series.channel(name)
     r = values * (1.0 + series.times) ** theta
 
@@ -354,6 +353,51 @@ def gn_ratio_monitor(series: NormSeries, p: float) -> GNReport:
     k = int(np.argmax(ratio))
     return GNReport(p=float(p), max_ratio=float(ratio[k]),
                     t_at_max=float(series.times[k]), n_samples=int(ratio.size))
+
+
+def _made_or_skipped(kind: str, channel: str, check, *args):
+    """``check(*args)``, or a `Skipped` with the reason when the data cannot carry it."""
+    try:
+        return check(*args)
+    except (TooFewSamplesError, NonPositiveValueError, ZeroDenominatorError,
+            RoundOffError) as exc:
+        log.warning("skipping %s check of %s: %s", kind, channel, exc)
+        return Skipped(kind=kind, channel=channel, reason=str(exc))
+
+
+def analyze_record(series: NormSeries,
+                   window: tuple[float, float] | None = None) -> dict:
+    """Every rate fit, bound check and G-N monitor of one run's norm series.
+
+    The p values and the dimension come from ``series.meta``.  The fits
+    use ``window``, by default the last half of the run, never starting
+    inside the initial transient t < 1; a run that ends inside it raises
+    TooFewSamplesError.  Each check goes through `_made_or_skipped`, so
+    one the data cannot carry is recorded as a `Skipped` with its reason
+    under its own label.
+    """
+    if window is None:
+        t_end = float(series.times[-1])
+        if t_end <= 1.0:
+            raise TooFewSamplesError(
+                f"t_final {t_end:g} leaves no samples after the transient t < 1; run longer")
+        window = (max(1.0, 0.5 * t_end), t_end)
+    reports: dict = {}
+    for p in series.meta["p_list"]:
+        name = f"Phi_L{p:g}"
+        reports[f"fit_{name}"] = _made_or_skipped("algebraic", name, fit_algebraic_rate,
+                                                  series, name, window)
+        if _has_bounds(p):
+            for kind, (label, channel, _) in _BOUND_KINDS.items():
+                reports[label.format(p=p)] = _made_or_skipped(
+                    kind, channel.format(p=p), theorem_bound_check, series, p, kind)
+            reports[f"gn_ratio_p{p:g}"] = _made_or_skipped("gn-ratio", name,
+                                                           gn_ratio_monitor, series, p)
+    if series.meta["dimension"] >= 2:
+        reports["fit_nzmode_L2"] = _made_or_skipped("exponential", "nzmode_L2",
+                                                    fit_exponential_rate, series,
+                                                    "nzmode_L2", window)
+    return reports
 
 
 def report_to_dict(report) -> dict:

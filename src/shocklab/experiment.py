@@ -6,9 +6,10 @@ delete every `ARTIFACTS` file in the config's output directory and echo
 the config to config-echo.json, so the directory holds only what that
 command computed: profile writes profile.txt and profile-tails.json;
 simulate norms.csv (one column per recorded norm) and, with ``snapshots``,
-snapshots/field-*.txt; run what simulate writes plus rates.json: every
-rate fit, bound check and G-N monitor, made or skipped with its reason,
-and the profile tails.
+snapshots/field-*.txt; run what simulate writes plus rates.json: the
+`analysis.analyze_record` of the norms in the config's fit window, and the
+profile tails.  This module holds the commands and their files only; what
+rates.json checks is decided by the run's record in `analysis`.
 `check_area` writes no file and prints its report as JSON.
 Every file goes through `_atomic_write`, a temp-then-rename, so readers
 never see partial files.  A failed command keeps its output up to the
@@ -37,13 +38,11 @@ import tempfile
 
 import numpy as np
 
-from .analysis import (NormSeries, Skipped, fit_algebraic_rate,
-                       fit_exponential_rate, gn_ratio_monitor, report_to_dict,
-                       reports_to_json, theorem_bound_check, verify_area_inequality)
+from .analysis import (NormSeries, analyze_record, report_to_dict, reports_to_json,
+                       verify_area_inequality)
 from .config import ExperimentConfig, build_flux, emit_config, validate_config
 from .errors import (ConfigValidationError, HypothesisViolatedError, MassDriftError,
-                     NonPositiveValueError, RoundOffError, ShockLabError,
-                     TooFewSamplesError, ZeroDenominatorError)
+                     ShockLabError)
 from .flux import ShockData
 from .grid import ChannelGrid, save_field_text
 from .profile import ShockProfile, profile_to_text, solve_profile, verify_profile_bounds
@@ -112,54 +111,6 @@ def norms_to_csv(norms: NormSeries, path) -> None:
                 fh.write(",".join(row) + "\n")
 
     _atomic_write(path, write)
-
-
-def default_fit_window(cfg: ExperimentConfig) -> tuple[float, float]:
-    """Last half of the run, never starting inside the initial transient t < 1."""
-    t_final = cfg.stepper.t_final
-    if t_final <= 1.0:
-        raise TooFewSamplesError(
-            f"t_final {t_final:g} leaves no samples after the transient t < 1; run longer")
-    return (max(1.0, 0.5 * t_final), t_final)
-
-
-def _made_or_skipped(kind: str, channel: str, check, *args):
-    """``check(*args)``, or a `Skipped` with the reason when the data cannot carry it."""
-    try:
-        return check(*args)
-    except (TooFewSamplesError, NonPositiveValueError, ZeroDenominatorError,
-            RoundOffError) as exc:
-        log.warning("skipping %s check of %s: %s", kind, channel, exc)
-        return Skipped(kind=kind, channel=channel, reason=str(exc))
-
-
-def analyze_record(cfg: ExperimentConfig, norms: NormSeries) -> dict:
-    """Every rate fit, bound check and G-N monitor for one simulation's norm series.
-
-    Each check goes through `_made_or_skipped`, so one the data cannot
-    carry is recorded as a `Skipped` with its reason under its own label.
-    A run that ends inside the transient raises TooFewSamplesError.
-    """
-    window = cfg.fit_window or default_fit_window(cfg)
-    reports: dict = {}
-    for p in cfg.p_list:
-        name = f"Phi_L{p:g}"
-        reports[f"fit_{name}"] = _made_or_skipped("algebraic", name, fit_algebraic_rate,
-                                                  norms, name, window)
-        if p > 2.0:
-            for label, kind, channel in ((f"bound_phi_L{p:g}", "phi-Lp", name),
-                                         (f"bound_pert_L2_p{p:g}", "pert-L2", "pert_L2"),
-                                         (f"bound_pert_Linf_p{p:g}", "pert-Linf",
-                                          "pert_Linf")):
-                reports[label] = _made_or_skipped(kind, channel, theorem_bound_check,
-                                                  norms, p, kind)
-            reports[f"gn_ratio_p{p:g}"] = _made_or_skipped("gn-ratio", name,
-                                                           gn_ratio_monitor, norms, p)
-    if cfg.dimension >= 2:
-        reports["fit_nzmode_L2"] = _made_or_skipped("exponential", "nzmode_L2",
-                                                    fit_exponential_rate, norms,
-                                                    "nzmode_L2", window)
-    return reports
 
 
 def _prepare_out_dir(cfg: ExperimentConfig) -> None:
@@ -259,7 +210,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         return code
 
     try:
-        reports = analyze_record(cfg, norms)
+        reports = analyze_record(norms, cfg.fit_window)
         reports["profile_tails"] = verify_profile_bounds(problem.profile)
         _atomic_write(os.path.join(cfg.out_dir, "rates.json"),
                       lambda tmp: reports_to_json(reports, tmp))

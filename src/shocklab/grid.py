@@ -155,7 +155,7 @@ def save_field_text(fld: Field, path) -> None:
     """Text snapshot: one header line, then the x1-by-x' matrix."""
     g = fld.grid
     header = (f"shocklab-field n={g.dimension} N1={g.n1} Nprime={g.nprime} "
-              f"L={g.half_length!r} t={fld.time!r}")
+              f"L={float(g.half_length)!r} t={float(fld.time)!r}")
     flat = fld.values.reshape(g.n1, -1)
     np.savetxt(path, flat, fmt="%.17e", header=header)
 

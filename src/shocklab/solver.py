@@ -554,7 +554,10 @@ def _evolve(problem: Problem, setup: _Setup) -> Iterator[tuple[Field, dict]]:
         for _ in range(n_sub):
             fld = advance(fld, dt, shock, shock.flux, llf=problem.llf,
                           blowup_bounds=guard)
+        # k * dt_out can overshoot t_final by an ulp; that output is labelled t_final
         t = k_out * problem.dt_out
+        if math.isclose(t, problem.t_final):
+            t = float(problem.t_final)
         fld = Field(grid=grid, values=fld.values, time=t)
         row = _record_norms(fld.values, bg, grid, p_list, mass0)
         leak, sup = row["boundary_leak"], row["pert_Linf"]

@@ -186,10 +186,13 @@ class TestTheoremBoundCheck:
         assert r1.consistent == r2.consistent
 
     def test_exponent_table(self):
-        # the three candidate exponents for p = 6
-        assert sl.analysis._theta_phi_lp(6.0) == pytest.approx(4.0 / 24.0)
-        assert sl.analysis._theta_pert_l2(6.0) == pytest.approx(4.0 / 48.0)
-        assert sl.analysis._theta_pert_linf(6.0) == pytest.approx(52.0 / 480.0)
+        # the three candidate exponents for p = 6, as each check reports them
+        t = np.linspace(0.0, 100.0, 401)
+        s = series_of(t, **{name: (1.0 + t) ** -0.5
+                            for name in ("Phi_L6", "pert_L2", "pert_Linf")})
+        assert sl.theorem_bound_check(s, 6.0, "phi-Lp").theta == pytest.approx(4.0 / 24.0)
+        assert sl.theorem_bound_check(s, 6.0, "pert-L2").theta == pytest.approx(4.0 / 48.0)
+        assert sl.theorem_bound_check(s, 6.0, "pert-Linf").theta == pytest.approx(52.0 / 480.0)
 
     def test_bad_kind(self):
         with pytest.raises(BadKindError):

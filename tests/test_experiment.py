@@ -5,15 +5,17 @@ import logging
 import math
 import os
 import stat
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from shocklab import cli, solver
-from shocklab.analysis import MIN_FIT_SAMPLES, NormSeries, report_to_dict
+from shocklab.analysis import (MIN_FIT_SAMPLES, NormSeries, analyze_record,
+                               report_to_dict, reports_to_json)
 from shocklab.config import config_from_dict
 from shocklab.experiment import (EXIT_ANALYSIS, EXIT_CONFIG, EXIT_OK,
-                                 EXIT_SIMULATION, analyze_record)
+                                 EXIT_SIMULATION, build_problem)
 from shocklab.solver import discrete_wave
 
 SMALL = {"dimension": 1, "grid": {"half_length": 15, "n1": 64}}
@@ -75,6 +77,14 @@ LARGE_P = dict(RUNS, p_list=[2000])
 # outputs up to 1.5: the default fit window (1, 1.5) holds 6 samples and the
 # bound checks' early window [1, 0.75] none
 SHORT_RUN = dict(RUNS, stepper={"t_final": 1.5, "dt_out": 0.1}, p_list=[2, 4])
+# 23 * 0.1 is 2.3000000000000003, past t_final: a last output labelled so
+# falls outside the default window [1.15, 2.3]
+ULP_PAST_END = dict(SMALL, stepper={"t_final": 2.3, "dt_out": 0.1}, p_list=[2, 4])
+# an odd bump in 2-d, with a record of every kind: fits, bounds, G-N and the
+# non-zero mode's fit
+ODD_BUMP_2D = {"dimension": 2, "grid": {"half_length": 15, "n1": 64, "nprime": 4},
+               "stepper": {"t_final": 3.0, "dt_out": 0.1}, "p_list": [2, 4],
+               "perturbation": {"kind": "odd-bump", "amplitude": 0.01, "width": 2.0}}
 # with no perturbation every norm channel is 1e-16 to 4e-16, round-off
 NO_PERTURBATION = dict(RUNS, perturbation={"kind": "none"}, p_list=[4])
 # one more broken rule of validate_config each, after the cases above
@@ -193,15 +203,42 @@ def test_short_run_records_each_skipped_check(tmp_path, caplog):
 
 def test_vanishing_gn_denominator_is_recorded():
     # Phi vanishes at t = 0 for a perturbation of zero mass
-    cfg = config_from_dict(dict(RUNS, p_list=[4]))
     times = 0.1 * np.arange(21)
     channels = {name: 1e-3 / (1.0 + times) for name in
                 ("zmode_Linf", "dzmode_L2", "pert_L2", "pert_Linf", "Phi_L4")}
     channels["Phi_L4"][0] = 0.0
-    norms = NormSeries(times=times, channels=channels, meta={"strength": 2.0})
-    reports = analyze_record(cfg, norms)
+    norms = NormSeries(times=times, channels=channels,
+                       meta={"strength": 2.0, "p_list": [4.0], "dimension": 1})
+    reports = analyze_record(norms)
     assert report_to_dict(reports["gn_ratio_p4"]) == skipped(
         "gn-ratio", "Phi_L4", "ratio denominator vanishes at some sample")
+
+
+def test_last_output_is_t_final(tmp_path, caplog):
+    code, out, errors = run(tmp_path, "run", ULP_PAST_END, caplog)
+    assert (code, errors) == (EXIT_OK, [])
+    assert csv_times(out)[-1] == 2.3
+    fit = json.loads((out / "rates.json").read_text())["fit_Phi_L2"]
+    assert (fit["window"], fit["n_samples"]) == ([pytest.approx(1.2), 2.3], 12)
+
+
+def test_python_run_is_analysed_like_the_run_command(tmp_path, caplog):
+    # the odd bump written out, as in test_custom_datum_runs_like_its_kind
+    code, out, errors = run(tmp_path, "run", ODD_BUMP_2D, caplog)
+    assert (code, errors) == (EXIT_OK, [])
+    rates = json.loads((out / "rates.json").read_text())
+    del rates["profile_tails"]
+    problem = build_problem(config_from_dict(ODD_BUMP_2D))
+    x1 = problem.grid.x1[:, None]
+    bump = np.broadcast_to((x1 / 2.0) * np.exp(-((x1 / 2.0) ** 2)), problem.grid.shape)
+    arr = bump * (0.01 / float(np.max(np.abs(bump))))
+    reports = analyze_record(solver.run_simulation(replace(problem, perturbation=arr)))
+    assert json.loads(reports_to_json(reports)) == rates
+    # the bump is constant across x', so only the non-zero mode's fit is skipped
+    assert [label for label, rep in rates.items() if rep["verdict"] == "skipped"] == [
+        "fit_nzmode_L2"]
+    assert sorted(rates) == ["bound_pert_L2_p4", "bound_pert_Linf_p4", "bound_phi_L4",
+                             "fit_Phi_L2", "fit_Phi_L4", "fit_nzmode_L2", "gn_ratio_p4"]
 
 
 def test_run_at_round_off_makes_no_check(tmp_path, caplog):

@@ -154,6 +154,17 @@ class TestFieldIO:
         assert back.time == fld.time
         assert back.grid == fld.grid
 
+    def test_numpy_scalars_roundtrip(self, tmp_path):
+        # numpy 2 writes repr(np.float64(10.0)) as "np.float64(10.0)"
+        grid = sl.ChannelGrid(dimension=2, half_length=np.float64(10.0), n1=16, nprime=4)
+        fld = sl.Field(grid=grid, values=np.ones(grid.shape), time=np.float64(0.7))
+        path = tmp_path / "snap.txt"
+        sl.grid.save_field_text(fld, path)
+        assert "L=10.0 t=0.7" in path.read_text().splitlines()[0]
+        back = sl.grid.load_field_text(path)
+        np.testing.assert_array_equal(back.values, fld.values)
+        assert (back.time, back.grid) == (fld.time, fld.grid)
+
     def test_header_with_a_frame_still_loads(self, tmp_path, small_plane):
         # snapshots once named their frame in the header
         fld = sl.Field(grid=small_plane, values=np.ones(small_plane.shape), time=0.5)

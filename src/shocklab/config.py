@@ -17,12 +17,11 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from .errors import ConfigParseError, ConfigValidationError
 from .flux import (FluxSpec, ShockData, burgers_flux, convex_quartic_flux,
                    polynomial_flux)
+from .solver import whole_outputs
 
 log = logging.getLogger("shocklab")
 
 PERTURBATION_KINDS = ("none", "gaussian-bump", "odd-bump", "random-nonzero-mode")
-# Relative slack on t_final/dt_out being whole: 0.7/0.0125 is 55.99999999999999.
-DT_OUT_REL_TOL = 1e-9
 
 
 @dataclass
@@ -160,7 +159,7 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         issues.append(("stepper.t_final", "must be positive"))
     if not 0.0 < st.dt_out <= st.t_final:
         issues.append(("stepper.dt_out", "must lie in (0, t_final]"))
-    elif abs((n_out := st.t_final / st.dt_out) - round(n_out)) > DT_OUT_REL_TOL * n_out:
+    elif not whole_outputs(st.t_final, st.dt_out):
         issues.append(("stepper.dt_out", "must divide t_final into whole outputs"))
 
     pert = cfg.perturbation

@@ -12,9 +12,13 @@ profile tails.  This module holds the commands and their files only; what
 rates.json checks is decided by the run's record in `analysis`.
 `check_area` writes no file and prints its report as JSON.
 Every file goes through `_atomic_write`, a temp-then-rename, so readers
-never see partial files.  A failed command keeps its output up to the
-failure: no norms.csv after a failed set-up, the norms.csv rows and
-snapshots before a failed step or monitor.
+never see partial files.  The t = 0 snapshot is written in-process; the
+later ones by at most two forked worker processes (`_SnapshotWriter`),
+which format the text while the run keeps stepping.  Every snapshot write
+has ended, and a failed one has raised, before the command returns.
+A failed command keeps its output up to the failure: no norms.csv after a
+failed set-up, the norms.csv rows and snapshots before a failed step or
+monitor.
 
 Exit codes: 0 success; 1 an unusable CSV or violated lemma hypotheses
 (a constant that is not finite included) in check-area, and a bad config
@@ -35,6 +39,7 @@ import json
 import logging
 import os
 import tempfile
+from collections import deque
 
 import numpy as np
 
@@ -44,7 +49,7 @@ from .config import ExperimentConfig, build_flux, emit_config, validate_config
 from .errors import (ConfigValidationError, HypothesisViolatedError, MassDriftError,
                      ShockLabError)
 from .flux import ShockData
-from .grid import ChannelGrid, save_field_text
+from .grid import ChannelGrid, Field, save_field_text
 from .profile import ShockProfile, profile_to_text, solve_profile, verify_profile_bounds
 from .solver import PROFILE_PAD, Problem, build_perturbation, simulate
 
@@ -157,6 +162,52 @@ def run_profile(cfg: ExperimentConfig) -> int:
     return EXIT_OK if report.passed else EXIT_ANALYSIS
 
 
+def _write_snapshot(path, fld: Field) -> None:
+    """One snapshot file; a module-level function, so a worker can run it."""
+    _atomic_write(path, lambda tmp: save_field_text(fld, tmp))
+
+
+class _SnapshotWriter:
+    """Writes snapshot k of a run as field-k.txt in ``directory``.
+
+    Snapshot 0 is written in-process.  Later ones go to at most two forked
+    workers, so that their text formatting overlaps stepping on a second
+    core.  The pool starts at snapshot 1, after the first step: a process
+    that ends during set-up leaves no worker behind.  At most workers + 1
+    writes are in flight, which bounds the fields held for them; `close`
+    waits for every write and re-raises the first that failed.  Workers
+    are forked, not spawned: a spawned one would import numpy and the
+    package again.  The pool forks both before it starts its own threads,
+    and the workers call no BLAS, whose idle threads are not copied.
+    """
+
+    def __init__(self, directory):
+        self.directory, self.pool, self.pending = directory, None, deque()
+        self.workers = min(2, len(os.sched_getaffinity(0)))
+
+    def write(self, k: int, fld: Field) -> None:
+        path = os.path.join(self.directory, f"field-{k:05d}.txt")
+        if k == 0:
+            _write_snapshot(path, fld)
+            return
+        if self.pool is None:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+            self.pool = ProcessPoolExecutor(
+                self.workers, mp_context=multiprocessing.get_context("fork"))
+        self.pending.append(self.pool.submit(_write_snapshot, path, fld))
+        if len(self.pending) > self.workers + 1:
+            self.pending.popleft().result()
+
+    def close(self) -> None:
+        try:
+            while self.pending:
+                self.pending.popleft().result()
+        finally:
+            if self.pool is not None:
+                self.pool.shutdown()
+
+
 def run_simulate(cfg: ExperimentConfig) -> int:
     """The simulate command: norms.csv and the snapshots, no analysis."""
     _prepare_out_dir(cfg)
@@ -172,15 +223,14 @@ def stream_to_dir(cfg: ExperimentConfig
     failed:` line, any other failure, a failed profile solve included, 2
     and one `simulation failed:` line.
     """
-    rows, code, snap_dir = [], EXIT_OK, os.path.join(cfg.out_dir, "snapshots")
-    problem = None
+    rows, code, problem = [], EXIT_OK, None
+    snapshots = _SnapshotWriter(os.path.join(cfg.out_dir, "snapshots"))
     try:
         problem = build_problem(cfg)
         meta, stream = simulate(problem)
         for k, (fld, row) in enumerate(stream):
             if cfg.snapshots:
-                _atomic_write(os.path.join(snap_dir, f"field-{k:05d}.txt"),
-                              lambda tmp: save_field_text(fld, tmp))
+                snapshots.write(k, fld)
             rows.append((fld.time, row))
     except MassDriftError as exc:
         log.error("mass conservation failed: %s", exc)
@@ -188,6 +238,8 @@ def stream_to_dir(cfg: ExperimentConfig
     except ShockLabError as exc:
         log.error("simulation failed: %s", exc)
         code = EXIT_SIMULATION
+    finally:
+        snapshots.close()
     if not rows:
         return code, problem, None
     norms = NormSeries.from_rows(rows, meta)

@@ -67,6 +67,8 @@ CONTOUR_POINTS = 32
 WAVE_FD_FRACTION = 1e-7
 WAVE_TOL_FRACTION = 1e-12
 WAVE_MAX_ITER = 10
+# Relative slack on t_final/dt_out being whole: 0.7/0.0125 is 55.99999999999999.
+DT_OUT_REL_TOL = 1e-9
 
 
 def _rhs_values(u: np.ndarray, grid: ChannelGrid, shock: ShockData,
@@ -464,6 +466,15 @@ class Problem:
     p_list: tuple[float, ...]
 
 
+def whole_outputs(t_final: float, dt_out: float) -> bool:
+    """Whether 0 < dt_out <= t_final and dt_out divides t_final into whole
+    outputs, within DT_OUT_REL_TOL of t_final/dt_out."""
+    if not 0.0 < dt_out <= t_final:
+        return False
+    n_out = t_final / dt_out
+    return abs(n_out - round(n_out)) <= DT_OUT_REL_TOL * n_out
+
+
 class _Setup(NamedTuple):
     """Everything a run builds before its first step."""
 
@@ -478,7 +489,8 @@ def _setup(problem: Problem, n_sub: int | None = None) -> _Setup:
 
     The initial field is the `discrete_wave` at phase 0 plus the
     perturbation, and the run measures against the `discrete_wave` at the
-    phase a of `shift_normalize`.  Without ``n_sub``, the step dt_out /
+    phase a of `shift_normalize`.  A dt_out that fails `whole_outputs`
+    raises OutOfRangeError.  Without ``n_sub``, the step dt_out /
     n_sub is the largest such step within `advective_dt` and
     `nonzero_mode_dt` on the initial field.  The meta records the problem,
     dt, a and the initial mass.
@@ -488,6 +500,9 @@ def _setup(problem: Problem, n_sub: int | None = None) -> _Setup:
     if problem.perturbation.shape != grid.shape:
         raise ValueError(f"perturbation shape {problem.perturbation.shape} does not "
                          f"match grid {grid.shape}")
+    if not whole_outputs(problem.t_final, problem.dt_out):
+        raise OutOfRangeError(f"dt_out {problem.dt_out:g} does not divide t_final "
+                              f"{problem.t_final:g} into whole outputs")
 
     column = (grid.n1,) + (1,) * (grid.dimension - 1)
     u0 = discrete_wave(grid, prof, 0.0, problem.llf).reshape(column) \

@@ -1,8 +1,10 @@
 """`shocklab` commands end to end on tiny grids: exit codes and artifacts."""
 
+import errno
 import json
 import logging
 import math
+import multiprocessing
 import os
 import stat
 from dataclasses import replace
@@ -10,12 +12,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from shocklab import cli, solver
+from shocklab import cli, experiment, solver
 from shocklab.analysis import (MIN_FIT_SAMPLES, NormSeries, analyze_record,
                                report_to_dict, reports_to_json)
 from shocklab.config import config_from_dict
 from shocklab.experiment import (EXIT_ANALYSIS, EXIT_CONFIG, EXIT_OK,
                                  EXIT_SIMULATION, build_problem)
+from shocklab.grid import save_field_text
 from shocklab.solver import discrete_wave
 
 SMALL = {"dimension": 1, "grid": {"half_length": 15, "n1": 64}}
@@ -462,6 +465,71 @@ def test_check_area_non_finite_constant_exits_1(tmp_path, caplog, capsys, option
     assert len(errors) == 1
     assert errors[0].startswith("parameters violate the lemma hypotheses:")
     assert capsys.readouterr().out == ""
+
+
+def test_snapshots_are_the_fields_of_simulate(tmp_path, caplog):
+    # snapshot 0 is written in-process, the other 20 by the workers
+    code, out, errors = run(tmp_path, "simulate", OK, caplog)
+    assert (code, errors) == (EXIT_OK, [])
+    _, stream = solver.simulate(build_problem(config_from_dict(OK)))
+    expected = tmp_path / "expected.txt"
+    for k, (fld, _) in enumerate(stream):
+        save_field_text(fld, expected)
+        assert (out / SNAPS[k]).read_bytes() == expected.read_bytes(), SNAPS[k]
+    assert k == len(SNAPS) - 1
+
+
+@pytest.mark.parametrize("k", [2, 9])
+def test_failed_output_keeps_every_snapshot_before_it(tmp_path, caplog, monkeypatch, k):
+    record_norms, rows = solver._record_norms, []
+
+    def leak_at_output_k(*args):
+        row = record_norms(*args)
+        rows.append(row)
+        if len(rows) == k + 1:
+            row["boundary_leak"] = 1.0 + row["pert_Linf"]
+        return row
+
+    monkeypatch.setattr(solver, "_record_norms", leak_at_output_k)
+    code, out, errors = run(tmp_path, "simulate", OK, caplog)
+    assert code == EXIT_SIMULATION
+    assert len(errors) == 1 and errors[0].startswith("simulation failed:")
+    assert len(csv_times(out)) == k
+    # every write in flight ended before the command returned
+    assert files(out) == ["config-echo.json", "norms.csv"] + SNAPS[:k]
+    assert multiprocessing.active_children() == []
+
+
+def test_no_worker_before_the_first_step(tmp_path, caplog, monkeypatch):
+    # a process may end at its first step, as a set-up-only benchmark run
+    # does; a worker started before it would be left mid-write
+    advance, children = solver.advance, []
+
+    def first_step(*args, **kwargs):
+        if not children:
+            children.append(multiprocessing.active_children())
+        return advance(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "advance", first_step)
+    code, out, _ = run(tmp_path, "simulate", OK, caplog)
+    assert (code, children) == (EXIT_OK, [[]])
+    assert files(out) == LEFT_BY["simulate"]
+
+
+def test_failed_snapshot_write_raises_and_leaves_no_worker(tmp_path, caplog,
+                                                           monkeypatch):
+    # the patch reaches the workers, which are forked after it
+    def disk_full_after_output_3(fld, path):
+        if fld.time > 0.25:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        save_field_text(fld, path)
+
+    monkeypatch.setattr(experiment, "save_field_text", disk_full_after_output_3)
+    with pytest.raises(OSError, match="No space left on device"):
+        run(tmp_path, "simulate", OK, caplog)
+    assert multiprocessing.active_children() == []
+    # every later write fails too, and leaves no temporary file
+    assert files(tmp_path / "out") == ["config-echo.json"] + SNAPS[:3]
 
 
 def test_no_temporary_files_left(tmp_path, caplog):

@@ -92,3 +92,24 @@ class TestDerivativeConsistency:
         us = np.linspace(-1.0, 1.0, 7)
         expect_df = 1.0 + us + us ** 3 / 3.0
         np.testing.assert_allclose(fx.df1(us), expect_df, rtol=1e-13)
+
+
+class TestPolynomialEvaluation:
+    COEFFS = [0.0, 0.3, 0.5, 0.1, 0.02]
+
+    def reference(self, coeffs, u):
+        return np.polynomial.polynomial.polyval(u, coeffs)
+
+    def test_scalars_equal_polyval_bit_for_bit(self):
+        fx = sl.polynomial_flux(self.COEFFS)
+        dcoeffs = np.polynomial.polynomial.polyder(self.COEFFS)
+        for u in np.random.default_rng(5).uniform(-4.0, 4.0, 10_000).tolist():
+            assert fx.f1(u) == self.reference(self.COEFFS, u)
+            assert fx.df1(u) == self.reference(dcoeffs, u)
+
+    def test_array_equals_polyval_bit_for_bit(self):
+        fx = sl.polynomial_flux(self.COEFFS)
+        dcoeffs = np.polynomial.polynomial.polyder(self.COEFFS)
+        us = np.random.default_rng(6).uniform(-4.0, 4.0, (100, 7))
+        np.testing.assert_array_equal(fx.f1(us), self.reference(self.COEFFS, us))
+        np.testing.assert_array_equal(fx.df1(us), self.reference(dcoeffs, us))

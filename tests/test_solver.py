@@ -13,8 +13,8 @@ from shocklab import cli
 from shocklab.config import (ExperimentConfig, GridSpec, PerturbationSpec,
                              StepperSpec, config_from_dict)
 from shocklab.errors import (BlowupError, BoundaryLeakError,
-                             NonzeroModePresentError, RangeExceededError,
-                             WaveNotConvergedError)
+                             NonzeroModePresentError, OutOfRangeError,
+                             RangeExceededError, WaveNotConvergedError)
 from conftest import closed_form_sym
 
 
@@ -475,6 +475,13 @@ class TestRunRecord:
         fields = [fld for fld, _ in sl.simulate(sl.build_problem(make_config()))[1]]
         assert len(fields) == 5
         assert fields[-1].time == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("dt_out", [0.8, 0.3, 3.0, 0.0, -0.5])
+    def test_dt_out_that_does_not_divide_t_final_is_rejected(self, dt_out):
+        # outputs at 0, 0.8 and 1.6 would stop short of t_final 2
+        problem = sl.build_problem(make_config())
+        with pytest.raises(OutOfRangeError, match="whole outputs"):
+            sl.simulate(replace(problem, dt_out=dt_out))
 
 
 class TestStream:

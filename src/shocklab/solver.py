@@ -23,6 +23,20 @@ twice the smallest transverse diffusion rate, a forcing the explicit
 stages must resolve.  The phi-functions come from the contour integral of
 Kassam & Trefethen (SIAM J. Sci. Comput. 26, 2005).
 
+Libraries: numpy alone.  The DST-I is computed the way pocketfft's own
+DST-I does it, as minus the imaginary part of the real FFT
+(`numpy.fft.rfft`) of the odd extension.  The torus transform is
+`numpy.fft.rfft`/`irfft` over the last axis and, in 3-d, `numpy.fft.fft`/
+`ifft` over the other transverse axis.  numpy 2 and scipy ship the same C++
+pocketfft.  It transforms each line the same way whatever the memory
+layout, and multiplies by its scale factor 1/N, formed in long double,
+last.  With the factors formed and applied the same way here, the
+transforms equal scipy's `dst`/`idst` type 1 and `rfftn`/`irfftn` bit for
+bit.  The Newton solve of `discrete_wave` is `_dgtsv`, a port of reference
+LAPACK ``dgtsv``, which scipy's `solve_banded` calls for a tridiagonal
+matrix; it does the same operations in the same order on Python floats, so
+its solutions are scipy's bit for bit too.
+
 A run is a `Problem`; `experiment.build_problem` makes the `Problem` of a
 config, a layer this module does not import.
 """
@@ -36,8 +50,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.fft import dst, idst, irfftn, rfftn
-from scipy.linalg import solve_banded
 
 from .analysis import ROUNDOFF_FRACTION, NormSeries
 from .errors import (BlowupError, BoundaryLeakError, MassDriftError,
@@ -176,17 +188,23 @@ def _laplacian_symbol(grid: ChannelGrid) -> np.ndarray:
     """Eigenvalues of the interior Laplacian in the DST-I x real-FFT basis.
 
     Interior rows 1..n1-2 see the boundary rows as Dirichlet data, so the
-    x1 part is diagonalised by the DST-I; the last transverse axis keeps
-    only the non-negative wavenumbers of the real FFT.
+    x1 part is diagonalised by the DST-I; the torus axis of the real FFT
+    keeps only the non-negative wavenumbers.  The layout is that of
+    `_to_spectral`: in 3-d that axis comes before the full one.
     """
     j = np.arange(1, grid.n1 - 1)
     lam = -(2.0 * np.sin(np.pi * j / (2.0 * (grid.n1 - 1))) / grid.h1) ** 2
-    n_trans = grid.dimension - 1
-    for axis in range(n_trans):
-        q = np.arange(grid.nprime // 2 + 1 if axis == n_trans - 1 else grid.nprime)
-        lam = lam[..., None] - (2.0 * np.sin(np.pi * q / grid.nprime)
-                                / grid.hprime) ** 2
-    return lam
+    if grid.dimension == 1:
+        return lam
+
+    def transverse(q):
+        return (2.0 * np.sin(np.pi * q / grid.nprime) / grid.hprime) ** 2
+
+    half = transverse(np.arange(grid.nprime // 2 + 1))
+    if grid.dimension == 2:
+        return lam[:, None] - half
+    full = lam[:, None] - transverse(np.arange(grid.nprime))
+    return full[:, None, :] - half[:, None]
 
 
 @functools.lru_cache(maxsize=4)
@@ -217,21 +235,57 @@ def _etdrk4_coefficients(grid: ChannelGrid, dt: float) -> tuple[np.ndarray, ...]
     return coefs
 
 
+def _pocketfft_scale(n: int) -> float:
+    """1/n as pocketfft forms its scale factors: in long double, then rounded."""
+    return float(np.longdouble(1) / np.longdouble(n))
+
+
+def _dst1(v: np.ndarray, scale: float) -> np.ndarray:
+    """``scale`` times the DST-I of ``v`` along axis 0, as pocketfft's DST-I.
+
+    That is minus the imaginary part of bins 1..N of the real FFT of the odd
+    extension (0, v, 0, -v reversed) of length 2(N+1).  Negation is exact
+    and rounding symmetric, so the product with -scale equals pocketfft's
+    negated scaled bins.
+    """
+    n = v.shape[0]
+    ext = np.empty((2 * n + 2,) + v.shape[1:])
+    ext[0] = ext[n + 1] = 0.0
+    ext[1:n + 1] = v
+    np.negative(v[::-1], out=ext[n + 2:])
+    return np.multiply(np.fft.rfft(ext, axis=0).imag[1:n + 1], -scale)
+
+
 def _to_spectral(v: np.ndarray) -> np.ndarray:
-    """DST-I along x1, then the real FFT over the torus."""
-    out = dst(v, type=1, axis=0)
-    return out if v.ndim == 1 else rfftn(out, axes=tuple(range(1, v.ndim)))
+    """DST-I along x1, then the real FFT over the torus.
+
+    The values are those of scipy's ``dst(type=1)`` then ``rfftn``.  In
+    3-d the two transverse axes are stored swapped, so that the complex
+    FFT, which follows the real one, runs along the contiguous last axis.
+    """
+    c = _dst1(v, 1.0)
+    if v.ndim == 1:
+        return c
+    c = np.fft.rfft(c, axis=-1)
+    if v.ndim == 2:
+        return c
+    return np.fft.fft(np.ascontiguousarray(c.swapaxes(1, 2)), axis=-1)
 
 
 def _from_spectral(c: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Inverse of `_to_spectral` for interior values of the given shape.
 
-    ``c`` is left intact.
+    ``c`` is left intact.  ``norm="forward"`` leaves numpy's inverse FFTs
+    unscaled; the torus scale 1/N'^(n-1) multiplies the output of the real
+    inverse FFT, where scipy's ``irfftn`` applies it.
     """
-    if len(shape) == 1:
-        return idst(c, type=1)
-    c = irfftn(c, s=shape[1:], axes=tuple(range(1, len(shape))))
-    return idst(c, type=1, axis=0, overwrite_x=True)
+    if len(shape) > 1:
+        if len(shape) == 3:
+            c = np.fft.ifft(c, axis=-1, norm="forward")
+            c = np.ascontiguousarray(c.swapaxes(1, 2))
+        c = np.fft.irfft(c, n=shape[-1], axis=-1, norm="forward")
+        c *= _pocketfft_scale(math.prod(shape[1:]))
+    return _dst1(c, _pocketfft_scale(2 * shape[0] + 2))
 
 
 def _blowup_guard(u: np.ndarray) -> tuple[float, float]:
@@ -381,6 +435,51 @@ def _record_norms(u: np.ndarray, bg: np.ndarray, grid: ChannelGrid,
     return out
 
 
+def _dgtsv(dl: list, d: list, du: list, cols: list) -> list:
+    """Solve the tridiagonal system with sub-, main and super-diagonals
+    ``dl``, ``d``, ``du`` for each right-hand side in ``cols``.
+
+    A port of reference LAPACK ``dgtsv``: Gaussian elimination with
+    partial pivoting, whose row interchanges fill a second superdiagonal
+    kept in ``dl``, then back substitution, one column after the other.
+    The operations and their order are those of ``dgtsv``, on Python
+    floats.  All lists are overwritten; the returned ``cols`` holds the
+    solutions.  A zero pivot raises WaveNotConvergedError.
+    """
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            if d[i] == 0.0:
+                raise WaveNotConvergedError(f"singular tridiagonal matrix: zero pivot "
+                                            f"in row {i}")
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            for b in cols:
+                b[i + 1] = b[i + 1] - fact * b[i]
+            dl[i] = 0.0
+        else:
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            for b in cols:
+                b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+    if d[n - 1] == 0.0:
+        raise WaveNotConvergedError(f"singular tridiagonal matrix: zero pivot in "
+                                    f"row {n - 1}")
+    for b in cols:
+        b[n - 1] = b[n - 1] / d[n - 1]
+        if n > 1:
+            b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+        for i in range(n - 3, -1, -1):
+            b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return cols
+
+
 def discrete_wave(grid: ChannelGrid, prof: ShockProfile, a: float,
                   llf: bool = False) -> np.ndarray:
     """Discrete traveling wave U_h of the scheme at phase a.
@@ -400,7 +499,8 @@ def discrete_wave(grid: ChannelGrid, prof: ShockProfile, a: float,
     costs one banded solve with two right-hand sides: the matrix is the
     Jacobian with the phase row replaced by the identity row, which splits
     into two well-conditioned Dirichlet problems, and the phase row enters
-    by the Sherman-Morrison formula.  Returns the n1 samples of U_h.
+    by the Sherman-Morrison formula.  A zero pivot of that solve raises
+    WaveNotConvergedError.  Returns the n1 samples of U_h.
     """
     shock = prof.shock
     u, du = eval_profile(prof, grid.x1 + a)
@@ -424,18 +524,18 @@ def discrete_wave(grid: ChannelGrid, prof: ShockProfile, a: float,
             v = u.copy()
             v[1:-1][cols == c] += step
             diffs[c] = (residual(v) - f) / step
-        # banded storage of the Jacobian: row i of diffs[c] holds the entry
-        # of column j with j = i - 1, i or i + 1 and j mod 3 = c
-        ab = np.zeros((3, n))
-        ab[0, 1:] = diffs[cols[1:], np.arange(n - 1)]
-        ab[1] = diffs[cols, np.arange(n)]
-        ab[2, :-1] = diffs[cols[:-1], np.arange(1, n)]
+        # the Jacobian's diagonals: row i of diffs[c] holds the entry of
+        # column j with j = i - 1, i or i + 1 and j mod 3 = c
+        sub = diffs[cols[:-1], np.arange(1, n)]
+        diag = diffs[cols, np.arange(n)]
+        sup = diffs[cols[1:], np.arange(n - 1)]
         # identity phase row; the slices are empty when m is an end row
-        ab[0, m + 1:m + 2] = 0.0
-        ab[1, m] = 1.0
-        ab[2, m - 1:m] = 0.0
+        sub[m - 1:m] = 0.0
+        diag[m] = 1.0
+        sup[m:m + 1] = 0.0
         f[m] = 0.0
-        y, z = solve_banded((1, 1), ab, np.column_stack((-f, e_m))).T
+        y, z = map(np.array, _dgtsv(sub.tolist(), diag.tolist(), sup.tolist(),
+                                    [(-f).tolist(), e_m.tolist()]))
         phase = float(w @ (u - target))
         update = y - z * ((wi @ y + phase) / (wi @ z))
         u[1:-1] += update

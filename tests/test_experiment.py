@@ -407,6 +407,18 @@ def offset_background(monkeypatch, delta):
 
 
 @pytest.mark.parametrize("command", ["run", "simulate"])
+def test_singular_wave_jacobian_exits_2_with_one_error(tmp_path, caplog, monkeypatch,
+                                                       command):
+    # a residual that does not depend on u gives the Newton solve of
+    # discrete_wave a Jacobian that is zero off the phase row
+    monkeypatch.setattr(solver, "_rhs_values", lambda u, *args: np.zeros_like(u))
+    code, out, errors = run(tmp_path, command, OK, caplog)
+    assert code == EXIT_SIMULATION
+    assert errors == ["simulation failed: singular tridiagonal matrix: zero pivot in row 0"]
+    assert files(out) == ["config-echo.json"]
+
+
+@pytest.mark.parametrize("command", ["run", "simulate"])
 def test_mass_drift_exits_3_with_one_error(tmp_path, caplog, monkeypatch, command):
     offset_background(monkeypatch, 1e-7)
     code, out, errors = run(tmp_path, command, DRIFTING, caplog)

@@ -1,6 +1,7 @@
 """The package's public surface: every exported name exists."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -15,12 +16,46 @@ def test_all_names_resolve():
     assert len(set(shocklab.__all__)) == len(shocklab.__all__)
 
 
+def _src_env():
+    """The environment of a child interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(shocklab.__file__)))
+    return dict(os.environ, PYTHONPATH=src)
+
+
 def test_cli_import_leaves_out_scipy_interpolate():
     # the profile is evaluated in numpy; scipy.interpolate costs ~0.15 s of import
-    src = os.path.dirname(os.path.dirname(os.path.abspath(shocklab.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
     code = "import sys, shocklab.cli; sys.exit('scipy.interpolate' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert subprocess.run([sys.executable, "-c", code], env=_src_env()).returncode == 0
+
+
+def test_cli_import_loads_no_scipy():
+    # the transforms and the Newton solve are numpy and Python; scipy is a
+    # test-only reference
+    code = ("import sys, shocklab.cli; "
+            "sys.exit(' '.join(m for m in sys.modules if m.startswith('scipy')) or None)")
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_run_without_scipy_writes_the_same_norms(tmp_path):
+    # a 3-d run uses the DST-I, both torus transforms and the Newton solve
+    doc = {"dimension": 3, "grid": {"half_length": 15, "n1": 64, "nprime": 4},
+           "stepper": {"t_final": 2.0, "dt_out": 0.5},
+           "perturbation": {"kind": "random-nonzero-mode"}}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    norms = {}
+    for label, block in (("plain", ""), ("blocked", "sys.modules['scipy'] = None; ")):
+        code = (f"import sys; {block}from shocklab.cli import main; "
+                "sys.exit(main(sys.argv[1:]))")
+        out = tmp_path / label
+        proc = subprocess.run([sys.executable, "-c", code, "run", "--quiet",
+                               "--config", str(config), "--out", str(out)],
+                              env=_src_env(), cwd=tmp_path)
+        assert proc.returncode == 0, label
+        norms[label] = (out / "norms.csv").read_bytes()
+    assert norms["blocked"] == norms["plain"]
 
 
 def test_only_the_config_layer_imports_config():

@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.fft import dst, idst, irfftn, rfftn
+from scipy.linalg import LinAlgError, solve_banded
 
 import shocklab as sl
 from shocklab import cli
@@ -515,3 +517,117 @@ class TestStream:
         assert [float(r["t"]) for r in table] == list(norms.times)
         for name, values in norms.channels.items():
             assert [float(r[name]) for r in table] == list(values), name
+
+
+def same_bits(a, b):
+    """Whether two arrays hold the same values bit for bit, signs of zero
+    included."""
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
+
+
+# interior shapes: the odd extensions 2(n + 1) = 126 = 2 3^2 7, 1022 = 2 7 73,
+# 2046 = 2 3 11 31 and 5462 = 2 2731 take different pocketfft plans, and
+# 1/5462 rounded once differs from pocketfft's factor, rounded from long
+# double; N' = 5 is odd
+TRANSFORM_SHAPES = [(1,), (2,), (62,), (510,), (1022,), (2730,),
+                    (62, 5), (510, 8), (1022, 16), (62, 5, 5), (510, 8, 8), (1022, 4, 4)]
+
+
+def shape_id(shape):
+    return "x".join(map(str, shape))
+
+
+class TestTransformsMatchScipy:
+    """The numpy transforms of `advance` against scipy's, bit for bit; the
+    3-d spectral layout holds the two transverse axes swapped."""
+
+    @staticmethod
+    def scipy_layout(c):
+        return c.swapaxes(1, 2) if c.ndim == 3 else c
+
+    @pytest.mark.parametrize("shape", TRANSFORM_SHAPES, ids=shape_id)
+    def test_forward(self, shape):
+        v = np.random.default_rng(len(shape)).standard_normal(shape)
+        ref = dst(v, type=1, axis=0)
+        if v.ndim > 1:
+            ref = rfftn(ref, axes=tuple(range(1, v.ndim)))
+        assert same_bits(sl.solver._to_spectral(v), self.scipy_layout(ref))
+
+    @pytest.mark.parametrize("shape", TRANSFORM_SHAPES, ids=shape_id)
+    def test_inverse(self, shape):
+        v = np.random.default_rng(len(shape)).standard_normal(shape)
+        c = sl.solver._to_spectral(v)
+        kept = c.copy()
+        ref = self.scipy_layout(c)
+        if v.ndim > 1:
+            ref = irfftn(ref, s=shape[1:], axes=tuple(range(1, v.ndim)))
+        ref = idst(ref, type=1, axis=0)
+        assert same_bits(sl.solver._from_spectral(c, shape), ref)
+        assert same_bits(c, kept)
+
+
+def banded(dl, d, du):
+    """The (1, 1) banded storage of `solve_banded`."""
+    ab = np.zeros((3, len(d)))
+    ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
+    return ab
+
+
+def dgtsv(dl, d, du, b):
+    """`_dgtsv` on Python floats, as `discrete_wave` calls it, for the
+    columns of b."""
+    lists = [np.asarray(x, dtype=float).tolist() for x in (dl, d, du)]
+    return np.array(sl.solver._dgtsv(*lists, b.T.tolist())).T
+
+
+def dgtsv_and_scipy(dl, d, du, b):
+    """Solutions of `_dgtsv` and of `solve_banded` for the columns of b."""
+    return dgtsv(dl, d, du, b), solve_banded((1, 1), banded(dl, d, du), b)
+
+
+class TestDgtsvMatchesScipy:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 1022])
+    def test_random_systems_with_row_interchanges(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            dl, du = rng.standard_normal(n - 1), rng.standard_normal(n - 1)
+            d = rng.standard_normal(n)
+            # on even rows, the first one included, the subdiagonal entry
+            # outweighs the diagonal one
+            d[:-1:2] = dl[::2] * rng.uniform(-0.5, 0.5, len(dl[::2]))
+            port, ref = dgtsv_and_scipy(dl, d, du, rng.standard_normal((n, 2)))
+            assert same_bits(port, ref)
+
+    def test_discrete_wave_jacobians(self, monkeypatch):
+        systems = []
+        port = sl.solver._dgtsv
+
+        def recorded(dl, d, du, cols):
+            systems.append((np.array(dl), np.array(d), np.array(du), np.array(cols).T))
+            return port(dl, d, du, cols)
+
+        monkeypatch.setattr(sl.solver, "_dgtsv", recorded)
+        for flux, states, llf in [(sl.burgers_flux(), (1.0, -1.0), False),
+                                  (sl.burgers_flux(), (2.0, 0.0), True),
+                                  (sl.convex_quartic_flux(), (1.0, -1.0), False)]:
+            shock = sl.ShockData(flux, *states)
+            prof = sl.solve_profile(shock, 34.0, 1e-3)
+            sl.discrete_wave(sl.ChannelGrid(dimension=1, half_length=30.0, n1=512),
+                             prof, 0.3, llf)
+        monkeypatch.undo()
+        assert len(systems) >= 6
+        for dl, d, du, b in systems:
+            assert same_bits(*dgtsv_and_scipy(dl, d, du, b))
+
+    @pytest.mark.parametrize("dl,d,du", [
+        ([0.0], [0.0, 1.0], [1.0]),          # zero first pivot, nothing to swap
+        ([1.0], [1.0, 1.0], [1.0]),          # elimination leaves a zero last pivot
+        ([2.0, 0.0], [1.0, 4.0, 1.0], [2.0, 1.0]),   # after a row interchange
+    ])
+    def test_singular_system_is_a_typed_error(self, dl, d, du):
+        b = np.ones((len(d), 2))
+        with pytest.raises(LinAlgError):
+            solve_banded((1, 1), banded(dl, d, du), b)
+        with pytest.raises(WaveNotConvergedError, match="zero pivot"):
+            dgtsv(dl, d, du, b)

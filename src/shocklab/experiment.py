@@ -13,9 +13,9 @@ rates.json checks is decided by the run's record in `analysis`.
 `check_area` writes no file and prints its report as JSON.
 Every file goes through `_atomic_write`, a temp-then-rename, so readers
 never see partial files.  The t = 0 snapshot is written in-process; the
-later ones by at most two forked worker processes (`_SnapshotWriter`),
-which format the text while the run keeps stepping.  Every snapshot write
-has ended, and a failed one has raised, before the command returns.
+later ones by one forked worker process (`_SnapshotWriter`), which writes
+them while the run keeps stepping.  Every snapshot write has ended, and a
+failed one has raised, before the command returns.
 A failed command keeps its output up to the failure: no norms.csv after a
 failed set-up, the norms.csv rows and snapshots before a failed step or
 monitor.
@@ -170,20 +170,25 @@ def _write_snapshot(path, fld: Field) -> None:
 class _SnapshotWriter:
     """Writes snapshot k of a run as field-k.txt in ``directory``.
 
-    Snapshot 0 is written in-process.  Later ones go to at most two forked
-    workers, so that their text formatting overlaps stepping on a second
-    core.  The pool starts at snapshot 1, after the first step: a process
-    that ends during set-up leaves no worker behind.  At most workers + 1
-    writes are in flight, which bounds the fields held for them; `close`
-    waits for every write and re-raises the first that failed.  Workers
-    are forked, not spawned: a spawned one would import numpy and the
-    package again.  The pool forks both before it starts its own threads,
-    and the workers call no BLAS, whose idle threads are not copied.
+    Snapshot 0 is written in-process.  Later ones go to one forked worker,
+    so that their writes overlap stepping on a second core.  One suffices:
+    `grid.format_e17` formats a nonzero-3d snapshot in ~5 ms, against
+    ~25 ms of stepping per output, and two workers measured no faster.
+    The worker starts at snapshot 1, after the first step: a process that
+    ends during set-up leaves no worker behind.  At most two writes are in
+    flight, one running and one queued, which bounds the fields held for
+    them; `close` waits for every write and re-raises the first that
+    failed.  The worker is forked, not spawned: a spawned one would import
+    numpy and the package again.  The pool forks it before it starts its
+    own threads, and the worker calls no BLAS, whose idle threads are not
+    copied.
     """
+
+    # writes in flight before `write` waits for the oldest
+    IN_FLIGHT = 2
 
     def __init__(self, directory):
         self.directory, self.pool, self.pending = directory, None, deque()
-        self.workers = min(2, len(os.sched_getaffinity(0)))
 
     def write(self, k: int, fld: Field) -> None:
         path = os.path.join(self.directory, f"field-{k:05d}.txt")
@@ -194,9 +199,9 @@ class _SnapshotWriter:
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
             self.pool = ProcessPoolExecutor(
-                self.workers, mp_context=multiprocessing.get_context("fork"))
+                1, mp_context=multiprocessing.get_context("fork"))
         self.pending.append(self.pool.submit(_write_snapshot, path, fld))
-        if len(self.pending) > self.workers + 1:
+        if len(self.pending) > self.IN_FLIGHT:
             self.pending.popleft().result()
 
     def close(self) -> None:

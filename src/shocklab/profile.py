@@ -27,6 +27,7 @@ import numpy as np
 from .analysis import log_linear_fit
 from .errors import NotAdmissibleError, StepTooLargeError, TailTooShortError
 from .flux import ShockData
+from .grid import save_text_e17
 
 # Clamp distance, as a fraction of the shock strength.
 CLAMP_TOL_FRACTION = 1e-14
@@ -244,6 +245,6 @@ def verify_profile_bounds(profile: ShockProfile) -> TailReport:
 
 
 def profile_to_text(profile: ShockProfile, path) -> None:
-    """Two-column (xi, U) text export for external plotting."""
-    data = np.column_stack([profile.xi, profile.u])
-    np.savetxt(path, data, fmt="%.17e", header="xi U")
+    """Two-column (xi, U) text export for external plotting, in the bytes of
+    ``np.savetxt(..., fmt="%.17e", header="xi U")`` (`grid.save_text_e17`)."""
+    save_text_e17(path, np.column_stack([profile.xi, profile.u]), "xi U")

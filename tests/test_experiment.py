@@ -480,7 +480,7 @@ def test_check_area_non_finite_constant_exits_1(tmp_path, caplog, capsys, option
 
 
 def test_snapshots_are_the_fields_of_simulate(tmp_path, caplog):
-    # snapshot 0 is written in-process, the other 20 by the workers
+    # snapshot 0 is written in-process, the other 20 by the worker
     code, out, errors = run(tmp_path, "simulate", OK, caplog)
     assert (code, errors) == (EXIT_OK, [])
     _, stream = solver.simulate(build_problem(config_from_dict(OK)))
@@ -530,7 +530,7 @@ def test_no_worker_before_the_first_step(tmp_path, caplog, monkeypatch):
 
 def test_failed_snapshot_write_raises_and_leaves_no_worker(tmp_path, caplog,
                                                            monkeypatch):
-    # the patch reaches the workers, which are forked after it
+    # the patch reaches the worker, which is forked after it
     def disk_full_after_output_3(fld, path):
         if fld.time > 0.25:
             raise OSError(errno.ENOSPC, "No space left on device")

@@ -1,5 +1,7 @@
 """Channel quadrature, norms, and field storage."""
 
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -175,3 +177,93 @@ class TestFieldIO:
         back = sl.grid.load_field_text(path)
         np.testing.assert_array_equal(back.values, fld.values)
         assert (back.time, back.grid) == (fld.time, fld.grid)
+
+
+def savetxt_bytes(values, **kwargs):
+    """What ``np.savetxt(..., fmt="%.17e")`` writes for ``values``."""
+    out = io.BytesIO()
+    np.savetxt(out, values, fmt="%.17e", **kwargs)
+    return out.getvalue()
+
+
+def percent_e17(values):
+    """Python's "%.17e" of each value, one a line."""
+    return "".join("%.17e\n" % v for v in values).encode()
+
+
+def assert_formats_like_python(values):
+    values = np.asarray(values, dtype=float)
+    got = sl.grid.format_e17(values[:, None])
+    assert got == percent_e17(values.tolist())
+    assert got == savetxt_bytes(values[:, None])
+
+
+class TestFormatE17:
+    # the oracles are Python's "%.17e" and np.savetxt, never the kernel
+
+    def test_next_to_powers_of_ten(self):
+        # y = |x| 10^(17-E) lands next to 1e17 or 1e18 here: a range test on
+        # the high part of y alone printed 0.99999999999999997e-277 for
+        # 9.99999999999999969e-278
+        values = []
+        for m in range(-300, 300):
+            power = float(f"1e{m}")
+            up = down = power
+            values.append(power)
+            for _ in range(40):
+                up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
+                values += [up, down]
+        values = np.array(values)
+        assert_formats_like_python(values)
+        assert_formats_like_python(-values)
+
+    def test_exact_ties(self):
+        # odd m / 2^18 in [1, 10): m 5^17 / 2 is an odd half, a tie for 18
+        # digits, which Python rounds to even
+        ties = np.arange(2 ** 18 + 1, 10 * 2 ** 18, 2) / 2.0 ** 18
+        got = sl.grid.format_e17(ties.reshape(-1, 64))
+        assert got == savetxt_bytes(ties.reshape(-1, 64))
+        assert got.replace(b" ", b"\n") == percent_e17(ties.tolist())
+
+    def test_zeros_subnormals_extremes_and_non_finite(self):
+        tiny = np.finfo(float).tiny
+        values = [0.0, -0.0, 5e-324, -5e-324, tiny, np.nextafter(tiny, 0.0), 1e-310,
+                  1e-280, np.nextafter(1e-280, 1.0), 1e16, np.nextafter(1e16, 0.0),
+                  1e308, -1e308, np.finfo(float).max, np.nan, -np.nan, np.inf, -np.inf]
+        assert_formats_like_python(values)
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(20).integers(0, 2 ** 64, 100_000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        assert_formats_like_python(values)
+        assert sl.grid.format_e17(values.reshape(-1, 10)) == savetxt_bytes(
+            values.reshape(-1, 10))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                    max_size=50))
+    def test_finite_floats(self, values):
+        assert_formats_like_python(values)
+
+    @pytest.mark.parametrize("shape", [(40,), (40, 5), (40, 4, 4)])
+    def test_save_field_text_is_savetxt(self, tmp_path, shape):
+        # a 1-d field is written as a column vector
+        grid = sl.ChannelGrid(dimension=len(shape), half_length=3.5, n1=shape[0],
+                              nprime=shape[-1] if len(shape) > 1 else 1)
+        rng = np.random.default_rng(len(shape))
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, shape)
+        values.flat[:3] = 0.0, -0.0, 1.0
+        path = tmp_path / "snap.txt"
+        sl.grid.save_field_text(sl.Field(grid=grid, values=values, time=0.25), path)
+        header = (f"shocklab-field n={len(shape)} N1={shape[0]} Nprime={grid.nprime} "
+                  f"L=3.5 t=0.25")
+        assert path.read_bytes() == savetxt_bytes(values.reshape(shape[0], -1),
+                                                  header=header)
+
+    def test_blocks_join_like_one_array(self, tmp_path, monkeypatch):
+        # a small block splits the rows; the file must not change
+        values = np.random.default_rng(3).standard_normal((37, 3))
+        path = tmp_path / "rows.txt"
+        monkeypatch.setattr(sl.grid, "_E17_BLOCK", 8)
+        sl.grid.save_text_e17(path, values, "a b c")
+        assert path.read_bytes() == savetxt_bytes(values, header="a b c")

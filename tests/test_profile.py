@@ -211,3 +211,12 @@ def test_two_column_export(tmp_path, profile_sym):
     assert data.shape == (profile_sym.xi.size, 2)
     np.testing.assert_array_equal(data[:, 0], profile_sym.xi)
     np.testing.assert_array_equal(data[:, 1], profile_sym.u)
+
+
+def test_two_column_export_is_savetxt(tmp_path, profile_sym):
+    path = tmp_path / "profile.txt"
+    sl.profile.profile_to_text(profile_sym, path)
+    expected = tmp_path / "savetxt.txt"
+    np.savetxt(expected, np.column_stack([profile_sym.xi, profile_sym.u]),
+               fmt="%.17e", header="xi U")
+    assert path.read_bytes() == expected.read_bytes()

@@ -21,8 +21,8 @@ from .modes import antiderivative, nonzero_mode, shift_normalize, zero_mode
 from .profile import (ShockProfile, TailReport, eval_profile, solve_profile,
                       verify_profile_bounds)
 from .solver import (Problem, advance, advective_dt, build_perturbation,
-                     cfl_dt, discrete_wave, nonzero_mode_dt, rhs,
-                     run_1d_reference, run_simulation, simulate)
+                     cfl_dt, discrete_wave, nonzero_mode_dt, rhs, run_simulation,
+                     simulate)
 
 __version__ = "0.1.0"
 
@@ -35,8 +35,7 @@ __all__ = [
     "convex_quartic_flux", "discrete_wave", "emit_config", "eval_profile",
     "fit_algebraic_rate", "fit_exponential_rate", "gn_ratio_monitor",
     "gradient", "integrate", "lp_norm", "nonzero_mode", "nonzero_mode_dt",
-    "parse_config", "polynomial_flux", "rhs", "run_1d_reference",
-    "run_experiment", "run_simulation", "shift_normalize", "simulate",
-    "solve_profile", "theorem_bound_check", "verify_area_inequality",
-    "verify_profile_bounds", "zero_mode",
+    "parse_config", "polynomial_flux", "rhs", "run_experiment", "run_simulation",
+    "shift_normalize", "simulate", "solve_profile", "theorem_bound_check",
+    "verify_area_inequality", "verify_profile_bounds", "zero_mode",
 ]

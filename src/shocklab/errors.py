@@ -49,10 +49,6 @@ class WaveNotConvergedError(ShockLabError):
     """Newton iteration for the discrete traveling wave did not converge."""
 
 
-class NonzeroModePresentError(ShockLabError):
-    """1-d reference run requested for data with a non-zero mode."""
-
-
 class TooFewSamplesError(ShockLabError):
     """Not enough samples in the fit window."""
 

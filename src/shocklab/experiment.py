@@ -39,6 +39,7 @@ import json
 import logging
 import os
 import tempfile
+import warnings
 from collections import deque
 
 import numpy as np
@@ -285,15 +286,21 @@ def check_area(csv_path, c0: float, c1: float, alpha: float, beta: float,
     """The check-area command: the area inequality on the first two (t, f)
     columns of a CSV, its report printed as JSON.
 
-    1 with one error line for an unreadable CSV, samples that are not
-    finite, whose times do not increase or that all lie before t_min, or
-    parameters that violate the lemma hypotheses, 3 when the inequality or
-    a sampled hypothesis check fails.
+    1 with one error line for an unreadable CSV or one with no data rows,
+    samples that are not finite, whose times do not increase or that all
+    lie before t_min, or parameters that violate the lemma hypotheses, 3
+    when the inequality or a sampled hypothesis check fails.
     """
     try:
-        data = np.loadtxt(csv_path, delimiter=",", comments="#", skiprows=skip_rows)
+        with warnings.catch_warnings():
+            # reported below, as no data rows
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(csv_path, delimiter=",", comments="#", skiprows=skip_rows)
     except (OSError, ValueError) as exc:
         log.error("cannot read %s: %s", csv_path, exc)
+        return EXIT_CONFIG
+    if data.size == 0:
+        log.error("no data rows in %s", csv_path)
         return EXIT_CONFIG
     if data.ndim != 2 or data.shape[1] < 2:
         log.error("expected (t, f) columns in %s", csv_path)

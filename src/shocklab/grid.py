@@ -42,6 +42,10 @@ class ChannelGrid:
         if self.dimension >= 2 and self.nprime < 4:
             raise ValueError("need at least 4 transverse points")
 
+    def __reduce__(self):
+        # the four fields, not the cached arrays, go with every pickled snapshot
+        return ChannelGrid, (self.dimension, self.half_length, self.n1, self.nprime)
+
     @property
     def h1(self) -> float:
         return 2.0 * self.half_length / (self.n1 - 1)

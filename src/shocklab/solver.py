@@ -38,7 +38,8 @@ matrix; it does the same operations in the same order on Python floats, so
 its solutions are scipy's bit for bit too.
 
 A run is a `Problem`; `experiment.build_problem` makes the `Problem` of a
-config, a layer this module does not import.
+config, a layer this module does not import.  Transversally constant data
+in n >= 2 step as their x1 column, at the step of the n-d run.
 """
 
 from __future__ import annotations
@@ -52,9 +53,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .analysis import ROUNDOFF_FRACTION, NormSeries
-from .errors import (BlowupError, BoundaryLeakError, MassDriftError,
-                     NonzeroModePresentError, OutOfRangeError, RangeExceededError,
-                     WaveNotConvergedError)
+from .errors import (BlowupError, BoundaryLeakError, MassDriftError, OutOfRangeError,
+                     RangeExceededError, WaveNotConvergedError)
 from .flux import FluxSpec, ShockData
 from .grid import ChannelGrid, Field, gradient, integrate, lp_norm
 from .modes import antiderivative, nonzero_mode, shift_normalize, zero_mode
@@ -584,16 +584,16 @@ class _Setup(NamedTuple):
     meta: dict
 
 
-def _setup(problem: Problem, n_sub: int | None = None) -> _Setup:
+def _setup(problem: Problem) -> _Setup:
     """Initial field, shift a against the profile, background and step of a run.
 
     The initial field is the `discrete_wave` at phase 0 plus the
     perturbation, and the run measures against the `discrete_wave` at the
     phase a of `shift_normalize`.  A dt_out that fails `whole_outputs`
-    raises OutOfRangeError.  Without ``n_sub``, the step dt_out /
-    n_sub is the largest such step within `advective_dt` and
-    `nonzero_mode_dt` on the initial field.  The meta records the problem,
-    dt, a and the initial mass.
+    raises OutOfRangeError.  The step dt_out / n_sub is the largest such
+    step within `advective_dt` and `nonzero_mode_dt` on the initial field.
+    The meta records the problem, dt, a, the initial mass and whether the
+    run is ``reduced``: n >= 2 and the initial field transversally constant.
     """
     prof, grid = problem.profile, problem.grid
     shock = prof.shock
@@ -614,18 +614,17 @@ def _setup(problem: Problem, n_sub: int | None = None) -> _Setup:
         raise OutOfRangeError(f"shift {a:g} too large for the solved profile range")
     bg = discrete_wave(grid, prof, a, problem.llf)
 
-    if n_sub is None:
-        dt_bound = min(advective_dt(fld, shock.flux, problem.cfl_safety,
-                                    speed=shock.speed),
-                       nonzero_mode_dt(fld))
-        n_sub = max(1, math.ceil(problem.dt_out / dt_bound))
+    dt_bound = min(advective_dt(fld, shock.flux, problem.cfl_safety, speed=shock.speed),
+                   nonzero_mode_dt(fld))
+    n_sub = max(1, math.ceil(problem.dt_out / dt_bound))
     meta = {"p_list": [float(p) for p in problem.p_list],
             "dimension": grid.dimension, "n1": grid.n1, "nprime": grid.nprime,
             "half_length": grid.half_length,
             "dt": problem.dt_out / n_sub, "shift": a,
             "mass_initial": integrate(u0 - bg.reshape(column), grid),
             "u_minus": shock.u_minus, "u_plus": shock.u_plus,
-            "speed": shock.speed, "strength": shock.strength}
+            "speed": shock.speed, "strength": shock.strength,
+            "reduced": grid.dimension > 1 and not _varies_transversally(u0)}
     return _Setup(fld, bg, n_sub, meta)
 
 
@@ -635,7 +634,11 @@ def simulate(problem: Problem) -> tuple[dict, Iterator[tuple[Field, dict]]]:
     Set-up errors, such as a shift too large, raise at once; the initial
     field and background are those of `_setup`.  The step is the largest
     one that divides dt_out exactly within `advective_dt` and
-    `nonzero_mode_dt`, so reruns are bit-identical.
+    `nonzero_mode_dt`, so reruns are bit-identical.  The scheme keeps
+    transversally constant data so, and with n >= 2 such data step as
+    their x1 column on the n = 1 grid, at the step of the n-d run: the
+    meta's ``reduced`` is then true and the yielded fields hold read-only
+    broadcasts of the column.
 
     The stream computes each (field, norm row) at t = 0, dt_out, ...,
     t_final when asked and never modifies a yielded field.  An output whose
@@ -663,8 +666,19 @@ def _evolve(problem: Problem, setup: _Setup) -> Iterator[tuple[Field, dict]]:
     n_out = int(round(problem.t_final / problem.dt_out))
     leak_floor = ROUNDOFF_FRACTION * shock.strength
     guard = _blowup_guard(fld.values)
+    column = (grid.n1,) + (1,) * (grid.dimension - 1)
+    reduced = meta["reduced"]
+    if reduced:
+        fld = Field(grid=replace(grid, dimension=1, nprime=1),
+                    values=fld.values.reshape(grid.n1, -1)[:, 0].copy())
 
-    yield fld, _record_norms(fld.values, bg, grid, p_list, mass0)
+    def output(state: Field, t: float) -> Field:
+        values = np.broadcast_to(state.values.reshape(column), grid.shape) \
+            if reduced else state.values
+        return Field(grid=grid, values=values, time=t)
+
+    out = output(fld, 0.0)
+    yield out, _record_norms(out.values, bg, grid, p_list, mass0)
     for k_out in range(1, n_out + 1):
         for _ in range(n_sub):
             fld = advance(fld, dt, shock, shock.flux, llf=problem.llf,
@@ -673,8 +687,8 @@ def _evolve(problem: Problem, setup: _Setup) -> Iterator[tuple[Field, dict]]:
         t = k_out * problem.dt_out
         if math.isclose(t, problem.t_final):
             t = float(problem.t_final)
-        fld = Field(grid=grid, values=fld.values, time=t)
-        row = _record_norms(fld.values, bg, grid, p_list, mass0)
+        out = output(fld, t)
+        row = _record_norms(out.values, bg, grid, p_list, mass0)
         leak, sup = row["boundary_leak"], row["pert_Linf"]
         if leak > max(LEAK_FRACTION * sup, leak_floor):
             raise BoundaryLeakError(
@@ -685,26 +699,4 @@ def _evolve(problem: Problem, setup: _Setup) -> Iterator[tuple[Field, dict]]:
             raise MassDriftError(
                 f"drift {drift:.3g} at t={t:g} is {drift / allowed:.3g} times "
                 f"its allowance {allowed:.3g}")
-        yield fld, row
-
-
-def run_1d_reference(problem: Problem) -> NormSeries:
-    """Norm series of the same scheme restricted to n=1, which closes the
-    zero-mode dynamics exactly.
-
-    Valid only when the initial non-zero mode vanishes: initial data of the
-    n-d run that vary transversally raise NonzeroModePresentError.  The run
-    takes the n_sub, hence the step, of the n-d run of ``problem`` (whose
-    `advective_dt` sees the transverse spacing too), so its norms are those
-    of the n-d zero mode.
-    """
-    setup = _setup(problem)
-    if _varies_transversally(setup.u0.values):
-        raise NonzeroModePresentError(
-            "1-d reference needs transversally constant initial data")
-    grid1 = replace(problem.grid, dimension=1, nprime=1)
-    problem1 = replace(problem, grid=grid1,
-                       perturbation=problem.perturbation.reshape(grid1.n1, -1)[:, 0])
-    setup1 = _setup(problem1, setup.n_sub)
-    return NormSeries.from_rows([(f.time, r) for f, r in _evolve(problem1, setup1)],
-                                setup1.meta)
+        yield out, row

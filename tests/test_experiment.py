@@ -7,6 +7,8 @@ import math
 import multiprocessing
 import os
 import stat
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -110,6 +112,8 @@ BROKEN_RULES = [
     ({"p_list": [0.5]}, "p_list"),
     ({"p_list": []}, "p_list"),
 ]
+# a transversally constant 2-d run, stepped as its x1 column
+BUMP_2D = dict(OK, dimension=2, grid={"half_length": 15, "n1": 64, "nprime": 4})
 # samples that pass check-area with --c0 1 --c1 10 --alpha 1
 AREA_CSV = "0,1\n1,0.5\n2,0.3\n"
 # what each command leaves in its output directory after a good run of OK, sorted
@@ -461,6 +465,22 @@ def test_check_area_unreadable_csv_exits_1(tmp_path, caplog, content, options):
     assert len(errors) == 1 and str(csv) in errors[0]
 
 
+@pytest.mark.parametrize("content, options", [
+    ("", []), ("# t,f\n", []), (AREA_CSV, ["--skip-rows", "3"]),
+], ids=["empty", "comment-only", "skip-rows-past-data"])
+def test_check_area_without_data_rows_exits_1(tmp_path, content, options):
+    # numpy's "input contained no data" warning would add two stderr lines
+    csv = tmp_path / "samples.csv"
+    csv.write_text(content)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(experiment.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "shocklab.cli", "check-area", "--csv", str(csv),
+         "--c0", "1", "--c1", "1", "--alpha", "1", *options],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert proc.returncode == EXIT_CONFIG
+    assert (proc.stdout, proc.stderr) == ("", f"ERROR no data rows in {csv}\n")
+
+
 @pytest.mark.parametrize("options", [
     ["--c0", "1", "--c1", "inf"], ["--c0", "inf", "--c1", "10"],
     ["--c0", "1", "--c1", "10", "--gamma", "nan"],
@@ -480,15 +500,20 @@ def test_check_area_non_finite_constant_exits_1(tmp_path, caplog, capsys, option
 
 
 def test_snapshots_are_the_fields_of_simulate(tmp_path, caplog):
-    # snapshot 0 is written in-process, the other 20 by the worker
-    code, out, errors = run(tmp_path, "simulate", OK, caplog)
-    assert (code, errors) == (EXIT_OK, [])
-    _, stream = solver.simulate(build_problem(config_from_dict(OK)))
-    expected = tmp_path / "expected.txt"
-    for k, (fld, _) in enumerate(stream):
-        save_field_text(fld, expected)
-        assert (out / SNAPS[k]).read_bytes() == expected.read_bytes(), SNAPS[k]
-    assert k == len(SNAPS) - 1
+    # snapshot 0 is written in-process, the other 20 by the worker; the 2-d
+    # bump's run is reduced, so the worker is sent broadcast fields
+    for name, doc in (("1d", OK), ("2d-bump", BUMP_2D)):
+        work = tmp_path / name
+        work.mkdir()
+        code, out, errors = run(work, "simulate", doc, caplog)
+        assert (code, errors) == (EXIT_OK, [])
+        meta, stream = solver.simulate(build_problem(config_from_dict(doc)))
+        assert meta["reduced"] == (name == "2d-bump")
+        expected = work / "expected.txt"
+        for k, (fld, _) in enumerate(stream):
+            save_field_text(fld, expected)
+            assert (out / SNAPS[k]).read_bytes() == expected.read_bytes(), SNAPS[k]
+        assert k == len(SNAPS) - 1
 
 
 @pytest.mark.parametrize("k", [2, 9])

@@ -14,8 +14,7 @@ import shocklab as sl
 from shocklab import cli
 from shocklab.config import (ExperimentConfig, GridSpec, PerturbationSpec,
                              StepperSpec, config_from_dict)
-from shocklab.errors import (BlowupError, BoundaryLeakError,
-                             NonzeroModePresentError, OutOfRangeError,
+from shocklab.errors import (BlowupError, BoundaryLeakError, OutOfRangeError,
                              RangeExceededError, WaveNotConvergedError)
 from conftest import closed_form_sym
 
@@ -202,39 +201,77 @@ class TestConservation:
         assert np.all(drift <= 1e-8 * (1.0 + rec.times))
 
 
+def nd_stepping(problem):
+    """`simulate`'s loop without the reduction: the problem's n-d field
+    stepped by `advance`, with its fields and `_record_norms` rows."""
+    solver = sl.solver
+    fld, bg, n_sub, meta = solver._setup(problem)
+    shock, grid = problem.profile.shock, problem.grid
+    guard = solver._blowup_guard(fld.values)
+    fields, rows = [], []
+    for k in range(round(problem.t_final / problem.dt_out) + 1):
+        for _ in range(n_sub if k else 0):
+            fld = sl.advance(fld, meta["dt"], shock, shock.flux, llf=problem.llf,
+                             blowup_bounds=guard)
+        fields.append(fld.values)
+        rows.append(solver._record_norms(fld.values, bg, grid, problem.p_list,
+                                         meta["mass_initial"]))
+    return meta, fields, rows
+
+
+def short_run(dimension, nprime, kind="gaussian-bump", amplitude=0.01):
+    return make_config(dimension=dimension,
+                       grid=GridSpec(half_length=15.0, n1=64, nprime=nprime),
+                       stepper=StepperSpec(t_final=0.5, dt_out=0.25, cfl_safety=0.8),
+                       perturbation=PerturbationSpec(kind=kind, amplitude=amplitude,
+                                                     width=2.0, seed=3))
+
+
 class TestModeInvariance:
     def test_transverse_constant_data_stays_constant(self):
         cfg = make_config(dimension=2)
         rec = sl.run_simulation(sl.build_problem(cfg))
         assert np.max(rec.channels["nzmode_L2"]) <= 1e-10
 
-    def test_1d_reference_matches_2d(self):
-        cfg = make_config(dimension=2)
-        rec2 = sl.run_simulation(sl.build_problem(cfg))
-        rec1 = sl.run_1d_reference(sl.build_problem(cfg))
-        diff = np.max(np.abs(rec2.channels["zmode_L2"]
-                             - rec1.channels["zmode_L2"]))
-        assert diff <= 1e-9
-
-    def test_1d_reference_runs_constant_nonzero_mode_kind(self):
+    @pytest.mark.parametrize("cfg", [
+        short_run(2, 5), short_run(2, 16), short_run(3, 32),
         # amplitude 0 leaves the data transversally constant, whatever the kind
-        cfg = make_config(dimension=2,
-                          perturbation=PerturbationSpec(kind="random-nonzero-mode",
-                                                        amplitude=0.0, width=2.0,
-                                                        seed=3))
-        rec2 = sl.run_simulation(sl.build_problem(cfg))
-        rec1 = sl.run_1d_reference(sl.build_problem(cfg))
-        diff = np.max(np.abs(rec2.channels["zmode_L2"]
-                             - rec1.channels["zmode_L2"]))
-        assert diff <= 1e-9
+        short_run(2, 8, kind="random-nonzero-mode", amplitude=0.0),
+    ], ids=["2d-N5", "2d-N16", "3d-N32", "random-amplitude-0"])
+    def test_reduced_run_matches_nd_stepping(self, cfg):
+        problem = sl.build_problem(cfg)
+        meta, stream = sl.simulate(problem)
+        outputs = list(stream)
+        nd_meta, nd_fields, nd_rows = nd_stepping(problem)
+        assert meta["reduced"] and meta["dt"] == nd_meta["dt"]
+        assert len(outputs) == len(nd_rows) == 3
+        for (fld, row), values, nd_row in zip(outputs, nd_fields, nd_rows):
+            # the scheme keeps the n-d rows exactly constant on the torus
+            flat = values.reshape(problem.grid.n1, -1)
+            assert np.all(flat == flat[:, :1])
+            assert not fld.values.flags.writeable
+            np.testing.assert_allclose(fld.values, values, rtol=1e-13, atol=1e-15)
+            assert row.keys() == nd_row.keys()
+            for name in row:
+                np.testing.assert_allclose(row[name], nd_row[name], rtol=1e-13,
+                                           atol=1e-15, err_msg=name)
 
-    def test_1d_reference_rejects_nonzero_mode(self):
-        cfg = make_config(dimension=2,
-                          perturbation=PerturbationSpec(kind="random-nonzero-mode",
-                                                        amplitude=0.01, width=2.0,
-                                                        seed=3))
-        with pytest.raises(NonzeroModePresentError):
-            sl.run_1d_reference(sl.build_problem(cfg))
+    def test_nonzero_mode_data_are_not_reduced(self, monkeypatch):
+        shapes = []
+        advance = sl.solver.advance
+
+        def recorded(fld, *args, **kwargs):
+            shapes.append(fld.values.shape)
+            return advance(fld, *args, **kwargs)
+
+        monkeypatch.setattr(sl.solver, "advance", recorded)
+        cfg = short_run(2, 8, kind="random-nonzero-mode")
+        rec = sl.run_simulation(sl.build_problem(cfg))
+        assert rec.meta["reduced"] is False
+        assert shapes and set(shapes) == {(64, 8)}
+        shapes.clear()
+        assert sl.run_simulation(sl.build_problem(short_run(1, 8))).meta["reduced"] is False
+        assert shapes and set(shapes) == {(64,)}
 
 
 class TestNonzeroModeDecay:
@@ -371,10 +408,29 @@ class TestStepRule:
         assert sl.nonzero_mode_dt(sl.Field(grid=g, values=wavy)) == \
             pytest.approx(1.0 / (2.0 * lam1), rel=1e-14)
 
-    def test_1d_reference_shares_the_step(self):
-        cfg = make_config(dimension=2)
-        assert (sl.run_1d_reference(sl.build_problem(cfg)).meta["dt"]
-                == sl.run_simulation(sl.build_problem(cfg)).meta["dt"])
+    def test_reduced_run_keeps_the_nd_step(self, monkeypatch):
+        # h' = 1/32 < h1 = 30/63: the n-d step is bounded by h', the 1-d one
+        # of the same data by h1
+        steps = []
+        advance = sl.solver.advance
+
+        def recorded(fld, dt, *args, **kwargs):
+            steps.append((fld.values.shape, dt))
+            return advance(fld, dt, *args, **kwargs)
+
+        monkeypatch.setattr(sl.solver, "advance", recorded)
+        cfg = short_run(3, 32)
+        problem = sl.build_problem(cfg)
+        meta = sl.run_simulation(problem).meta
+        shock = problem.profile.shock
+        u0 = sl.solver._setup(problem).u0
+        bound = sl.advective_dt(u0, shock.flux, cfg.stepper.cfl_safety, shock.speed)
+        assert meta["reduced"]
+        assert meta["dt"] == cfg.stepper.dt_out / math.ceil(cfg.stepper.dt_out / bound)
+        assert len(steps) == round(cfg.stepper.t_final / meta["dt"])
+        assert set(steps) == {((64,), meta["dt"])}
+        assert meta["dt"] < sl.run_simulation(sl.build_problem(
+            replace(cfg, dimension=1))).meta["dt"]
 
     def test_nonzero_mode_run_respects_bound(self):
         cfg = make_config(dimension=2,

@@ -33,6 +33,10 @@ CONSISTENCY_SLACK = 1.05
 BOUND_T_START = 1.0
 # Relative slack on the sampled hypothesis checks of the area inequality.
 HYPOTHESIS_SLACK = 0.01
+# A time within this fraction of a fit window's end counts as on it: output
+# k is labelled k * dt_out, which can overshoot the end by an ulp.  It is
+# math.isclose's default, which `solver.simulate` labels t_final by.
+WINDOW_REL_TOL = 1e-9
 
 log = logging.getLogger("shocklab")
 
@@ -73,12 +77,14 @@ class NormSeries:
         return self.channels[name]
 
     def window_mask(self, window: tuple[float, float] | None) -> np.ndarray:
+        """The samples in ``window`` (all when None), ends within WINDOW_REL_TOL."""
         if window is None:
             return np.ones_like(self.times, dtype=bool)
         t_a, t_b = window
-        if not t_a < t_b:
-            raise ValueError("fit window must satisfy t_a < t_b")
-        return (self.times >= t_a) & (self.times <= t_b)
+        if not t_a <= t_b:
+            raise ValueError("fit window must satisfy t_a <= t_b")
+        slack = WINDOW_REL_TOL * max(abs(t_a), abs(t_b))
+        return (self.times >= t_a - slack) & (self.times <= t_b + slack)
 
 
 @dataclass(frozen=True)
@@ -307,9 +313,11 @@ def theorem_bound_check(series: NormSeries, p: float, kind: str) -> BoundReport:
     t = series.times
     t_end = float(t[-1])
     t_mid = 0.5 * t_end
-    early = (t >= BOUND_T_START) & (t <= t_mid)
-    late = (t >= t_mid) & (t <= t_end)
-    if not np.any(early) or not np.any(late):
+    if t_mid < BOUND_T_START:
+        raise TooFewSamplesError("early/late windows are empty; run longer")
+    early = series.window_mask((BOUND_T_START, t_mid))
+    late = series.window_mask((t_mid, t_end))
+    if not np.any(early):
         raise TooFewSamplesError("early/late windows are empty; run longer")
     _check_above_roundoff(series, f"channel {name!r} in the early/late windows",
                           values[early | late])
@@ -345,10 +353,11 @@ def gn_ratio_monitor(series: NormSeries, p: float) -> GNReport:
     phi = series.channel(f"Phi_L{p:g}")
     a = 4.0 * (p + 1.0) / (3.0 * p + 2.0)
     b = 2.0 * p / (3.0 * p + 2.0)
+    # round-off first: a run at round-off can hit an exact zero too
+    _check_above_roundoff(series, f"zmode_Linf, dzmode_L2 and Phi_L{p:g}", zinf, dz, phi)
     denom = dz ** a * phi ** b
     if np.any(denom == 0.0):
         raise ZeroDenominatorError("ratio denominator vanishes at some sample")
-    _check_above_roundoff(series, f"zmode_Linf, dzmode_L2 and Phi_L{p:g}", zinf, dz, phi)
     ratio = zinf ** 2 / denom
     k = int(np.argmax(ratio))
     return GNReport(p=float(p), max_ratio=float(ratio[k]),

@@ -11,6 +11,12 @@ snapshots/field-*.txt; run what simulate writes plus rates.json: the
 profile tails.  This module holds the commands and their files only; what
 rates.json checks is decided by the run's record in `analysis`.
 `check_area` writes no file and prints its report as JSON.
+The profile is marched at h1/8 of the config's grid, capped at
+(half_length + PROFILE_PAD)/100 and, for a shock whose tails decay fast,
+at 0.2 over their rate (`_solve_profile`).  Where h1/8 binds, profile.txt
+holds a header and 2 * round(8 (half_length + PROFILE_PAD) / h1) + 1 rows,
+about 8 n1 (1 + PROFILE_PAD/half_length) whatever the shock's strength:
+9,277 on a 1024-point grid at half_length 30.
 Every file goes through `_atomic_write`, a temp-then-rename, so readers
 never see partial files.  The t = 0 snapshot is written in-process; the
 later ones by one forked worker process (`_SnapshotWriter`), which writes
@@ -64,23 +70,61 @@ EXIT_ANALYSIS = 3
 # every file a command writes in cfg.out_dir besides config-echo.json
 ARTIFACTS = ("norms.csv", "rates.json", "profile.txt", "profile-tails.json",
              "snapshots/field-*.txt")
-# Step of the RK4 march that solves the profile ODE.
-PROFILE_STEP = 1e-3
+# Steps of the RK4 march that solves the profile ODE per grid cell h1.
+PROFILE_STEPS_PER_CELL = 8
+# The march's step is also at most this fraction of the faster tail's decay
+# length 1/lambda, lambda = max(f1'(u_minus) - s, s - f1'(u_plus)): each
+# tail's fit window then holds ~100 samples and RK4, stable up to
+# step * lambda = 2.78, keeps its margin.
+PROFILE_STEP_PER_DECAY_LENGTH = 0.2
+# The tail cap takes the step no finer than this, so a stiff shock's march
+# stays within 2e3 (half_length + PROFILE_PAD) samples, and one too stiff
+# for it fails as StepTooLargeError rather than marching for long.
+PROFILE_MIN_TAIL_STEP = 1e-3
 
 
-def _solve_profile(cfg: ExperimentConfig) -> ShockProfile:
-    """The config's profile on half_length + PROFILE_PAD, at PROFILE_STEP."""
+def _grid(cfg: ExperimentConfig) -> ChannelGrid:
+    """The config's grid; N' = 1 in 1-d."""
+    g = cfg.grid
+    return ChannelGrid(dimension=cfg.dimension, half_length=g.half_length, n1=g.n1,
+                       nprime=g.nprime if cfg.dimension > 1 else 1)
+
+
+def _solve_profile(cfg: ExperimentConfig, grid: ChannelGrid) -> ShockProfile:
+    """The config's profile on grid.half_length + PROFILE_PAD, marched at
+    h1/8 (h1 / PROFILE_STEPS_PER_CELL) of ``grid``, capped at a hundredth
+    of that half-length, the largest step `solve_profile` takes, and at
+    max(0.2/lambda, 1e-3) (PROFILE_STEP_PER_DECAY_LENGTH,
+    PROFILE_MIN_TAIL_STEP), where lambda is the faster tail's decay rate.
+    The half-length cap binds only below n1 = 26; the tail cap where lambda
+    > 0.8 (n1 - 1)/half_length, which is 27 on the benchmark's 1024-point
+    grids and 3.4 at n1 = 64 and half_length 15.  Burgers and the quartic
+    shock +-1 have lambda 1 and 4/3.  So `shocklab profile`, which steps
+    no grid, still samples by the config's n1.
+
+    The run reads the profile only for the Newton seed and the phase
+    condition of `discrete_wave`, which finds the scheme's own wave from
+    either seed: against a step of 1e-3, the wave of the Burgers and the
+    quartic shock +-1 on a 1024-point grid moves by at most 2.7e-13.  The
+    march's 2 * round(half_length/step) + 1 samples scale with n1, not with
+    half_length, which the default box makes grow as 1/strength.
+    """
     shock = ShockData(build_flux(cfg), cfg.u_minus, cfg.u_plus)
-    return solve_profile(shock, cfg.grid.half_length + PROFILE_PAD, PROFILE_STEP)
+    half_length = grid.half_length + PROFILE_PAD
+    step = min(grid.h1 / PROFILE_STEPS_PER_CELL, half_length / 100.0)
+    df1, s = shock.flux.df1, shock.speed
+    rate = max(df1(shock.u_minus) - s, s - df1(shock.u_plus))
+    if rate > 0.0:  # else not Lax-admissible, which solve_profile reports
+        step = min(step, max(PROFILE_STEP_PER_DECAY_LENGTH / rate, PROFILE_MIN_TAIL_STEP))
+    return solve_profile(shock, half_length, step)
 
 
 def build_problem(cfg: ExperimentConfig) -> Problem:
     """The `solver.Problem` of ``cfg``, after `validate_config`; N' = 1 in 1-d."""
     validate_config(cfg)
-    g, st, pert = cfg.grid, cfg.stepper, cfg.perturbation
-    grid = ChannelGrid(dimension=cfg.dimension, half_length=g.half_length, n1=g.n1,
-                       nprime=g.nprime if cfg.dimension > 1 else 1)
-    return Problem(profile=_solve_profile(cfg), grid=grid,
+    st, pert = cfg.stepper, cfg.perturbation
+    grid = _grid(cfg)
+    return Problem(profile=_solve_profile(cfg, grid), grid=grid,
                    perturbation=build_perturbation(grid, pert.kind, pert.amplitude,
                                                    pert.width, pert.seed),
                    t_final=st.t_final, dt_out=st.dt_out, cfl_safety=st.cfl_safety,
@@ -145,7 +189,7 @@ def run_profile(cfg: ExperimentConfig) -> int:
     """
     _prepare_out_dir(cfg)
     try:
-        prof = _solve_profile(cfg)
+        prof = _solve_profile(cfg, _grid(cfg))
     except ShockLabError as exc:
         log.error("profile failed: %s", exc)
         return EXIT_SIMULATION
@@ -295,14 +339,16 @@ def check_area(csv_path, c0: float, c1: float, alpha: float, beta: float,
         with warnings.catch_warnings():
             # reported below, as no data rows
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            data = np.loadtxt(csv_path, delimiter=",", comments="#", skiprows=skip_rows)
+            # one row or one column stays 2-d, so each is told apart below
+            data = np.loadtxt(csv_path, delimiter=",", comments="#", skiprows=skip_rows,
+                              ndmin=2)
     except (OSError, ValueError) as exc:
         log.error("cannot read %s: %s", csv_path, exc)
         return EXIT_CONFIG
     if data.size == 0:
         log.error("no data rows in %s", csv_path)
         return EXIT_CONFIG
-    if data.ndim != 2 or data.shape[1] < 2:
+    if data.shape[1] < 2:
         log.error("expected (t, f) columns in %s", csv_path)
         return EXIT_CONFIG
     try:

@@ -9,7 +9,11 @@ and is negative between them for a convex flux.  Both end states are
 degenerate fixed points, so integration starts from the midpoint anchor
 U(0) = (u_minus + u_plus)/2 and marches outward, one RK4 march at step
 +h and -h.  A march ends early at its first fixed point, a step that
-leaves U unchanged: every later step is the same step.
+leaves U unchanged: every later step is the same step.  The caller picks h;
+the commands march at h1/8 of the run's grid, capped at half_length/100
+and at 0.2 over the faster tail's decay rate (`experiment._solve_profile`),
+so `shocklab profile` writes 2 * round(half_length/h) + 1 rows: 9,277 for
+a 1024-point grid at half_length 30 plus the pad of 4.
 
 `eval_profile`, the one reader, evaluates the cubic Hermite interpolant of
 the samples and their ODE slopes in numpy, with the operation order of

@@ -194,6 +194,21 @@ class TestTheoremBoundCheck:
         assert sl.theorem_bound_check(s, 6.0, "pert-L2").theta == pytest.approx(4.0 / 48.0)
         assert sl.theorem_bound_check(s, 6.0, "pert-Linf").theta == pytest.approx(52.0 / 480.0)
 
+    def test_output_an_ulp_past_mid_window_is_in_both_windows(self):
+        # outputs are labelled k * 0.1 and t_final is snapped to 2.4, so
+        # output 12 overshoots t_mid = 1.2 by an ulp
+        t = 0.1 * np.arange(25)
+        t[-1] = 2.4
+        assert t[12] > 1.2
+        theta = (4.0 - 2.0) / (4.0 * 4.0)
+        r = np.ones(25)
+        r[12] = 2.0
+        rep = sl.theorem_bound_check(series_of(t, Phi_L4=r * (1.0 + t) ** -theta),
+                                     4.0, "phi-Lp")
+        assert rep.early_sup == pytest.approx(2.0, rel=1e-12)
+        assert rep.late_sup == pytest.approx(2.0, rel=1e-12)
+        assert rep.consistent
+
     def test_bad_kind(self):
         with pytest.raises(BadKindError):
             sl.theorem_bound_check(self._series(-0.5), 4.0, "no-such-kind")
@@ -323,6 +338,13 @@ class TestNormSeries:
         s = series_of([0.0, 1.0], v=[1.0, 1.0])
         with pytest.raises(MissingChannelError):
             s.channel("w")
+
+    def test_window_keeps_an_output_an_ulp_past_its_end(self):
+        # output k is labelled k * dt_out, and 48 * 0.0125 overshoots 0.6
+        times = 0.0125 * np.arange(57)
+        assert times[48] > 0.6
+        mask = series_of(times, v=np.ones(57)).window_mask((0.05, 0.6))
+        assert np.flatnonzero(mask).tolist() == list(range(4, 49))
 
 
 def test_report_json_layout(tmp_path):

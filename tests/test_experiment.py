@@ -21,6 +21,7 @@ from shocklab.config import config_from_dict
 from shocklab.experiment import (EXIT_ANALYSIS, EXIT_CONFIG, EXIT_OK,
                                  EXIT_SIMULATION, build_problem)
 from shocklab.grid import save_field_text
+from shocklab.profile import solve_profile, verify_profile_bounds
 from shocklab.solver import discrete_wave
 
 SMALL = {"dimension": 1, "grid": {"half_length": 15, "n1": 64}}
@@ -32,7 +33,8 @@ ENDS_IN_TRANSIENT = dict(SMALL, stepper={"t_final": 0.5, "dt_out": 0.25})
 LEAKING = {"dimension": 2, "grid": {"half_length": 8.0, "n1": 128, "nprime": 8},
            "stepper": {"t_final": 1.0, "dt_out": 0.5},
            "perturbation": {"kind": "gaussian-bump", "amplitude": 0.01, "width": 3.0}}
-# the RK4 march of the profile at the fixed step loses monotonicity
+# lambda = 9030: the RK4 march of the profile at the tail cap's floor 1e-3
+# loses monotonicity
 STEEP_QUARTIC = {"flux": "convex-quartic", "u_minus": 30, "u_plus": -30,
                  "dimension": 1, "grid": {"n1": 64}}
 # outputs at 0, 0.8 and 1.6 would stop short of t_final
@@ -90,7 +92,7 @@ ULP_PAST_END = dict(SMALL, stepper={"t_final": 2.3, "dt_out": 0.1}, p_list=[2, 4
 ODD_BUMP_2D = {"dimension": 2, "grid": {"half_length": 15, "n1": 64, "nprime": 4},
                "stepper": {"t_final": 3.0, "dt_out": 0.1}, "p_list": [2, 4],
                "perturbation": {"kind": "odd-bump", "amplitude": 0.01, "width": 2.0}}
-# with no perturbation every norm channel is 1e-16 to 4e-16, round-off
+# with no perturbation every norm channel is 0 to 4e-16, round-off
 NO_PERTURBATION = dict(RUNS, perturbation={"kind": "none"}, p_list=[4])
 # one more broken rule of validate_config each, after the cases above
 BROKEN_RULES = [
@@ -397,6 +399,61 @@ def test_profile_failure_exits_2(tmp_path, caplog, command):
     assert files(out) == ["config-echo.json"]
 
 
+@pytest.mark.parametrize("n1, step", [(1024, 600.0 / 1023 / 8), (16, 304.0 / 100)],
+                         ids=["h1-over-8", "capped"])
+def test_weak_shock_profile_is_sampled_by_the_grid(n1, step):
+    # the default box grows as 1/strength: 300 here, where a step of 1e-3
+    # took 608,001 samples; n1 = 16 caps the step at (300 + pad)/100
+    cfg = config_from_dict({"u_minus": 0.05, "u_plus": -0.05, "dimension": 1,
+                            "grid": {"n1": n1}})
+    prof = build_problem(cfg).profile
+    assert prof.xi.size <= 10_000
+    assert prof.xi[-1] - prof.xi[-2] == pytest.approx(step, rel=1e-12)
+    assert verify_profile_bounds(prof).passed
+
+
+@pytest.mark.parametrize("doc, step", [
+    ({"u_minus": 4, "u_plus": -4, "grid": {"n1": 16}}, 0.2 / 4),
+    ({"flux": "convex-quartic", "u_minus": 4, "u_plus": -4, "grid": {"n1": 64}},
+     0.2 / (4 + 64 / 3)),
+    ({"u_minus": 10, "u_plus": -10, "grid": {"n1": 64}}, 0.2 / 10),
+], ids=["burgers-4-n1-16", "quartic-4-n1-64", "burgers-10-n1-64"])
+def test_strong_shock_profile_step_follows_its_tails(doc, step):
+    # h1/8 (0.5, 0.12, 0.12) would leave 17-19 samples in a tail's fit
+    # window, or lose RK4's monotonicity; 0.2/lambda leaves ~100 in each
+    prof = build_problem(config_from_dict(dict(doc, dimension=1))).profile
+    assert prof.xi[-1] - prof.xi[-2] == pytest.approx(step, rel=1e-12)
+    report = verify_profile_bounds(prof)
+    assert report.passed and min(report.n_left, report.n_right) >= 100
+
+
+@pytest.fixture(scope="module")
+def fine_profiles():
+    """The 1-d shocks +-1 of Burgers and of the quartic on the benchmark's box,
+    their profile solved at the grid-set step and at a step of 1e-3."""
+    out = {}
+    for flux in ("burgers", "convex-quartic"):
+        problem = build_problem(config_from_dict(
+            {"flux": flux, "u_minus": 1, "u_plus": -1, "dimension": 1,
+             "grid": {"half_length": 30, "n1": 1024}}))
+        fine = solve_profile(problem.profile.shock, 30 + solver.PROFILE_PAD, 1e-3)
+        out[flux] = problem, fine
+    return out
+
+
+@pytest.mark.parametrize("a", [0.0, 0.3, -2.7])
+@pytest.mark.parametrize("flux", ["burgers", "convex-quartic"])
+def test_grid_set_profile_step_keeps_the_discrete_wave(fine_profiles, flux, a):
+    # the profile enters the wave only as Newton's seed and in its phase
+    # condition; measured: at most 2.7e-13 (Burgers at a = -2.7) and
+    # 3.2e-14 (quartic), against the bound 1e-12 * strength
+    problem, fine = fine_profiles[flux]
+    grid, shock = problem.grid, problem.profile.shock
+    moved = np.max(np.abs(discrete_wave(grid, problem.profile, a)
+                          - discrete_wave(grid, fine, a)))
+    assert moved <= 1e-12 * shock.strength
+
+
 def test_profile_with_short_tails_exits_3(tmp_path, caplog):
     code, out, errors = run(tmp_path, "profile", SHORT_TAILS, caplog)
     assert code == EXIT_ANALYSIS
@@ -463,6 +520,22 @@ def test_check_area_unreadable_csv_exits_1(tmp_path, caplog, content, options):
     errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
     assert code == EXIT_CONFIG
     assert len(errors) == 1 and str(csv) in errors[0]
+
+
+@pytest.mark.parametrize("content, error", [
+    ("0,1\n", "unusable samples in {}: samples must be an (N, 2) array of (t, f) "
+               "pairs, N >= 2"),
+    ("0\n1\n2\n", "expected (t, f) columns in {}"),
+], ids=["one-row", "one-column"])
+def test_check_area_one_row_or_one_column_exits_1(tmp_path, caplog, content, error):
+    # one row has both columns but a single sample, too few for the lemma
+    csv = tmp_path / "samples.csv"
+    csv.write_text(content)
+    caplog.clear()
+    code = cli.main(["check-area", "--csv", str(csv), "--c0", "1", "--c1", "1",
+                     "--alpha", "1", "--quiet"])
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert (code, errors) == (EXIT_CONFIG, [error.format(csv)])
 
 
 @pytest.mark.parametrize("content, options", [

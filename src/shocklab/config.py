@@ -44,6 +44,8 @@ class PerturbationSpec:
     kind: str = "gaussian-bump"
     amplitude: float = 0.02
     width: float = 2.0
+    # random-nonzero-mode draws the pair of mode k on transverse axis i
+    # from random.Random(f"{seed}/{i}/{k}"), whatever N'
     seed: int = 12345
 
 

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import math
+import random
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -359,16 +360,36 @@ def advance(fld: Field, dt: float, shock: ShockData, flux: FluxSpec,
     return Field(grid=grid, values=un, time=fld.time + dt)
 
 
+def _mode_coefficients(seed: int, axis: int, k: int) -> tuple[float, float]:
+    """The cos and sin coefficients (a, b) of transverse mode k on ``axis``.
+
+    Two standard normals by Box-Muller from a ``random.Random`` keyed by
+    the string "seed/axis/k": each pair depends on (seed, axis, k) alone,
+    not on how many modes are drawn before it, and ``random()`` is the
+    stream Python keeps the same across versions.
+    """
+    rng = random.Random(f"{seed}/{axis}/{k}")
+    u1, u2 = rng.random(), rng.random()
+    # random() lies in [0, 1), so the logarithm's argument is positive
+    r = math.sqrt(-2.0 * math.log(1.0 - u1))
+    phi = 2.0 * math.pi * u2
+    return r * math.cos(phi), r * math.sin(phi)
+
+
 def build_perturbation(grid: ChannelGrid, kind: str, amplitude: float, width: float,
                        seed: int) -> np.ndarray:
     """Initial perturbation, normalized so its max magnitude equals ``amplitude``.
 
     "gaussian-bump" and "odd-bump" are transversally constant; the odd bump
-    carries zero total mass.  "random-nonzero-mode" excites ``seed``-ed
-    resolved transverse Fourier modes (|k| <= N'/4) under a Gaussian
-    envelope in x1, so its transverse average vanishes identically.  A
-    shape too small to scale at every grid point, as a bump narrower than
-    the spacing can be, raises OutOfRangeError.
+    carries zero total mass.  "random-nonzero-mode" excites the resolved
+    transverse Fourier modes 1 <= k <= N'/4 of each transverse axis under a
+    Gaussian envelope in x1, so its transverse average vanishes identically.
+    The coefficients of mode k on axis ``axis`` are drawn from a stream
+    keyed by (``seed``, axis, k) (``_mode_coefficients``), so a mode's
+    coefficients do not depend on N' or on the other modes.  A seed gives
+    other data than it did when one numpy stream drew the modes in turn.
+    A shape too small to scale at every grid point, as a bump narrower
+    than the spacing can be, raises OutOfRangeError.
     """
     if kind == "none" or amplitude == 0.0:
         return np.zeros(grid.shape)
@@ -383,7 +404,6 @@ def build_perturbation(grid: ChannelGrid, kind: str, amplitude: float, width: fl
     elif kind == "random-nonzero-mode":
         if grid.dimension == 1:
             raise ValueError("random-nonzero-mode needs a transverse direction")
-        rng = np.random.default_rng(seed)
         kmax = max(1, grid.nprime // 4)
         trans = np.zeros(grid.shape[1:])
         for axis in range(grid.dimension - 1):
@@ -392,7 +412,7 @@ def build_perturbation(grid: ChannelGrid, kind: str, amplitude: float, width: fl
             view[axis] = slice(None)
             coord = coord[tuple(view)]
             for k in range(1, kmax + 1):
-                a, b = rng.standard_normal(2)
+                a, b = _mode_coefficients(seed, axis, k)
                 trans = trans + a * np.cos(2.0 * np.pi * k * coord) \
                     + b * np.sin(2.0 * np.pi * k * coord)
         pert = envelope * trans

@@ -58,6 +58,23 @@ def test_run_without_scipy_writes_the_same_norms(tmp_path):
     assert norms["blocked"] == norms["plain"]
 
 
+def test_random_nonzero_mode_runs_without_numpy_random():
+    # the draw is stdlib random, so numpy.random (and the OpenSSL it
+    # loads through secrets and hashlib) stays out of the process
+    code = ("import sys; sys.modules['numpy.random'] = None\n"
+            "import shocklab as sl\n"
+            "from shocklab.config import config_from_dict\n"
+            "cfg = config_from_dict({'dimension': 3,\n"
+            "    'grid': {'half_length': 15, 'n1': 32, 'nprime': 4},\n"
+            "    'stepper': {'t_final': 0.1, 'dt_out': 0.05},\n"
+            "    'perturbation': {'kind': 'random-nonzero-mode'}})\n"
+            "norms = sl.run_simulation(sl.build_problem(cfg))\n"
+            "assert norms.channels['nzmode_L2'][0] > 0\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 def test_only_the_config_layer_imports_config():
     # a sys.modules check cannot see this edge: importing any submodule runs
     # shocklab/__init__, which imports config

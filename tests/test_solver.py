@@ -477,6 +477,29 @@ class TestPerturbations:
         np.testing.assert_array_equal(a, b)
         assert np.max(np.abs(a - c)) > 1e-4
 
+    @staticmethod
+    def transverse_coefficients(nprime):
+        """(a, b) of modes k = 1, 2 on both transverse axes of a 3-d draw,
+        divided by a of k = 1 on axis 0 to cancel the envelope and the
+        amplitude scaling, which depend on N'."""
+        grid = sl.ChannelGrid(dimension=3, half_length=10.0, n1=16, nprime=nprime)
+        row = sl.build_perturbation(grid, "random-nonzero-mode", 0.03, 2.0, 5)[grid.n1 // 2]
+        phase = 2.0 * np.pi * grid.xprime
+        coeffs = {}
+        for axis, view in ((0, (slice(None), None)), (1, (None, slice(None)))):
+            for k in (1, 2):
+                for name, wave in (("a", np.cos), ("b", np.sin)):
+                    # discrete orthogonality is exact for k < N'/2
+                    coeffs[axis, k, name] = 2.0 * np.mean(row * wave(k * phase)[view])
+        return {key: c / coeffs[0, 1, "a"] for key, c in coeffs.items()}
+
+    def test_refining_the_torus_keeps_the_drawn_modes(self):
+        # kmax = N'/4 grows with N', but mode k of each axis keeps its pair;
+        # axis 1's modes are drawn after all of axis 0's
+        coarse, fine = self.transverse_coefficients(8), self.transverse_coefficients(16)
+        for key, value in coarse.items():
+            assert fine[key] == pytest.approx(value, rel=1e-13, abs=1e-13), key
+
     def test_none_kind(self, plane):
         assert np.all(sl.build_perturbation(plane, "none", 0.0, 2.0, 5) == 0.0)
 

@@ -19,9 +19,11 @@ about 8 n1 (1 + PROFILE_PAD/half_length) whatever the shock's strength:
 9,277 on a 1024-point grid at half_length 30.
 Every file goes through `_atomic_write`, a temp-then-rename, so readers
 never see partial files.  The t = 0 snapshot is written in-process; the
-later ones by one forked worker process (`_SnapshotWriter`), which writes
-them while the run keeps stepping.  Every snapshot write has ended, and a
-failed one has raised, before the command returns.
+later ones by one forked writer process (`_SnapshotWriter`), which writes
+them while the run keeps stepping.  It is fed over a pipe: a small header
+and the field's raw bytes per snapshot, with no executor and no pickled
+array.  Every snapshot write has ended, and a failed one has raised,
+before the command returns.
 A failed command keeps its output up to the failure: no norms.csv after a
 failed set-up, the norms.csv rows and snapshots before a failed step or
 monitor.
@@ -46,7 +48,6 @@ import logging
 import os
 import tempfile
 import warnings
-from collections import deque
 
 import numpy as np
 
@@ -208,54 +209,122 @@ def run_profile(cfg: ExperimentConfig) -> int:
 
 
 def _write_snapshot(path, fld: Field) -> None:
-    """One snapshot file; a module-level function, so a worker can run it."""
+    """One snapshot file, in-process or in the writer process."""
     _atomic_write(path, lambda tmp: save_field_text(fld, tmp))
+
+
+def _snapshot_worker(fields, answers, parent_ends) -> None:
+    """The writer process: for each (path, t, grid) header and the field's
+    raw bytes read from ``fields``, write the snapshot and answer None, or
+    the exception it raised, on ``answers``; return at the end of ``fields``.
+    """
+    # the parent's ends, copied by the fork, would keep ``fields`` open here
+    # after the parent closes it, and its end would never come
+    for conn in parent_ends:
+        conn.close()
+    while True:
+        try:
+            path, t, grid = fields.recv()
+            values = np.empty(grid.shape)
+            # a 1-d view: the pipe sizes its buffer by the first axis alone
+            fields.recv_bytes_into(values.reshape(-1))
+        except EOFError:
+            return
+        try:
+            _write_snapshot(path, Field(grid=grid, values=values, time=t))
+        except Exception as exc:
+            answers.send(exc)
+        else:
+            answers.send(None)
 
 
 class _SnapshotWriter:
     """Writes snapshot k of a run as field-k.txt in ``directory``.
 
-    Snapshot 0 is written in-process.  Later ones go to one forked worker,
-    so that their writes overlap stepping on a second core.  One suffices:
-    `grid.format_e17` formats a nonzero-3d snapshot in ~5 ms, against
-    ~25 ms of stepping per output, and two workers measured no faster.
-    The worker starts at snapshot 1, after the first step: a process that
-    ends during set-up leaves no worker behind.  At most two writes are in
-    flight, one running and one queued, which bounds the fields held for
-    them; `close` waits for every write and re-raises the first that
-    failed.  The worker is forked, not spawned: a spawned one would import
-    numpy and the package again.  The pool forks it before it starts its
-    own threads, and the worker calls no BLAS, whose idle threads are not
-    copied.
+    Snapshot 0 is written in-process.  Later ones go to one forked writer
+    process, so that their writes overlap stepping on a second core.  One
+    suffices: `grid.format_e17` formats a nonzero-3d snapshot in ~5 ms,
+    against ~25 ms of stepping per output, and two measured no faster.
+    The writer starts at snapshot 1, after the first step: a process that
+    ends during set-up leaves no writer behind.
+
+    Each snapshot crosses a one-way pipe as a small pickled header (path,
+    t, grid) and then the raw bytes of its values, which the writer reads
+    into an array of its own.  No executor, no thread and no pickled array
+    is added to the stepping process, and it keeps no copy of a field:
+    sending returns once the pipe holds the bytes, and waits while the
+    writer is still busy with an earlier snapshot.  The writer answers
+    each write on a second pipe with None or the exception it raised.
+    Once more than IN_FLIGHT writes are unanswered, `write` waits for the
+    oldest answer; `close` waits for every answer and re-raises the first
+    failure.  A writer that ends without answering raises
+    ChildProcessError.  The writer is forked, not spawned: a spawned one
+    would import numpy and the package again.  The stepping process starts
+    no thread of its own, and the writer calls no BLAS, whose idle threads
+    are not copied.
     """
 
-    # writes in flight before `write` waits for the oldest
+    # writes not yet answered before `write` waits for the oldest
     IN_FLIGHT = 2
 
     def __init__(self, directory):
-        self.directory, self.pool, self.pending = directory, None, deque()
+        self.directory, self.process, self.pending = directory, None, 0
+        self.fields = self.answers = None
 
     def write(self, k: int, fld: Field) -> None:
         path = os.path.join(self.directory, f"field-{k:05d}.txt")
         if k == 0:
             _write_snapshot(path, fld)
             return
-        if self.pool is None:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-            self.pool = ProcessPoolExecutor(
-                1, mp_context=multiprocessing.get_context("fork"))
-        self.pending.append(self.pool.submit(_write_snapshot, path, fld))
-        if len(self.pending) > self.IN_FLIGHT:
-            self.pending.popleft().result()
+        if self.process is None:
+            self._start()
+        try:
+            self.fields.send((path, fld.time, fld.grid))
+            # a reduced run's fields are read-only broadcasts of a column
+            self.fields.send_bytes(np.ascontiguousarray(fld.values))
+        except BrokenPipeError:
+            raise self._ended() from None
+        self.pending += 1
+        if self.pending > self.IN_FLIGHT:
+            self._answer()
+
+    def _start(self) -> None:
+        import multiprocessing
+        context = multiprocessing.get_context("fork")
+        worker_fields, self.fields = context.Pipe(duplex=False)
+        self.answers, worker_answers = context.Pipe(duplex=False)
+        self.process = context.Process(
+            target=_snapshot_worker,
+            args=(worker_fields, worker_answers, (self.fields, self.answers)))
+        self.process.start()
+        worker_fields.close()
+        worker_answers.close()
+
+    def _answer(self) -> None:
+        self.pending -= 1
+        try:
+            error = self.answers.recv()
+        except EOFError:
+            raise self._ended() from None
+        if error is not None:
+            raise error
+
+    def _ended(self) -> ChildProcessError:
+        self.pending = 0
+        self.process.join()
+        return ChildProcessError(f"the snapshot writer ended with exit code "
+                                 f"{self.process.exitcode} before answering every write")
 
     def close(self) -> None:
+        if self.process is None:
+            return
         try:
             while self.pending:
-                self.pending.popleft().result()
+                self._answer()
         finally:
-            if self.pool is not None:
-                self.pool.shutdown()
+            self.fields.close()
+            self.process.join()
+            self.answers.close()
 
 
 def run_simulate(cfg: ExperimentConfig) -> int:

@@ -681,6 +681,8 @@ def run_simulation(problem: Problem) -> NormSeries:
 def _evolve(problem: Problem, setup: _Setup) -> Iterator[tuple[Field, dict]]:
     """The time loop of `simulate`, with the leak and mass-drift monitors."""
     fld, bg, n_sub, meta = setup
+    # the set-up would keep the initial field alive for the whole run
+    del setup
     shock, grid, p_list = problem.profile.shock, fld.grid, problem.p_list
     dt, mass0 = meta["dt"], meta["mass_initial"]
     n_out = int(round(problem.t_final / problem.dt_out))

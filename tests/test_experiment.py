@@ -6,6 +6,7 @@ import logging
 import math
 import multiprocessing
 import os
+import signal
 import stat
 import subprocess
 import sys
@@ -573,8 +574,9 @@ def test_check_area_non_finite_constant_exits_1(tmp_path, caplog, capsys, option
 
 
 def test_snapshots_are_the_fields_of_simulate(tmp_path, caplog):
-    # snapshot 0 is written in-process, the other 20 by the worker; the 2-d
-    # bump's run is reduced, so the worker is sent broadcast fields
+    # snapshot 0 is written in-process, the other 20 by the writer process;
+    # the 2-d bump's run is reduced, so its fields reach the pipe as
+    # read-only broadcasts of a column
     for name, doc in (("1d", OK), ("2d-bump", BUMP_2D)):
         work = tmp_path / name
         work.mkdir()
@@ -639,6 +641,32 @@ def test_failed_snapshot_write_raises_and_leaves_no_worker(tmp_path, caplog,
         run(tmp_path, "simulate", OK, caplog)
     assert multiprocessing.active_children() == []
     # every later write fails too, and leaves no temporary file
+    assert files(tmp_path / "out") == ["config-echo.json"] + SNAPS[:3]
+
+
+def test_writer_that_ends_unanswered_raises(tmp_path, caplog, monkeypatch):
+    # the writer process dies without answering, as a killed one would; the
+    # command raises instead of waiting on it
+    write_snapshot = experiment._write_snapshot
+
+    def dies_after_output_3(path, fld):
+        if fld.time > 0.25:
+            os._exit(1)
+        write_snapshot(path, fld)
+
+    def hung(signum, frame):
+        raise TimeoutError("the command still waits on a writer that has ended")
+
+    monkeypatch.setattr(experiment, "_write_snapshot", dies_after_output_3)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(ChildProcessError, match="exit code 1"):
+            run(tmp_path, "simulate", OK, caplog)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
     assert files(tmp_path / "out") == ["config-echo.json"] + SNAPS[:3]
 
 

@@ -27,7 +27,8 @@ class TestGridGeometry:
         assert small_plane.hprime == pytest.approx(1.0 / 16.0)
 
     def test_transverse_weights_unit_measure(self, small_plane):
-        w = small_plane.weights
+        # the weights are a column that broadcasts against a field
+        w = np.broadcast_to(small_plane.weights, small_plane.shape)
         # one x1 row carries w1 * 1 total
         assert np.sum(w[3]) == pytest.approx(small_plane.w1[3], rel=1e-14)
 

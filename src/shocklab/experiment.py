@@ -2,9 +2,10 @@
 
 `build_problem` makes the `solver.Problem` of a config, which simulate and
 run evolve.  `run_profile`, `run_simulate` and `run_experiment` first
-delete every `ARTIFACTS` file in the config's output directory and echo
-the config to config-echo.json, so the directory holds only what that
-command computed: profile writes profile.txt and profile-tails.json;
+delete every `ARTIFACTS` file, and every temporary file a write cut short
+left (`LEFTOVERS`), in the config's output directory and echo the config
+to config-echo.json, so the directory holds only what that command
+computed: profile writes profile.txt and profile-tails.json;
 simulate norms.csv (one column per recorded norm) and, with ``snapshots``,
 snapshots/field-*.txt; run what simulate writes plus rates.json: the
 `analysis.analyze_record` of the norms in the config's fit window, and the
@@ -19,11 +20,11 @@ about 8 n1 (1 + PROFILE_PAD/half_length) whatever the shock's strength:
 9,277 on a 1024-point grid at half_length 30.
 Every file goes through `_atomic_write`, a temp-then-rename, so readers
 never see partial files.  The t = 0 snapshot is written in-process; the
-later ones by one forked writer process (`_SnapshotWriter`), which writes
-them while the run keeps stepping.  It is fed over a pipe: a small header
-and the field's raw bytes per snapshot, with no executor and no pickled
-array.  Every snapshot write has ended, and a failed one has raised,
-before the command returns.
+later ones by one writer process (`_SnapshotWriter`), forked with the
+snapshot directory and the run's grid, which writes them while the run
+keeps stepping.  It is fed over a pipe, each snapshot's time and its
+field's raw bytes, and speaks only when a write fails.  Every snapshot
+write has ended, and a failed one has raised, before the command returns.
 A failed command keeps its output up to the failure: no norms.csv after a
 failed set-up, the norms.csv rows and snapshots before a failed step or
 monitor.
@@ -43,6 +44,7 @@ prefix the function's docstring names.
 from __future__ import annotations
 
 import glob
+import itertools
 import json
 import logging
 import os
@@ -71,6 +73,9 @@ EXIT_ANALYSIS = 3
 # every file a command writes in cfg.out_dir besides config-echo.json
 ARTIFACTS = ("norms.csv", "rates.json", "profile.txt", "profile-tails.json",
              "snapshots/field-*.txt")
+# what a write cut short leaves there, a killed snapshot writer's included:
+# `_atomic_write`'s temporary files
+LEFTOVERS = (".tmp-*~", "snapshots/.tmp-*~")
 # Steps of the RK4 march that solves the profile ODE per grid cell h1.
 PROFILE_STEPS_PER_CELL = 8
 # The march's step is also at most this fraction of the faster tail's decay
@@ -165,12 +170,13 @@ def norms_to_csv(norms: NormSeries, path) -> None:
 
 
 def _prepare_out_dir(cfg: ExperimentConfig) -> None:
-    """Delete every `ARTIFACTS` file in cfg.out_dir, then echo the config there.
+    """Delete every `ARTIFACTS` and `LEFTOVERS` file in cfg.out_dir, then
+    echo the config there.
 
     A directory that cannot be used raises ConfigValidationError on out_dir.
     """
     try:
-        for pattern in ARTIFACTS:
+        for pattern in ARTIFACTS + LEFTOVERS:
             for path in glob.glob(os.path.join(glob.escape(cfg.out_dir), pattern)):
                 os.unlink(path)
         _atomic_write(os.path.join(cfg.out_dir, "config-echo.json"),
@@ -213,29 +219,30 @@ def _write_snapshot(path, fld: Field) -> None:
     _atomic_write(path, lambda tmp: save_field_text(fld, tmp))
 
 
-def _snapshot_worker(fields, answers, parent_ends) -> None:
-    """The writer process: for each (path, t, grid) header and the field's
-    raw bytes read from ``fields``, write the snapshot and answer None, or
-    the exception it raised, on ``answers``; return at the end of ``fields``.
+def _snapshot_worker(directory, grid, fields, failures, parent_ends) -> None:
+    """The writer process: for each time t and raw bytes of values on
+    ``fields``, write the k-th as field-k.txt, k = 1, 2, ...; return at the
+    end of ``fields``, or after a failed write, once it has sent the
+    exception on ``failures``.
     """
     # the parent's ends, copied by the fork, would keep ``fields`` open here
     # after the parent closes it, and its end would never come
     for conn in parent_ends:
         conn.close()
-    while True:
+    for k in itertools.count(1):
         try:
-            path, t, grid = fields.recv()
+            t = fields.recv()
             values = np.empty(grid.shape)
             # a 1-d view: the pipe sizes its buffer by the first axis alone
             fields.recv_bytes_into(values.reshape(-1))
         except EOFError:
             return
+        fld = Field(grid=grid, values=values, time=t)
         try:
-            _write_snapshot(path, Field(grid=grid, values=values, time=t))
+            _write_snapshot(os.path.join(directory, f"field-{k:05d}.txt"), fld)
         except Exception as exc:
-            answers.send(exc)
-        else:
-            answers.send(None)
+            failures.send(exc)
+            return
 
 
 class _SnapshotWriter:
@@ -243,88 +250,79 @@ class _SnapshotWriter:
 
     Snapshot 0 is written in-process.  Later ones go to one forked writer
     process, so that their writes overlap stepping on a second core.  One
-    suffices: `grid.format_e17` formats a nonzero-3d snapshot in ~5 ms,
-    against ~25 ms of stepping per output, and two measured no faster.
-    The writer starts at snapshot 1, after the first step: a process that
-    ends during set-up leaves no writer behind.
+    suffices: `grid.format_e17` formats a nonzero-3d snapshot in ~3-6 ms,
+    against ~14-22 ms of stepping per output, and two measured no faster.
+    The writer is forked at snapshot 1, after the first step, so a process
+    that ends during set-up leaves no writer behind.  It is forked with the
+    directory and the run's grid, and names the k-th snapshot it receives
+    field-k.txt.
 
-    Each snapshot crosses a one-way pipe as a small pickled header (path,
-    t, grid) and then the raw bytes of its values, which the writer reads
-    into an array of its own.  No executor, no thread and no pickled array
-    is added to the stepping process, and it keeps no copy of a field:
-    sending returns once the pipe holds the bytes, and waits while the
-    writer is still busy with an earlier snapshot.  The writer answers
-    each write on a second pipe with None or the exception it raised.
-    Once more than IN_FLIGHT writes are unanswered, `write` waits for the
-    oldest answer; `close` waits for every answer and re-raises the first
-    failure.  A writer that ends without answering raises
-    ChildProcessError.  The writer is forked, not spawned: a spawned one
-    would import numpy and the package again.  The stepping process starts
-    no thread of its own, and the writer calls no BLAS, whose idle threads
-    are not copied.
+    Each snapshot crosses a one-way pipe as its time and then the raw bytes
+    of its values, which the writer reads into an array of its own.  The
+    stepping process keeps no copy of a field: a send returns once the
+    pipe holds the bytes, so a nonzero-3d field, 4x the 64 KiB pipe, waits
+    for the writer to end the write before it.  The writer answers nothing
+    while its writes succeed.  A failed write sends its exception on a
+    second pipe and ends the writer; the next `write`, which finds the pipe
+    broken, or else `close` joins the writer and raises that exception, or
+    ChildProcessError if the writer ended early and sent nothing.  The
+    writer is forked, not spawned: a spawned one would import numpy and the
+    package again.  The stepping process starts no thread of its own, and
+    the writer calls no BLAS, whose idle threads are not copied.
     """
 
-    # writes not yet answered before `write` waits for the oldest
-    IN_FLIGHT = 2
-
     def __init__(self, directory):
-        self.directory, self.process, self.pending = directory, None, 0
-        self.fields = self.answers = None
+        self.directory, self.process = directory, None
+        self.fields = self.failures = None
 
     def write(self, k: int, fld: Field) -> None:
-        path = os.path.join(self.directory, f"field-{k:05d}.txt")
         if k == 0:
-            _write_snapshot(path, fld)
+            _write_snapshot(os.path.join(self.directory, "field-00000.txt"), fld)
             return
         if self.process is None:
-            self._start()
+            self._start(fld.grid)
         try:
-            self.fields.send((path, fld.time, fld.grid))
+            self.fields.send(fld.time)
             # a reduced run's fields are read-only broadcasts of a column
             self.fields.send_bytes(np.ascontiguousarray(fld.values))
         except BrokenPipeError:
-            raise self._ended() from None
-        self.pending += 1
-        if self.pending > self.IN_FLIGHT:
-            self._answer()
+            raise self._end(early=True) from None
 
-    def _start(self) -> None:
+    def _start(self, grid: ChannelGrid) -> None:
         import multiprocessing
         context = multiprocessing.get_context("fork")
         worker_fields, self.fields = context.Pipe(duplex=False)
-        self.answers, worker_answers = context.Pipe(duplex=False)
+        self.failures, worker_failures = context.Pipe(duplex=False)
         self.process = context.Process(
             target=_snapshot_worker,
-            args=(worker_fields, worker_answers, (self.fields, self.answers)))
+            args=(self.directory, grid, worker_fields, worker_failures,
+                  (self.fields, self.failures)))
         self.process.start()
         worker_fields.close()
-        worker_answers.close()
+        worker_failures.close()
 
-    def _answer(self) -> None:
-        self.pending -= 1
+    def _end(self, early: bool) -> Exception | None:
+        """Close the pipe to the writer and join it: the exception it sent,
+        or ChildProcessError if it sent none and ended ``early`` or with an
+        exit code other than 0."""
+        process, self.process = self.process, None
+        self.fields.close()
         try:
-            error = self.answers.recv()
-        except EOFError:
-            raise self._ended() from None
-        if error is not None:
-            raise error
-
-    def _ended(self) -> ChildProcessError:
-        self.pending = 0
-        self.process.join()
-        return ChildProcessError(f"the snapshot writer ended with exit code "
-                                 f"{self.process.exitcode} before answering every write")
+            # read before the join: the writer's send may wait on this read
+            error = self.failures.recv()
+        except EOFError:  # it sent none
+            error = None
+        finally:
+            self.failures.close()
+            process.join()
+        if error is None and (early or process.exitcode):
+            error = ChildProcessError(f"the snapshot writer ended with exit code "
+                                      f"{process.exitcode} before writing every snapshot")
+        return error
 
     def close(self) -> None:
-        if self.process is None:
-            return
-        try:
-            while self.pending:
-                self._answer()
-        finally:
-            self.fields.close()
-            self.process.join()
-            self.answers.close()
+        if self.process is not None and (error := self._end(early=False)) is not None:
+            raise error
 
 
 def run_simulate(cfg: ExperimentConfig) -> int:

@@ -117,6 +117,11 @@ BROKEN_RULES = [
 ]
 # a transversally constant 2-d run, stepped as its x1 column
 BUMP_2D = dict(OK, dimension=2, grid={"half_length": 15, "n1": 64, "nprime": 4})
+# a 2-d non-zero mode on 1024 x 16: each field is 128 KiB, twice the 64 KiB
+# pipe, so each send to the writer waits for it to read
+WIDE_NONZERO = dict(OK, dimension=2, grid={"half_length": 15, "n1": 1024, "nprime": 16},
+                    stepper={"t_final": 0.05, "dt_out": 0.005},
+                    perturbation={"kind": "random-nonzero-mode"})
 # samples that pass check-area with --c0 1 --c1 10 --alpha 1
 AREA_CSV = "0,1\n1,0.5\n2,0.3\n"
 # what each command leaves in its output directory after a good run of OK, sorted
@@ -574,21 +579,24 @@ def test_check_area_non_finite_constant_exits_1(tmp_path, caplog, capsys, option
 
 
 def test_snapshots_are_the_fields_of_simulate(tmp_path, caplog):
-    # snapshot 0 is written in-process, the other 20 by the writer process;
+    # snapshot 0 is written in-process, the others by the writer process;
     # the 2-d bump's run is reduced, so its fields reach the pipe as
-    # read-only broadcasts of a column
-    for name, doc in (("1d", OK), ("2d-bump", BUMP_2D)):
+    # read-only broadcasts of a column; the wide run's fields do not fit
+    # in the pipe
+    for name, doc, snaps in (("1d", OK, SNAPS), ("2d-bump", BUMP_2D, SNAPS),
+                             ("2d-wide", WIDE_NONZERO, SNAPS[:11])):
         work = tmp_path / name
         work.mkdir()
         code, out, errors = run(work, "simulate", doc, caplog)
         assert (code, errors) == (EXIT_OK, [])
+        assert files(out) == ["config-echo.json", "norms.csv"] + snaps
         meta, stream = solver.simulate(build_problem(config_from_dict(doc)))
         assert meta["reduced"] == (name == "2d-bump")
         expected = work / "expected.txt"
         for k, (fld, _) in enumerate(stream):
             save_field_text(fld, expected)
-            assert (out / SNAPS[k]).read_bytes() == expected.read_bytes(), SNAPS[k]
-        assert k == len(SNAPS) - 1
+            assert (out / snaps[k]).read_bytes() == expected.read_bytes(), snaps[k]
+        assert k == len(snaps) - 1
 
 
 @pytest.mark.parametrize("k", [2, 9])
@@ -630,23 +638,27 @@ def test_no_worker_before_the_first_step(tmp_path, caplog, monkeypatch):
 
 def test_failed_snapshot_write_raises_and_leaves_no_worker(tmp_path, caplog,
                                                            monkeypatch):
-    # the patch reaches the worker, which is forked after it
-    def disk_full_after_output_3(fld, path):
-        if fld.time > 0.25:
-            raise OSError(errno.ENOSPC, "No space left on device")
-        save_field_text(fld, path)
+    # the patch reaches the worker, which is forked after it; a failed write
+    # of output 3 surfaces at a later write, one of the last output at close
+    for failing in (3, 20):
+        def disk_full_from_output(fld, path, failing=failing):
+            if fld.time > (failing - 0.5) * 0.1:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            save_field_text(fld, path)
 
-    monkeypatch.setattr(experiment, "save_field_text", disk_full_after_output_3)
-    with pytest.raises(OSError, match="No space left on device"):
-        run(tmp_path, "simulate", OK, caplog)
-    assert multiprocessing.active_children() == []
-    # every later write fails too, and leaves no temporary file
-    assert files(tmp_path / "out") == ["config-echo.json"] + SNAPS[:3]
+        work = tmp_path / f"output-{failing}"
+        work.mkdir()
+        monkeypatch.setattr(experiment, "save_field_text", disk_full_from_output)
+        with pytest.raises(OSError, match="No space left on device"):
+            run(work, "simulate", OK, caplog)
+        assert multiprocessing.active_children() == []
+        # the writer ends at the failed write, which leaves no temporary file
+        assert files(work / "out") == ["config-echo.json"] + SNAPS[:failing]
 
 
 def test_writer_that_ends_unanswered_raises(tmp_path, caplog, monkeypatch):
-    # the writer process dies without answering, as a killed one would; the
-    # command raises instead of waiting on it
+    # the writer process dies mid-write and sends nothing, as a killed one
+    # would; the command raises ChildProcessError instead of waiting on it
     write_snapshot = experiment._write_snapshot
 
     def dies_after_output_3(path, fld):
@@ -668,6 +680,17 @@ def test_writer_that_ends_unanswered_raises(tmp_path, caplog, monkeypatch):
         signal.signal(signal.SIGALRM, previous)
     assert multiprocessing.active_children() == []
     assert files(tmp_path / "out") == ["config-echo.json"] + SNAPS[:3]
+
+
+def test_rerun_deletes_temporary_files_left_behind(tmp_path, caplog):
+    # what a killed snapshot writer leaves
+    out = tmp_path / "out"
+    (out / "snapshots").mkdir(parents=True)
+    (out / ".tmp-abc~").write_text("")
+    (out / "snapshots" / ".tmp-def~").write_text("")
+    code, out, errors = run(tmp_path, "run", OK, caplog)
+    assert (code, errors) == (EXIT_OK, [])
+    assert files(out) == LEFT_BY["run"]
 
 
 def test_no_temporary_files_left(tmp_path, caplog):

@@ -1,7 +1,6 @@
 """Channel quadrature, norms, and field storage."""
 
 import io
-import pickle
 
 import numpy as np
 import pytest
@@ -147,19 +146,6 @@ class TestGradient:
 
 
 class TestFieldIO:
-    def test_pickle_leaves_out_the_cached_arrays(self):
-        # a snapshot of nonzero-3d's grid, sent to the writer after the norms
-        # have filled the grid's caches
-        grid = sl.ChannelGrid(dimension=3, half_length=30.0, n1=512, nprime=8)
-        fld = sl.Field(grid=grid, values=np.ones(grid.shape), time=0.5)
-        sl.lp_norm(fld.values, 2.0, grid)
-        assert {"weights", "w1"} <= vars(grid).keys()
-        data = pickle.dumps(fld)
-        assert len(data) <= fld.values.nbytes + 1024
-        back = pickle.loads(data)
-        assert back.grid == grid and hash(back.grid) == hash(grid)
-        np.testing.assert_array_equal(back.values, fld.values)
-
     def test_text_roundtrip(self, tmp_path, small_plane):
         rng = np.random.default_rng(5)
         fld = sl.Field(grid=small_plane, values=rng.standard_normal(small_plane.shape),

@@ -20,11 +20,10 @@ about 8 n1 (1 + PROFILE_PAD/half_length) whatever the shock's strength:
 9,277 on a 1024-point grid at half_length 30.
 Every file goes through `_atomic_write`, a temp-then-rename, so readers
 never see partial files.  The t = 0 snapshot is written in-process; the
-later ones by one writer process (`_SnapshotWriter`), forked with the
-snapshot directory and the run's grid, which writes them while the run
-keeps stepping.  It is fed over a pipe, each snapshot's time and its
-field's raw bytes, and speaks only when a write fails.  Every snapshot
-write has ended, and a failed one has raised, before the command returns.
+later ones by one writer process (`_SnapshotWriter`), made by `os.fork`
+and fed over an `os.pipe` while the run keeps stepping; it speaks only
+when it fails.  Every snapshot write has ended, and a failed one or
+a failed fork has raised, before the command returns.
 A failed command keeps its output up to the failure: no norms.csv after a
 failed set-up, the norms.csv rows and snapshots before a failed step or
 monitor.
@@ -43,11 +42,13 @@ prefix the function's docstring names.
 
 from __future__ import annotations
 
+import contextlib
 import glob
 import itertools
 import json
 import logging
 import os
+import pickle
 import tempfile
 import warnings
 
@@ -219,109 +220,104 @@ def _write_snapshot(path, fld: Field) -> None:
     _atomic_write(path, lambda tmp: save_field_text(fld, tmp))
 
 
-def _snapshot_worker(directory, grid, fields, failures, parent_ends) -> None:
-    """The writer process: for each time t and raw bytes of values on
-    ``fields``, write the k-th as field-k.txt, k = 1, 2, ...; return at the
-    end of ``fields``, or after a failed write, once it has sent the
-    exception on ``failures``.
-    """
-    # the parent's ends, copied by the fork, would keep ``fields`` open here
-    # after the parent closes it, and its end would never come
-    for conn in parent_ends:
-        conn.close()
-    for k in itertools.count(1):
-        try:
-            t = fields.recv()
-            values = np.empty(grid.shape)
-            # a 1-d view: the pipe sizes its buffer by the first axis alone
-            fields.recv_bytes_into(values.reshape(-1))
-        except EOFError:
-            return
-        fld = Field(grid=grid, values=values, time=t)
-        try:
+def _snapshot_worker(directory, grid, fields, failures) -> None:
+    """The writer process: write the k-th snapshot on ``fields`` as field-k.txt,
+    k = 1, 2, ...; return at the end of ``fields``, or once it has pickled the
+    exception that stopped it, a failed write's or any other, to ``failures``."""
+    try:
+        for k in itertools.count(1):
+            t, values = np.empty(1), np.empty(grid.shape)
+            # a snapshot cut short ends the stream too: its sender died mid-send
+            if fields.readinto(t) < 8 or fields.readinto(values) < values.nbytes:
+                return
+            fld = Field(grid=grid, values=values, time=float(t[0]))
             _write_snapshot(os.path.join(directory, f"field-{k:05d}.txt"), fld)
-        except Exception as exc:
-            failures.send(exc)
-            return
+    except Exception as exc:
+        pickle.dump(exc, failures)
 
 
 class _SnapshotWriter:
     """Writes snapshot k of a run as field-k.txt in ``directory``.
 
-    Snapshot 0 is written in-process.  Later ones go to one forked writer
-    process, so that their writes overlap stepping on a second core.  One
-    suffices: `grid.format_e17` formats a nonzero-3d snapshot in ~3-6 ms,
-    against ~14-22 ms of stepping per output, and two measured no faster.
-    The writer is forked at snapshot 1, after the first step, so a process
-    that ends during set-up leaves no writer behind.  It is forked with the
-    directory and the run's grid, and names the k-th snapshot it receives
-    field-k.txt.
-
-    Each snapshot crosses a one-way pipe as its time and then the raw bytes
-    of its values, which the writer reads into an array of its own.  The
-    stepping process keeps no copy of a field: a send returns once the
-    pipe holds the bytes, so a nonzero-3d field, 4x the 64 KiB pipe, waits
-    for the writer to end the write before it.  The writer answers nothing
-    while its writes succeed.  A failed write sends its exception on a
-    second pipe and ends the writer; the next `write`, which finds the pipe
-    broken, or else `close` joins the writer and raises that exception, or
-    ChildProcessError if the writer ended early and sent nothing.  The
-    writer is forked, not spawned: a spawned one would import numpy and the
-    package again.  The stepping process starts no thread of its own, and
-    the writer calls no BLAS, whose idle threads are not copied.
+    Snapshot 0 is written in-process; later ones by one writer process,
+    whose writes overlap stepping on a second core.  One suffices:
+    `grid.format_e17` formats a nonzero-3d snapshot in ~3-6 ms, against
+    ~14-22 ms of stepping per output, and two measured no faster.  The
+    writer is `os.fork`ed, so it imports nothing again, at snapshot 1: a
+    process that ends during set-up leaves none.  The stepping process
+    starts no thread, and the writer calls no BLAS, whose idle threads a
+    fork does not copy.  A failed `os.pipe` or `os.fork` closes the ends
+    already made and raises.  Each snapshot crosses an `os.pipe` as the 8
+    raw bytes of its time, then those of its values, through buffered files
+    that complete partial reads and writes.  A failed write, or any other
+    exception in the writer, is sent pickled on a second pipe and ends the
+    writer; the next `write`, which finds the pipe broken, or else `close`
+    waits for the writer and raises that exception, or ChildProcessError if
+    it sent none and ended early or with an exit status other than 0.
     """
 
     def __init__(self, directory):
-        self.directory, self.process = directory, None
-        self.fields = self.failures = None
+        self.directory, self.pid = directory, None
 
     def write(self, k: int, fld: Field) -> None:
         if k == 0:
             _write_snapshot(os.path.join(self.directory, "field-00000.txt"), fld)
             return
-        if self.process is None:
+        if self.pid is None:
             self._start(fld.grid)
         try:
-            self.fields.send(fld.time)
+            self.fields.write(np.float64(fld.time))
             # a reduced run's fields are read-only broadcasts of a column
-            self.fields.send_bytes(np.ascontiguousarray(fld.values))
+            self.fields.write(np.ascontiguousarray(fld.values))
+            self.fields.flush()
         except BrokenPipeError:
             raise self._end(early=True) from None
 
     def _start(self, grid: ChannelGrid) -> None:
-        import multiprocessing
-        context = multiprocessing.get_context("fork")
-        worker_fields, self.fields = context.Pipe(duplex=False)
-        self.failures, worker_failures = context.Pipe(duplex=False)
-        self.process = context.Process(
-            target=_snapshot_worker,
-            args=(self.directory, grid, worker_fields, worker_failures,
-                  (self.fields, self.failures)))
-        self.process.start()
-        worker_fields.close()
-        worker_failures.close()
+        ends = []
+        try:
+            ends += os.pipe()
+            ends += os.pipe()
+            pid = os.fork()
+        except OSError:
+            for fd in ends:
+                os.close(fd)
+            raise
+        worker_fields, fields, failures, worker_failures = ends
+        if pid == 0:
+            try:
+                # a copy of the parent's end would keep ``fields`` from ending
+                os.close(fields)
+                os.close(failures)
+                with open(worker_fields, "rb") as f, open(worker_failures, "wb") as e:
+                    _snapshot_worker(self.directory, grid, f, e)
+                os._exit(0)
+            finally:
+                os._exit(1)
+        os.close(worker_fields)
+        os.close(worker_failures)
+        self.pid, self.fields, self.failures = pid, open(fields, "wb"), open(failures, "rb")
 
     def _end(self, early: bool) -> Exception | None:
-        """Close the pipe to the writer and join it: the exception it sent,
-        or ChildProcessError if it sent none and ended ``early`` or with an
-        exit code other than 0."""
-        process, self.process = self.process, None
-        self.fields.close()
+        """Close the pipe to the writer and wait for it: the exception it sent,
+        or ChildProcessError if none and it ended ``early`` or not with 0."""
+        pid, self.pid = self.pid, None
+        with contextlib.suppress(BrokenPipeError):  # a snapshot the writer left unread
+            self.fields.close()
         try:
-            # read before the join: the writer's send may wait on this read
-            error = self.failures.recv()
-        except EOFError:  # it sent none
-            error = None
+            with self.failures:  # read before the wait: the writer's send may wait on it
+                sent = self.failures.read()
         finally:
-            self.failures.close()
-            process.join()
-        if error is None and (early or process.exitcode):
-            error = ChildProcessError(f"the snapshot writer ended with exit code "
-                                      f"{process.exitcode} before writing every snapshot")
-        return error
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if sent:
+            return pickle.loads(sent)
+        if early or code:
+            return ChildProcessError(f"the snapshot writer ended with exit code "
+                                     f"{code} before writing every snapshot")
+        return None
 
     def close(self) -> None:
-        if self.process is not None and (error := self._end(early=False)) is not None:
+        if self.pid is not None and (error := self._end(early=False)) is not None:
             raise error
 
 

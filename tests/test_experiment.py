@@ -1,10 +1,10 @@
 """`shocklab` commands end to end on tiny grids: exit codes and artifacts."""
 
+import contextlib
 import errno
 import json
 import logging
 import math
-import multiprocessing
 import os
 import signal
 import stat
@@ -161,6 +161,27 @@ def files(out):
 def csv_times(out):
     lines = (out / "norms.csv").read_text().splitlines()
     return [float(line.split(",")[0]) for line in lines[1:]]
+
+
+def assert_no_child():
+    """Fails while this process has a child, running or not yet waited for."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def within_60_s():
+    """Raises TimeoutError in the block after 60 s: a hung command fails, not waits."""
+    def hung(signum, frame):
+        raise TimeoutError("the command still waits after 60 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def assert_plain_modes(out):
@@ -617,22 +638,23 @@ def test_failed_output_keeps_every_snapshot_before_it(tmp_path, caplog, monkeypa
     assert len(csv_times(out)) == k
     # every write in flight ended before the command returned
     assert files(out) == ["config-echo.json", "norms.csv"] + SNAPS[:k]
-    assert multiprocessing.active_children() == []
+    assert_no_child()
 
 
 def test_no_worker_before_the_first_step(tmp_path, caplog, monkeypatch):
     # a process may end at its first step, as a set-up-only benchmark run
     # does; a worker started before it would be left mid-write
-    advance, children = solver.advance, []
+    advance, checked = solver.advance, []
 
     def first_step(*args, **kwargs):
-        if not children:
-            children.append(multiprocessing.active_children())
+        if not checked:
+            assert_no_child()
+            checked.append(True)
         return advance(*args, **kwargs)
 
     monkeypatch.setattr(solver, "advance", first_step)
     code, out, _ = run(tmp_path, "simulate", OK, caplog)
-    assert (code, children) == (EXIT_OK, [[]])
+    assert (code, checked) == (EXIT_OK, [True])
     assert files(out) == LEFT_BY["simulate"]
 
 
@@ -651,35 +673,48 @@ def test_failed_snapshot_write_raises_and_leaves_no_worker(tmp_path, caplog,
         monkeypatch.setattr(experiment, "save_field_text", disk_full_from_output)
         with pytest.raises(OSError, match="No space left on device"):
             run(work, "simulate", OK, caplog)
-        assert multiprocessing.active_children() == []
+        assert_no_child()
         # the writer ends at the failed write, which leaves no temporary file
         assert files(work / "out") == ["config-echo.json"] + SNAPS[:failing]
 
 
 def test_writer_that_ends_unanswered_raises(tmp_path, caplog, monkeypatch):
-    # the writer process dies mid-write and sends nothing, as a killed one
-    # would; the command raises ChildProcessError instead of waiting on it
-    write_snapshot = experiment._write_snapshot
+    # the writer process ends before output 3 and sends nothing, by its own
+    # exit or killed by a signal; the command raises ChildProcessError with
+    # its exit code, a signal's negated, instead of waiting on it
+    write_snapshot, stepping = experiment._write_snapshot, os.getpid()
+    for name, end, code in (("exits", lambda: os._exit(1), 1),
+                            ("killed", lambda: os.kill(os.getpid(), signal.SIGKILL), -9)):
+        def ends_after_output_3(path, fld, end=end):
+            # the stepping process writes output 0 only, and must not end
+            if fld.time > 0.25 and os.getpid() != stepping:
+                end()
+            write_snapshot(path, fld)
 
-    def dies_after_output_3(path, fld):
-        if fld.time > 0.25:
-            os._exit(1)
-        write_snapshot(path, fld)
+        work = tmp_path / name
+        work.mkdir()
+        monkeypatch.setattr(experiment, "_write_snapshot", ends_after_output_3)
+        with within_60_s(), pytest.raises(ChildProcessError, match=f"exit code {code} "):
+            run(work, "simulate", OK, caplog)
+        assert_no_child()
+        assert files(work / "out") == ["config-echo.json"] + SNAPS[:3]
 
-    def hung(signum, frame):
-        raise TimeoutError("the command still waits on a writer that has ended")
 
-    monkeypatch.setattr(experiment, "_write_snapshot", dies_after_output_3)
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(60)
-    try:
-        with pytest.raises(ChildProcessError, match="exit code 1"):
-            run(tmp_path, "simulate", OK, caplog)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    assert multiprocessing.active_children() == []
-    assert files(tmp_path / "out") == ["config-echo.json"] + SNAPS[:3]
+def test_failed_fork_raises_and_leaves_no_pipe(tmp_path, caplog, monkeypatch):
+    # a fork refused, as one past the process limit is, raises at once: the
+    # command neither waits on a writer that never started nor leaves the
+    # ends of its pipes open
+    def refused():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    open_fds = len(os.listdir("/dev/fd"))
+    monkeypatch.setattr(os, "fork", refused)
+    with within_60_s(), pytest.raises(OSError) as failed:
+        run(tmp_path, "simulate", OK, caplog)
+    assert failed.value.errno == errno.EAGAIN
+    assert_no_child()
+    assert len(os.listdir("/dev/fd")) == open_fds
+    assert files(tmp_path / "out") == ["config-echo.json", SNAPS[0]]
 
 
 def test_rerun_deletes_temporary_files_left_behind(tmp_path, caplog):

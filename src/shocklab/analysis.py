@@ -33,10 +33,10 @@ CONSISTENCY_SLACK = 1.05
 BOUND_T_START = 1.0
 # Relative slack on the sampled hypothesis checks of the area inequality.
 HYPOTHESIS_SLACK = 0.01
-# A time within this fraction of a fit window's end counts as on it: output
-# k is labelled k * dt_out, which can overshoot the end by an ulp.  It is
-# math.isclose's default, which `solver.simulate` labels t_final by.
-WINDOW_REL_TOL = 1e-9
+# Relative slack on output times k * dt_out, for their round-off: within it
+# t_final/dt_out is whole (0.7/0.0125 is 55.99999999999999), `solver.simulate`
+# labels an output t_final, and a time lies on a fit window's end.
+OUTPUT_TIME_REL_TOL = 1e-9
 
 log = logging.getLogger("shocklab")
 
@@ -77,13 +77,13 @@ class NormSeries:
         return self.channels[name]
 
     def window_mask(self, window: tuple[float, float] | None) -> np.ndarray:
-        """The samples in ``window`` (all when None), ends within WINDOW_REL_TOL."""
+        """The samples in ``window`` (all when None), ends within OUTPUT_TIME_REL_TOL."""
         if window is None:
             return np.ones_like(self.times, dtype=bool)
         t_a, t_b = window
         if not t_a <= t_b:
             raise ValueError("fit window must satisfy t_a <= t_b")
-        slack = WINDOW_REL_TOL * max(abs(t_a), abs(t_b))
+        slack = OUTPUT_TIME_REL_TOL * max(abs(t_a), abs(t_b))
         return (self.times >= t_a - slack) & (self.times <= t_b + slack)
 
 

@@ -17,11 +17,10 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from .errors import ConfigParseError, ConfigValidationError
 from .flux import (FluxSpec, ShockData, burgers_flux, convex_quartic_flux,
                    polynomial_flux)
-from .solver import whole_outputs
+from .grid import DIMENSIONS, MIN_N1, MIN_NPRIME
+from .solver import PERTURBATION_KINDS, whole_outputs
 
 log = logging.getLogger("shocklab")
-
-PERTURBATION_KINDS = ("none", "gaussian-bump", "odd-bump", "random-nonzero-mode")
 
 
 @dataclass
@@ -137,8 +136,8 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
     else:
         issues.append(("flux", "must be a builtin name or a list of numbers"))
 
-    if cfg.dimension not in (1, 2, 3):
-        issues.append(("dimension", "must be 1, 2, or 3"))
+    if cfg.dimension not in DIMENSIONS:
+        issues.append(("dimension", f"must be one of {DIMENSIONS}"))
     if cfg.u_minus == cfg.u_plus:
         issues.append(("u_plus", "end states must differ (degenerate shock)"))
     elif flux is not None and not ShockData(flux, cfg.u_minus, cfg.u_plus).admissible:
@@ -149,10 +148,10 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
     g = cfg.grid
     if g.half_length <= 0.0:
         issues.append(("grid.half_length", "must be positive"))
-    if g.n1 < 16:
-        issues.append(("grid.n1", "need at least 16 points"))
-    if cfg.dimension >= 2 and g.nprime < 4:
-        issues.append(("grid.nprime", "need at least 4 points"))
+    if g.n1 < MIN_N1:
+        issues.append(("grid.n1", f"need at least {MIN_N1} points"))
+    if cfg.dimension >= 2 and g.nprime < MIN_NPRIME:
+        issues.append(("grid.nprime", f"need at least {MIN_NPRIME} points"))
 
     st = cfg.stepper
     if not 0.0 < st.cfl_safety <= 1.0:

@@ -12,12 +12,8 @@ snapshots/field-*.txt; run what simulate writes plus rates.json: the
 profile tails.  This module holds the commands and their files only; what
 rates.json checks is decided by the run's record in `analysis`.
 `check_area` writes no file and prints its report as JSON.
-The profile is marched at h1/8 of the config's grid, capped at
-(half_length + PROFILE_PAD)/100 and, for a shock whose tails decay fast,
-at 0.2 over their rate (`_solve_profile`).  Where h1/8 binds, profile.txt
-holds a header and 2 * round(8 (half_length + PROFILE_PAD) / h1) + 1 rows,
-about 8 n1 (1 + PROFILE_PAD/half_length) whatever the shock's strength:
-9,277 on a 1024-point grid at half_length 30.
+The profile's march step, and so the rows of profile.txt, follow the
+config's grid (`_solve_profile`).
 Every file goes through `_atomic_write`, a temp-then-rename, so readers
 never see partial files.  The t = 0 snapshot is written in-process; the
 later ones by one writer process (`_SnapshotWriter`), made by `os.fork`
@@ -61,7 +57,8 @@ from .errors import (ConfigValidationError, HypothesisViolatedError, MassDriftEr
                      ShockLabError)
 from .flux import ShockData
 from .grid import ChannelGrid, Field, save_field_text
-from .profile import ShockProfile, profile_to_text, solve_profile, verify_profile_bounds
+from .profile import (MIN_HALF_STEPS, ShockProfile, profile_to_text, solve_profile,
+                      verify_profile_bounds)
 from .solver import PROFILE_PAD, Problem, build_perturbation, simulate
 
 log = logging.getLogger("shocklab")
@@ -100,25 +97,27 @@ def _grid(cfg: ExperimentConfig) -> ChannelGrid:
 def _solve_profile(cfg: ExperimentConfig, grid: ChannelGrid) -> ShockProfile:
     """The config's profile on grid.half_length + PROFILE_PAD, marched at
     h1/8 (h1 / PROFILE_STEPS_PER_CELL) of ``grid``, capped at a hundredth
-    of that half-length, the largest step `solve_profile` takes, and at
-    max(0.2/lambda, 1e-3) (PROFILE_STEP_PER_DECAY_LENGTH,
-    PROFILE_MIN_TAIL_STEP), where lambda is the faster tail's decay rate.
-    The half-length cap binds only below n1 = 26; the tail cap where lambda
-    > 0.8 (n1 - 1)/half_length, which is 27 on the benchmark's 1024-point
-    grids and 3.4 at n1 = 64 and half_length 15.  Burgers and the quartic
-    shock +-1 have lambda 1 and 4/3.  So `shocklab profile`, which steps
-    no grid, still samples by the config's n1.
+    of that half-length (`profile.MIN_HALF_STEPS`), the largest step
+    `solve_profile` takes, and at max(0.2/lambda, 1e-3)
+    (PROFILE_STEP_PER_DECAY_LENGTH, PROFILE_MIN_TAIL_STEP), where lambda
+    is the faster tail's decay rate.  The half-length cap binds only below
+    n1 = 26; the tail cap where lambda > 0.8 (n1 - 1)/half_length, which is
+    27 on the benchmark's 1024-point grids and 3.4 at n1 = 64 and
+    half_length 15.  Burgers and the quartic shock +-1 have lambda 1 and 4/3.
 
-    The run reads the profile only for the Newton seed and the phase
-    condition of `discrete_wave`, which finds the scheme's own wave from
-    either seed: against a step of 1e-3, the wave of the Burgers and the
-    quartic shock +-1 on a 1024-point grid moves by at most 2.7e-13.  The
-    march's 2 * round(half_length/step) + 1 samples scale with n1, not with
-    half_length, which the default box makes grow as 1/strength.
+    The march's 2 * round(half_length/step) + 1 samples, the rows of
+    profile.txt, so scale with n1, not with half_length, which the default
+    box makes grow as 1/strength: where h1/8 binds, about
+    8 n1 (1 + PROFILE_PAD/half_length), 9,277 on a 1024-point grid at
+    half_length 30, also for `shocklab profile`, which steps no grid.  The
+    run reads the profile only for the Newton seed and the phase condition
+    of `discrete_wave`, which finds the scheme's own wave from either seed:
+    against a step of 1e-3, the wave of the Burgers and the quartic shock
+    +-1 on a 1024-point grid moves by at most 2.7e-13.
     """
     shock = ShockData(build_flux(cfg), cfg.u_minus, cfg.u_plus)
     half_length = grid.half_length + PROFILE_PAD
-    step = min(grid.h1 / PROFILE_STEPS_PER_CELL, half_length / 100.0)
+    step = min(grid.h1 / PROFILE_STEPS_PER_CELL, half_length / MIN_HALF_STEPS)
     df1, s = shock.flux.df1, shock.speed
     rate = max(df1(shock.u_minus) - s, s - df1(shock.u_plus))
     if rate > 0.0:  # else not Lax-admissible, which solve_profile reports

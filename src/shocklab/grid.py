@@ -21,6 +21,10 @@ from .errors import BadExponentError
 
 # smallest normal double: a sum of |f|^p below it has lost its precision
 _TINY = np.finfo(float).tiny
+# The dimensions n of a channel, and its fewest points along x1 and per torus axis
+DIMENSIONS = (1, 2, 3)
+MIN_N1 = 16
+MIN_NPRIME = 4
 
 
 @dataclass(frozen=True)
@@ -33,14 +37,14 @@ class ChannelGrid:
     nprime: int = 1
 
     def __post_init__(self):
-        if self.dimension not in (1, 2, 3):
-            raise ValueError(f"dimension must be 1..3, got {self.dimension}")
+        if self.dimension not in DIMENSIONS:
+            raise ValueError(f"dimension must be one of {DIMENSIONS}, got {self.dimension}")
         if self.half_length <= 0.0:
             raise ValueError("half_length must be positive")
-        if self.n1 < 16:
-            raise ValueError("need at least 16 longitudinal points")
-        if self.dimension >= 2 and self.nprime < 4:
-            raise ValueError("need at least 4 transverse points")
+        if self.n1 < MIN_N1:
+            raise ValueError(f"need at least {MIN_N1} longitudinal points")
+        if self.dimension >= 2 and self.nprime < MIN_NPRIME:
+            raise ValueError(f"need at least {MIN_NPRIME} transverse points")
 
     @property
     def h1(self) -> float:
@@ -61,6 +65,11 @@ class ChannelGrid:
     @property
     def shape(self) -> tuple[int, ...]:
         return (self.n1,) + (self.nprime,) * (self.dimension - 1)
+
+    @property
+    def column(self) -> tuple[int, ...]:
+        """The shape (n1, 1, ...) of an x1 column that broadcasts against a field."""
+        return (self.n1,) + (1,) * (self.dimension - 1)
 
     @cached_property
     def w1(self) -> np.ndarray:

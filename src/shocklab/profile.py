@@ -9,11 +9,9 @@ and is negative between them for a convex flux.  Both end states are
 degenerate fixed points, so integration starts from the midpoint anchor
 U(0) = (u_minus + u_plus)/2 and marches outward, one RK4 march at step
 +h and -h.  A march ends early at its first fixed point, a step that
-leaves U unchanged: every later step is the same step.  The caller picks h;
-the commands march at h1/8 of the run's grid, capped at half_length/100
-and at 0.2 over the faster tail's decay rate (`experiment._solve_profile`),
-so `shocklab profile` writes 2 * round(half_length/h) + 1 rows: 9,277 for
-a 1024-point grid at half_length 30 plus the pad of 4.
+leaves U unchanged: every later step is the same step.  The caller picks h,
+at most half_length / MIN_HALF_STEPS; the commands' rule for it, and so the
+rows of profile.txt, is `experiment._solve_profile`'s.
 
 `eval_profile`, the one reader, evaluates the cubic Hermite interpolant of
 the samples and their ODE slopes in numpy, with the operation order of
@@ -40,6 +38,8 @@ CLAMP_TOL_FRACTION = 1e-14
 TAIL_ONSET_FRACTION = 0.1
 TAIL_FLOOR_FRACTION = 1e-10
 MIN_TAIL_SAMPLES = 20
+# Each march takes at least this many steps: step <= half_length / MIN_HALF_STEPS.
+MIN_HALF_STEPS = 100.0
 
 
 @dataclass(frozen=True)
@@ -84,8 +84,8 @@ def solve_profile(shock: ShockData, half_length: float, step: float) -> ShockPro
         raise NotAdmissibleError("profile exists only for Lax-admissible shocks")
     if half_length <= 0.0:
         raise ValueError("half_length must be positive")
-    if not 0.0 < step <= half_length / 100.0:
-        raise ValueError("need 0 < step <= half_length/100")
+    if not 0.0 < step <= half_length / MIN_HALF_STEPS:
+        raise ValueError(f"need 0 < step <= half_length/{MIN_HALF_STEPS:g}")
 
     g = _ode_rhs(shock)
     f1 = shock.flux.f1

@@ -49,11 +49,10 @@ import math
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
-from .analysis import ROUNDOFF_FRACTION, NormSeries
+from .analysis import OUTPUT_TIME_REL_TOL, ROUNDOFF_FRACTION, NormSeries
 from .errors import (BlowupError, BoundaryLeakError, MassDriftError, OutOfRangeError,
                      RangeExceededError, WaveNotConvergedError)
 from .flux import FluxSpec, ShockData
@@ -80,8 +79,6 @@ CONTOUR_POINTS = 32
 WAVE_FD_FRACTION = 1e-7
 WAVE_TOL_FRACTION = 1e-12
 WAVE_MAX_ITER = 10
-# Relative slack on t_final/dt_out being whole: 0.7/0.0125 is 55.99999999999999.
-DT_OUT_REL_TOL = 1e-9
 
 
 def _rhs_values(u: np.ndarray, grid: ChannelGrid, shock: ShockData,
@@ -158,20 +155,25 @@ def _varies_transversally(v: np.ndarray) -> bool:
     return v.ndim > 1 and not np.all(v == first)
 
 
+def _transverse_eigenvalue(grid: ChannelGrid, q):
+    """(2 sin(pi q/N')/h')^2, minus the transverse Laplacian's eigenvalue at
+    wavenumber q.  numpy's array and scalar ``sin`` can differ in the last
+    bit (N' = 103, q = 1 on x86-64, numpy 2.4): so can a scalar q and an array's."""
+    return (2.0 * np.sin(np.pi * q / grid.nprime) / grid.hprime) ** 2
+
+
 def nonzero_mode_dt(fld: Field) -> float:
     """Step bound 1/(2 lambda_1) for data that vary transversally, else inf.
 
-    lambda_1 = (2 sin(pi/N')/h')^2 is the smallest non-zero transverse
-    eigenvalue of the discrete Laplacian.  The flux feeds products of the
-    non-zero mode into the zero mode, a forcing that decays at 2 lambda_1
-    and that ETDRK4 treats explicitly; a larger step leaves it unresolved.
-    Transversally constant data stay so and need no such bound.
+    lambda_1 (`_transverse_eigenvalue` at q = 1) is the smallest non-zero
+    transverse eigenvalue of the discrete Laplacian.  The flux feeds
+    products of the non-zero mode into the zero mode, a forcing that decays
+    at 2 lambda_1 and that ETDRK4 treats explicitly; a larger step leaves it
+    unresolved.  Transversally constant data stay so and need no such bound.
     """
     if not _varies_transversally(fld.values):
         return math.inf
-    grid = fld.grid
-    lam1 = (2.0 * math.sin(math.pi / grid.nprime) / grid.hprime) ** 2
-    return 1.0 / (2.0 * lam1)
+    return 1.0 / (2.0 * float(_transverse_eigenvalue(fld.grid, 1)))
 
 
 def cfl_dt(fld: Field, flux: FluxSpec, safety: float, speed: float = 0.0) -> float:
@@ -197,14 +199,10 @@ def _laplacian_symbol(grid: ChannelGrid) -> np.ndarray:
     lam = -(2.0 * np.sin(np.pi * j / (2.0 * (grid.n1 - 1))) / grid.h1) ** 2
     if grid.dimension == 1:
         return lam
-
-    def transverse(q):
-        return (2.0 * np.sin(np.pi * q / grid.nprime) / grid.hprime) ** 2
-
-    half = transverse(np.arange(grid.nprime // 2 + 1))
+    half = _transverse_eigenvalue(grid, np.arange(grid.nprime // 2 + 1))
     if grid.dimension == 2:
         return lam[:, None] - half
-    full = lam[:, None] - transverse(np.arange(grid.nprime))
+    full = lam[:, None] - _transverse_eigenvalue(grid, np.arange(grid.nprime))
     return full[:, None, :] - half[:, None]
 
 
@@ -376,49 +374,55 @@ def _mode_coefficients(seed: int, axis: int, k: int) -> tuple[float, float]:
     return r * math.cos(phi), r * math.sin(phi)
 
 
+def _random_modes(grid: ChannelGrid, seed: int) -> np.ndarray:
+    """The transverse factor of "random-nonzero-mode": modes 1 <= k <= N'/4
+    of each transverse axis, with the coefficients `_mode_coefficients`."""
+    if grid.dimension == 1:
+        raise ValueError("random-nonzero-mode needs a transverse direction")
+    kmax = max(1, grid.nprime // 4)
+    trans = np.zeros(grid.shape[1:])
+    for axis in range(grid.dimension - 1):
+        coord = grid.xprime.reshape((-1,) + (1,) * (grid.dimension - 2 - axis))
+        for k in range(1, kmax + 1):
+            a, b = _mode_coefficients(seed, axis, k)
+            trans = trans + a * np.cos(2.0 * np.pi * k * coord) \
+                + b * np.sin(2.0 * np.pi * k * coord)
+    return trans
+
+
+# The factor each perturbation kind puts on the Gaussian envelope
+# exp(-(x1/width)^2), of the grid, the column x1/width and the seed.
+_PERTURBATION_FACTORS = {
+    "gaussian-bump": lambda grid, xi, seed: 1.0,
+    "odd-bump": lambda grid, xi, seed: xi,
+    "random-nonzero-mode": lambda grid, xi, seed: _random_modes(grid, seed),
+}
+PERTURBATION_KINDS = ("none",) + tuple(_PERTURBATION_FACTORS)
+
+
 def build_perturbation(grid: ChannelGrid, kind: str, amplitude: float, width: float,
                        seed: int) -> np.ndarray:
     """Initial perturbation, normalized so its max magnitude equals ``amplitude``.
 
+    "none" is zero; every other kind of PERTURBATION_KINDS is a Gaussian
+    envelope in x1 times its factor in _PERTURBATION_FACTORS.
     "gaussian-bump" and "odd-bump" are transversally constant; the odd bump
     carries zero total mass.  "random-nonzero-mode" excites the resolved
-    transverse Fourier modes 1 <= k <= N'/4 of each transverse axis under a
-    Gaussian envelope in x1, so its transverse average vanishes identically.
-    The coefficients of mode k on axis ``axis`` are drawn from a stream
-    keyed by (``seed``, axis, k) (``_mode_coefficients``), so a mode's
-    coefficients do not depend on N' or on the other modes.  A seed gives
-    other data than it did when one numpy stream drew the modes in turn.
-    A shape too small to scale at every grid point, as a bump narrower
-    than the spacing can be, raises OutOfRangeError.
+    transverse Fourier modes 1 <= k <= N'/4 of each transverse axis, so its
+    transverse average vanishes identically.  The coefficients of mode k on
+    axis i are drawn from a stream keyed by (``seed``, i, k)
+    (`_mode_coefficients`), so they depend on neither N' nor the other
+    modes.  A shape too small to scale at every grid point, as a bump
+    narrower than the spacing can be, raises OutOfRangeError.
     """
+    if kind not in PERTURBATION_KINDS:
+        raise ValueError(f"unknown perturbation kind {kind!r}")
     if kind == "none" or amplitude == 0.0:
         return np.zeros(grid.shape)
 
-    column = (grid.n1,) + (1,) * (grid.dimension - 1)
-    x1 = grid.x1.reshape(column)
-    envelope = np.exp(-((x1 / width) ** 2))
-    if kind == "gaussian-bump":
-        pert = envelope
-    elif kind == "odd-bump":
-        pert = (x1 / width) * envelope
-    elif kind == "random-nonzero-mode":
-        if grid.dimension == 1:
-            raise ValueError("random-nonzero-mode needs a transverse direction")
-        kmax = max(1, grid.nprime // 4)
-        trans = np.zeros(grid.shape[1:])
-        for axis in range(grid.dimension - 1):
-            coord = grid.xprime
-            view = [None] * (grid.dimension - 1)
-            view[axis] = slice(None)
-            coord = coord[tuple(view)]
-            for k in range(1, kmax + 1):
-                a, b = _mode_coefficients(seed, axis, k)
-                trans = trans + a * np.cos(2.0 * np.pi * k * coord) \
-                    + b * np.sin(2.0 * np.pi * k * coord)
-        pert = envelope * trans
-    else:
-        raise ValueError(f"unknown perturbation kind {kind!r}")
-
+    xi = grid.x1.reshape(grid.column) / width
+    envelope = np.exp(-(xi ** 2))
+    pert = envelope * _PERTURBATION_FACTORS[kind](grid, xi, seed)
     pert = np.broadcast_to(pert, grid.shape)
     peak = float(np.max(np.abs(pert)))
     if peak == 0.0 or math.isinf(amplitude / peak):
@@ -430,7 +434,7 @@ def build_perturbation(grid: ChannelGrid, kind: str, amplitude: float, width: fl
 def _record_norms(u: np.ndarray, bg: np.ndarray, grid: ChannelGrid,
                   p_list, mass0: float) -> dict:
     """All per-output diagnostics of the perturbation u - background."""
-    phi = u - bg.reshape((grid.n1,) + (1,) * (u.ndim - 1))
+    phi = u - bg.reshape(grid.column)
     zm = zero_mode(phi)
     nz = nonzero_mode(phi)
     anti = antiderivative(zm, grid)
@@ -588,24 +592,15 @@ class Problem:
 
 def whole_outputs(t_final: float, dt_out: float) -> bool:
     """Whether 0 < dt_out <= t_final and dt_out divides t_final into whole
-    outputs, within DT_OUT_REL_TOL of t_final/dt_out."""
+    outputs, within OUTPUT_TIME_REL_TOL of t_final/dt_out."""
     if not 0.0 < dt_out <= t_final:
         return False
     n_out = t_final / dt_out
-    return abs(n_out - round(n_out)) <= DT_OUT_REL_TOL * n_out
+    return abs(n_out - round(n_out)) <= OUTPUT_TIME_REL_TOL * n_out
 
 
-class _Setup(NamedTuple):
-    """Everything a run builds before its first step."""
-
-    u0: Field
-    background: np.ndarray
-    n_sub: int
-    meta: dict
-
-
-def _setup(problem: Problem) -> _Setup:
-    """Initial field, shift a against the profile, background and step of a run.
+def _setup(problem: Problem) -> tuple[Field, np.ndarray, int, dict]:
+    """The initial field, background, sub-steps per output and meta of a run.
 
     The initial field is the `discrete_wave` at phase 0 plus the
     perturbation, and the run measures against the `discrete_wave` at the
@@ -624,12 +619,11 @@ def _setup(problem: Problem) -> _Setup:
         raise OutOfRangeError(f"dt_out {problem.dt_out:g} does not divide t_final "
                               f"{problem.t_final:g} into whole outputs")
 
-    column = (grid.n1,) + (1,) * (grid.dimension - 1)
-    u0 = discrete_wave(grid, prof, 0.0, problem.llf).reshape(column) \
+    u0 = discrete_wave(grid, prof, 0.0, problem.llf).reshape(grid.column) \
         + problem.perturbation
     fld = Field(grid=grid, values=u0, time=0.0)
     u_profile, _ = eval_profile(prof, grid.x1)
-    a = shift_normalize(u0 - u_profile.reshape(column), shock, grid)
+    a = shift_normalize(u0 - u_profile.reshape(grid.column), shock, grid)
     if abs(a) > PROFILE_PAD - 1.0:
         raise OutOfRangeError(f"shift {a:g} too large for the solved profile range")
     bg = discrete_wave(grid, prof, a, problem.llf)
@@ -641,11 +635,11 @@ def _setup(problem: Problem) -> _Setup:
             "dimension": grid.dimension, "n1": grid.n1, "nprime": grid.nprime,
             "half_length": grid.half_length,
             "dt": problem.dt_out / n_sub, "shift": a,
-            "mass_initial": integrate(u0 - bg.reshape(column), grid),
+            "mass_initial": integrate(u0 - bg.reshape(grid.column), grid),
             "u_minus": shock.u_minus, "u_plus": shock.u_plus,
             "speed": shock.speed, "strength": shock.strength,
             "reduced": grid.dimension > 1 and not _varies_transversally(u0)}
-    return _Setup(fld, bg, n_sub, meta)
+    return fld, bg, n_sub, meta
 
 
 def simulate(problem: Problem) -> tuple[dict, Iterator[tuple[Field, dict]]]:
@@ -667,8 +661,8 @@ def simulate(problem: Problem) -> tuple[dict, Iterator[tuple[Field, dict]]]:
     MassDriftError instead; a step may raise BlowupError.  `run_simulation`
     collects the stream into the run's `NormSeries`.
     """
-    setup = _setup(problem)
-    return setup.meta, _evolve(problem, setup)
+    fld, bg, n_sub, meta = _setup(problem)
+    return meta, _evolve(problem, fld, bg, n_sub, meta)
 
 
 def run_simulation(problem: Problem) -> NormSeries:
@@ -678,24 +672,22 @@ def run_simulation(problem: Problem) -> NormSeries:
     return NormSeries.from_rows([(f.time, r) for f, r in stream], meta)
 
 
-def _evolve(problem: Problem, setup: _Setup) -> Iterator[tuple[Field, dict]]:
-    """The time loop of `simulate`, with the leak and mass-drift monitors."""
-    fld, bg, n_sub, meta = setup
-    # the set-up would keep the initial field alive for the whole run
-    del setup
+def _evolve(problem: Problem, fld: Field, bg: np.ndarray, n_sub: int,
+            meta: dict) -> Iterator[tuple[Field, dict]]:
+    """The time loop of `simulate` from `_setup`'s values, with the leak and
+    mass-drift monitors."""
     shock, grid, p_list = problem.profile.shock, fld.grid, problem.p_list
     dt, mass0 = meta["dt"], meta["mass_initial"]
     n_out = int(round(problem.t_final / problem.dt_out))
     leak_floor = ROUNDOFF_FRACTION * shock.strength
     guard = _blowup_guard(fld.values)
-    column = (grid.n1,) + (1,) * (grid.dimension - 1)
     reduced = meta["reduced"]
     if reduced:
         fld = Field(grid=replace(grid, dimension=1, nprime=1),
                     values=fld.values.reshape(grid.n1, -1)[:, 0].copy())
 
     def output(state: Field, t: float) -> Field:
-        values = np.broadcast_to(state.values.reshape(column), grid.shape) \
+        values = np.broadcast_to(state.values.reshape(grid.column), grid.shape) \
             if reduced else state.values
         return Field(grid=grid, values=values, time=t)
 
@@ -707,7 +699,7 @@ def _evolve(problem: Problem, setup: _Setup) -> Iterator[tuple[Field, dict]]:
                           blowup_bounds=guard)
         # k * dt_out can overshoot t_final by an ulp; that output is labelled t_final
         t = k_out * problem.dt_out
-        if math.isclose(t, problem.t_final):
+        if math.isclose(t, problem.t_final, rel_tol=OUTPUT_TIME_REL_TOL):
             t = float(problem.t_final)
         out = output(fld, t)
         row = _record_norms(out.values, bg, grid, p_list, mass0)

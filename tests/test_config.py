@@ -126,6 +126,31 @@ def test_dt_out_must_divide_t_final(t_final, dt_out, ok):
         assert field_names(exc_info) == ["stepper.dt_out"]
 
 
+# what ChannelGrid's error names for each config field
+GRID_MESSAGES = {"dimension": "dimension", "grid.n1": "longitudinal",
+                 "grid.nprime": "transverse"}
+
+
+@pytest.mark.parametrize("dimension, n1, nprime, bad", [
+    (1, 15, 1, "grid.n1"), (1, 16, 1, None),
+    (2, 16, 3, "grid.nprime"), (2, 16, 4, None),
+    (3, 16, 3, "grid.nprime"), (3, 16, 4, None),
+    (0, 16, 4, "dimension"), (4, 16, 4, "dimension"),
+])
+def test_grid_and_config_agree_at_each_grid_limit(dimension, n1, nprime, bad):
+    cfg = config_from_dict({"dimension": dimension,
+                            "grid": {"half_length": 30, "n1": n1, "nprime": nprime}})
+    if bad is None:
+        assert validate_config(cfg) == []
+        assert sl.experiment._grid(cfg).shape == (n1,) + (nprime,) * (dimension - 1)
+        return
+    with pytest.raises(ConfigValidationError) as exc_info:
+        validate_config(cfg)
+    assert field_names(exc_info) == [bad]
+    with pytest.raises(ValueError, match=GRID_MESSAGES[bad]):
+        sl.experiment._grid(cfg)
+
+
 def test_flux_is_checked_on_the_run_range():
     # f'' = 1 - 0.12 u^2 is positive on the run's flux range [-2.02, 2.02],
     # though not on all of [-4, 4]

@@ -234,25 +234,18 @@ def verify_area_inequality(samples, c0: float, c1: float, alpha: float,
     if not np.any(check):
         raise ValueError(f"no sample at t >= t_min = {t_min:g}")
 
-    violations = []
     quotients = np.diff(f) / np.diff(t)
-    deriv_bound = c0 * (1.0 + t[:-1]) ** (-alpha)
-    bad = quotients > deriv_bound * (1.0 + HYPOTHESIS_SLACK)
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        violations.append(
-            f"derivative bound fails first at t={t[k]:g}: "
-            f"quotient {quotients[k]:g} > {deriv_bound[k]:g}")
-
     running = np.concatenate(([0.0], np.cumsum(0.5 * np.diff(t) * (f[:-1] + f[1:]))))
     log_term = np.log1p(t) ** gamma if gamma != 0.0 else 1.0
-    int_bound = c1 * (1.0 + t) ** beta * log_term
-    bad = running > int_bound * (1.0 + HYPOTHESIS_SLACK)
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        violations.append(
-            f"integral bound fails first at t={t[k]:g}: "
-            f"integral {running[k]:g} > {int_bound[k]:g}")
+    violations = []
+    for what, name, value, bound in (
+            ("derivative", "quotient", quotients, c0 * (1.0 + t[:-1]) ** (-alpha)),
+            ("integral", "integral", running, c1 * (1.0 + t) ** beta * log_term)):
+        bad = value > bound * (1.0 + HYPOTHESIS_SLACK)
+        if np.any(bad):
+            k = int(np.argmax(bad))
+            violations.append(f"{what} bound fails first at t={t[k]:g}: "
+                              f"{name} {value[k]:g} > {bound[k]:g}")
 
     margins = np.array([f[k] - area_bound(c0, c1, alpha, beta, gamma, t[k])
                         for k in np.flatnonzero(check)])
@@ -427,13 +420,10 @@ def report_to_dict(report) -> dict:
         out["verdict"] = "pass" if raw["passed"] else "fail"
     elif "reason" in raw:
         out["verdict"] = "skipped"
-    extras = {k: v for k, v in raw.items()
-              if k not in ("kind", "theta", "rate", "prefactor", "window",
-                           "residual", "consistent", "passed", "worst_margin")}
-    for key, val in extras.items():
-        if isinstance(val, tuple):
-            val = list(val)
-        out[key] = val
+    for key, val in raw.items():
+        if key not in ("kind", "theta", "rate", "prefactor", "window", "residual",
+                       "consistent", "passed", "worst_margin"):
+            out[key] = list(val) if isinstance(val, tuple) else val
     return out
 
 

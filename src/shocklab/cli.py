@@ -13,7 +13,7 @@ import logging
 import sys
 
 from . import experiment
-from .config import parse_config, validate_config
+from .config import parse_config
 from .errors import ConfigParseError, ConfigValidationError
 
 log = logging.getLogger("shocklab")
@@ -33,7 +33,6 @@ def _load(args):
         cfg.out_dir = args.out
     if args.seed is not None:
         cfg.perturbation.seed = args.seed
-    validate_config(cfg)  # again, for the overrides; parse_config logged its warnings
     return cfg
 
 

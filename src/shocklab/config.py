@@ -16,9 +16,9 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 from .errors import ConfigParseError, ConfigValidationError
 from .flux import (FluxSpec, ShockData, burgers_flux, convex_quartic_flux,
-                   polynomial_flux)
-from .grid import DIMENSIONS, MIN_N1, MIN_NPRIME
-from .solver import PERTURBATION_KINDS, whole_outputs
+                   polynomial_flux, shock_issues)
+from .grid import grid_issues
+from .solver import perturbation_issues, whole_outputs
 
 log = logging.getLogger("shocklab")
 
@@ -34,7 +34,6 @@ class GridSpec:
 class StepperSpec:
     t_final: float = 50.0
     dt_out: float = 0.5
-    cfl_safety: float = 0.8
     llf: bool = False
 
 
@@ -66,21 +65,14 @@ class ExperimentConfig:
         """Fill the sections whose defaults scale with the shock strength."""
         d = self.strength
         if self.grid is None:
-            self.grid = GridSpec(half_length=default_half_length(d))
+            # tails scale like exp(-c d |x1|): the box grows as the shock weakens
+            self.grid = GridSpec(half_length=max(30.0 / d, 30.0) if d > 0 else 30.0)
         if self.perturbation is None:
             self.perturbation = PerturbationSpec(amplitude=0.01 * d if d > 0 else 0.01)
 
     @property
     def strength(self) -> float:
         return abs(self.u_minus - self.u_plus)
-
-
-def default_half_length(strength: float) -> float:
-    """Domain half-length rule: tails scale like exp(-c * strength * |x1|),
-    so the box must grow as the shock weakens."""
-    if not strength > 0.0:
-        return 30.0
-    return max(30.0 / strength, 30.0)
 
 
 def build_flux(cfg: ExperimentConfig) -> FluxSpec:
@@ -116,9 +108,10 @@ def _nonfinite(obj, prefix: str = ""):
 def validate_config(cfg: ExperimentConfig) -> list[str]:
     """Aggregate validation; raises ConfigValidationError listing every issue.
 
-    NaNs and infinities are reported alone, one issue per field.  Returns a
-    list of non-fatal warnings (currently only the perturbation amplitude
-    knob exceeding a tenth of the shock strength).
+    NaNs and infinities are reported alone, one issue per field.  The grid,
+    end-state, schedule and perturbation rules are the core's own checks,
+    each issue under its config field.  Returns the non-fatal warnings (only
+    a perturbation amplitude above a tenth of the shock strength).
     """
     issues = [(name, "must be finite") for name in _nonfinite(cfg)]
     if issues:
@@ -136,45 +129,21 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
     else:
         issues.append(("flux", "must be a builtin name or a list of numbers"))
 
-    if cfg.dimension not in DIMENSIONS:
-        issues.append(("dimension", f"must be one of {DIMENSIONS}"))
-    if cfg.u_minus == cfg.u_plus:
-        issues.append(("u_plus", "end states must differ (degenerate shock)"))
-    elif flux is not None and not ShockData(flux, cfg.u_minus, cfg.u_plus).admissible:
+    g, st, pert = cfg.grid, cfg.stepper, cfg.perturbation
+    end_states = shock_issues(cfg.u_minus, cfg.u_plus)
+    checks = {
+        "grid.": grid_issues(cfg.dimension, g.half_length, g.n1, g.nprime),
+        "": end_states, "stepper.": whole_outputs(st.t_final, st.dt_out),
+        "perturbation.": perturbation_issues(cfg.dimension, pert.kind, pert.amplitude,
+                                             pert.width, pert.seed)}
+    # each argument under its config field; the grid's dimension is top-level
+    issues += [(name if name == "dimension" else section + name, rule)
+               for section, found in checks.items() for name, rule in found]
+    if flux is not None and not end_states \
+            and not ShockData(flux, cfg.u_minus, cfg.u_plus).admissible:
         issues.append(("u_minus",
                        "ordering is not Lax-admissible for this flux "
                        "(need f1'(u_minus) > s > f1'(u_plus))"))
-
-    g = cfg.grid
-    if g.half_length <= 0.0:
-        issues.append(("grid.half_length", "must be positive"))
-    if g.n1 < MIN_N1:
-        issues.append(("grid.n1", f"need at least {MIN_N1} points"))
-    if cfg.dimension >= 2 and g.nprime < MIN_NPRIME:
-        issues.append(("grid.nprime", f"need at least {MIN_NPRIME} points"))
-
-    st = cfg.stepper
-    if not 0.0 < st.cfl_safety <= 1.0:
-        issues.append(("stepper.cfl_safety", "must lie in (0, 1]"))
-    if st.t_final <= 0.0:
-        issues.append(("stepper.t_final", "must be positive"))
-    if not 0.0 < st.dt_out <= st.t_final:
-        issues.append(("stepper.dt_out", "must lie in (0, t_final]"))
-    elif not whole_outputs(st.t_final, st.dt_out):
-        issues.append(("stepper.dt_out", "must divide t_final into whole outputs"))
-
-    pert = cfg.perturbation
-    if pert.kind not in PERTURBATION_KINDS:
-        issues.append(("perturbation.kind", f"must be one of {PERTURBATION_KINDS}"))
-    elif pert.kind == "random-nonzero-mode" and cfg.dimension == 1:
-        issues.append(("perturbation.kind",
-                       "random-nonzero-mode needs a transverse direction"))
-    if pert.amplitude < 0.0:
-        issues.append(("perturbation.amplitude", "must be nonnegative"))
-    if pert.width <= 0.0:
-        issues.append(("perturbation.width", "must be positive"))
-    if pert.seed < 0:
-        issues.append(("perturbation.seed", "must be nonnegative"))
     if pert.amplitude > 0.1 * cfg.strength > 0.0:
         warnings.append(
             f"perturbation amplitude {pert.amplitude:g} exceeds a tenth of the "

@@ -5,12 +5,22 @@ class ShockLabError(Exception):
     """Base class for all shocklab errors."""
 
 
-class EqualStatesError(ShockLabError):
-    """The two end states coincide, so no shock speed is defined."""
-
-
 class OutOfRangeError(ShockLabError):
     """Argument outside the interval on which the quantity is defined."""
+
+
+class ArgumentError(OutOfRangeError, ValueError):
+    """Arguments that break their function's rules; carries (argument, rule) pairs."""
+
+    prefix = ""
+
+    def __init__(self, issues):
+        self.issues = list(issues)
+        super().__init__(self.prefix + "; ".join(f"{a}: {r}" for a, r in self.issues))
+
+
+class EqualStatesError(ArgumentError):
+    """The end states coincide or are not finite, so no shock speed is defined."""
 
 
 class NotAdmissibleError(ShockLabError):
@@ -81,10 +91,7 @@ class ConfigParseError(ShockLabError):
     """Config file missing or not well-formed JSON."""
 
 
-class ConfigValidationError(ShockLabError):
+class ConfigValidationError(ArgumentError):
     """Config failed validation; carries (field, message) pairs."""
 
-    def __init__(self, issues):
-        self.issues = list(issues)
-        lines = "; ".join(f"{field}: {msg}" for field, msg in self.issues)
-        super().__init__(f"invalid config: {lines}")
+    prefix = "invalid config: "

@@ -1,19 +1,20 @@
 """Every command's work, artifacts and exit code; `cli` only dispatches here.
 
 `build_problem` makes the `solver.Problem` of a config, which simulate and
-run evolve.  `run_profile`, `run_simulate` and `run_experiment` first
+run evolve.  `run_profile`, `run_simulate` and `run_experiment` first check
+the config: a bad one raises ConfigValidationError before any file is
+touched, whether the command came from `cli` or from Python.  Then they
 delete every `ARTIFACTS` file, and every temporary file a write cut short
-left (`LEFTOVERS`), in the config's output directory and echo the config
-to config-echo.json, so the directory holds only what that command
-computed: profile writes profile.txt and profile-tails.json;
-simulate norms.csv (one column per recorded norm) and, with ``snapshots``,
-snapshots/field-*.txt; run what simulate writes plus rates.json: the
-`analysis.analyze_record` of the norms in the config's fit window, and the
-profile tails.  This module holds the commands and their files only; what
-rates.json checks is decided by the run's record in `analysis`.
-`check_area` writes no file and prints its report as JSON.
-The profile's march step, and so the rows of profile.txt, follow the
-config's grid (`_solve_profile`).
+left (`LEFTOVERS`), in the config's output directory and echo the config to
+config-echo.json, so the directory holds only what that command computed:
+profile writes profile.txt and profile-tails.json; simulate norms.csv (one
+column per recorded norm) and, with ``snapshots``, snapshots/field-*.txt;
+run what simulate writes plus rates.json: the `analysis.analyze_record` of
+the norms in the config's fit window, and the profile tails.  This module
+holds the commands and their files only; what rates.json checks is decided
+by the run's record in `analysis`.  `check_area` writes no file and prints
+its report as JSON.  The profile's march step, and so the rows of
+profile.txt, follow the config's grid (`_solve_profile`).
 Every file goes through `_atomic_write`, a temp-then-rename, so readers
 never see partial files.  The t = 0 snapshot is written in-process; the
 later ones by one writer process (`_SnapshotWriter`), made by `os.fork`
@@ -24,14 +25,14 @@ A failed command keeps its output up to the failure: no norms.csv after a
 failed set-up, the norms.csv rows and snapshots before a failed step or
 monitor.
 
-Exit codes: 0 success; 1 an unusable CSV or violated lemma hypotheses
-(a constant that is not finite included) in check-area, and a bad config
-or an unusable output directory, in `cli` before any work starts; 2 a
-failed profile solve or simulation, a perturbation that underflows on the
-grid included; 3 a mass drift beyond its allowance, a failed analysis (a
-run that ends inside the transient t < 1, profile tails too short to fit),
-or a tail check or area inequality that does not pass.  A check the run's
-data cannot carry is a skipped record in rates.json, not an exit 3.
+Exit codes: 0 success; 1 an unusable CSV or violated lemma hypotheses (a
+constant that is not finite included) in check-area, and a bad config or an
+unusable output directory (ConfigValidationError) before any work starts;
+2 a failed profile solve or simulation, a perturbation that underflows on
+the grid included; 3 a mass drift beyond its allowance, a failed analysis
+(a run that ends inside the transient t < 1, profile tails too short to
+fit), or a tail check or area inequality that does not pass.  A check the
+run's data cannot carry is a skipped record in rates.json, not an exit 3.
 Each failure but a check that does not pass logs one error line, under the
 prefix the function's docstring names.
 """
@@ -133,8 +134,8 @@ def build_problem(cfg: ExperimentConfig) -> Problem:
     return Problem(profile=_solve_profile(cfg, grid), grid=grid,
                    perturbation=build_perturbation(grid, pert.kind, pert.amplitude,
                                                    pert.width, pert.seed),
-                   t_final=st.t_final, dt_out=st.dt_out, cfl_safety=st.cfl_safety,
-                   llf=st.llf, p_list=tuple(cfg.p_list))
+                   t_final=st.t_final, dt_out=st.dt_out, llf=st.llf,
+                   p_list=tuple(cfg.p_list))
 
 
 def _atomic_write(path, writer) -> None:
@@ -170,11 +171,13 @@ def norms_to_csv(norms: NormSeries, path) -> None:
 
 
 def _prepare_out_dir(cfg: ExperimentConfig) -> None:
-    """Delete every `ARTIFACTS` and `LEFTOVERS` file in cfg.out_dir, then
-    echo the config there.
+    """Check ``cfg`` with `validate_config`, then delete every `ARTIFACTS`
+    and `LEFTOVERS` file in cfg.out_dir and echo the config there.
 
-    A directory that cannot be used raises ConfigValidationError on out_dir.
+    A bad config raises ConfigValidationError before the directory is
+    touched; a directory that cannot be used raises it on out_dir.
     """
+    validate_config(cfg)
     try:
         for pattern in ARTIFACTS + LEFTOVERS:
             for path in glob.glob(os.path.join(glob.escape(cfg.out_dir), pattern)):

@@ -11,6 +11,7 @@ its speed, strength and admissibility are derived from those three.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -86,13 +87,23 @@ def _horner(coeffs: np.ndarray) -> ScalarFn:
     return evaluate
 
 
+def shock_issues(u_minus: float, u_plus: float) -> list[tuple[str, str]]:
+    """Each end state of `ShockData` that breaks its rule, with the rule."""
+    issues = [(name, "must be finite") for name, u in
+              (("u_minus", u_minus), ("u_plus", u_plus)) if not math.isfinite(u)]
+    if not issues and u_minus == u_plus:
+        issues.append(("u_plus", "end states must differ (degenerate shock)"))
+    return issues
+
+
 @dataclass(frozen=True)
 class ShockData:
     """A shock of ``flux`` joining ``u_minus`` (left) to ``u_plus`` (right).
 
     The flux and the two end states are the whole shock; the Rankine-Hugoniot
     speed, the strength and the Lax admissibility flag derive from them, so
-    no shock holds a speed that disagrees with its states.
+    no shock holds a speed that disagrees with its states.  End states that
+    break a rule of `shock_issues` raise EqualStatesError.
     """
 
     flux: FluxSpec
@@ -100,10 +111,8 @@ class ShockData:
     u_plus: float
 
     def __post_init__(self):
-        if self.u_minus == self.u_plus:
-            raise EqualStatesError("end states coincide")
-        if not self.strength > 0.0:
-            raise ValueError("shock strength must be positive")
+        if issues := shock_issues(self.u_minus, self.u_plus):
+            raise EqualStatesError(issues)
 
     @cached_property
     def speed(self) -> float:

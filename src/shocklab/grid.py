@@ -12,12 +12,14 @@ Text files of floats (snapshots and profile.txt) hold the bytes
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import BadExponentError
+from .errors import ArgumentError, BadExponentError
 
 # smallest normal double: a sum of |f|^p below it has lost its precision
 _TINY = np.finfo(float).tiny
@@ -27,9 +29,25 @@ MIN_N1 = 16
 MIN_NPRIME = 4
 
 
+def grid_issues(dimension, half_length, n1, nprime=1) -> list[tuple[str, str]]:
+    """Each argument of `ChannelGrid` that breaks its rule, with the rule."""
+    issues = []
+    if not (isinstance(dimension, numbers.Integral) and dimension in DIMENSIONS):
+        issues.append(("dimension", f"must be one of {DIMENSIONS}"))
+    if not 0.0 < half_length < math.inf:
+        issues.append(("half_length", "must be positive and finite"))
+    if not (isinstance(n1, numbers.Integral) and n1 >= MIN_N1):
+        issues.append(("n1", f"need a whole number of points, at least {MIN_N1}"))
+    if dimension in DIMENSIONS[1:] and not (isinstance(nprime, numbers.Integral)
+                                            and nprime >= MIN_NPRIME):
+        issues.append(("nprime", f"need a whole number of points, at least {MIN_NPRIME}"))
+    return issues
+
+
 @dataclass(frozen=True)
 class ChannelGrid:
-    """Discrete channel: n in 1..3, x1 in [-L, L], unit transverse torus."""
+    """Discrete channel: n in 1..3, x1 in [-L, L], unit transverse torus;
+    arguments that break a rule of `grid_issues` raise ArgumentError."""
 
     dimension: int
     half_length: float
@@ -37,14 +55,8 @@ class ChannelGrid:
     nprime: int = 1
 
     def __post_init__(self):
-        if self.dimension not in DIMENSIONS:
-            raise ValueError(f"dimension must be one of {DIMENSIONS}, got {self.dimension}")
-        if self.half_length <= 0.0:
-            raise ValueError("half_length must be positive")
-        if self.n1 < MIN_N1:
-            raise ValueError(f"need at least {MIN_N1} longitudinal points")
-        if self.dimension >= 2 and self.nprime < MIN_NPRIME:
-            raise ValueError(f"need at least {MIN_NPRIME} transverse points")
+        if issues := grid_issues(self.dimension, self.half_length, self.n1, self.nprime):
+            raise ArgumentError(issues)
 
     @property
     def h1(self) -> float:

@@ -82,8 +82,6 @@ def solve_profile(shock: ShockData, half_length: float, step: float) -> ShockPro
     """
     if not shock.admissible:
         raise NotAdmissibleError("profile exists only for Lax-admissible shocks")
-    if half_length <= 0.0:
-        raise ValueError("half_length must be positive")
     if not 0.0 < step <= half_length / MIN_HALF_STEPS:
         raise ValueError(f"need 0 < step <= half_length/{MIN_HALF_STEPS:g}")
 

@@ -23,19 +23,14 @@ twice the smallest transverse diffusion rate, a forcing the explicit
 stages must resolve.  The phi-functions come from the contour integral of
 Kassam & Trefethen (SIAM J. Sci. Comput. 26, 2005).
 
-Libraries: numpy alone.  The DST-I is computed the way pocketfft's own
-DST-I does it, as minus the imaginary part of the real FFT
-(`numpy.fft.rfft`) of the odd extension.  The torus transform is
-`numpy.fft.rfft`/`irfft` over the last axis and, in 3-d, `numpy.fft.fft`/
-`ifft` over the other transverse axis.  numpy 2 and scipy ship the same C++
-pocketfft.  It transforms each line the same way whatever the memory
-layout, and multiplies by its scale factor 1/N, formed in long double,
-last.  With the factors formed and applied the same way here, the
-transforms equal scipy's `dst`/`idst` type 1 and `rfftn`/`irfftn` bit for
-bit.  The Newton solve of `discrete_wave` is `_dgtsv`, a port of reference
-LAPACK ``dgtsv``, which scipy's `solve_banded` calls for a tridiagonal
-matrix; it does the same operations in the same order on Python floats, so
-its solutions are scipy's bit for bit too.
+Libraries: numpy alone.  numpy 2 and scipy ship the same C++ pocketfft,
+which transforms each line the same way whatever the memory layout and
+multiplies by its scale factor 1/N, formed in long double, last.  Done the
+same way here (`_dst1`, `_to_spectral`), the transforms equal scipy's
+`dst`/`idst` type 1 and `rfftn`/`irfftn` bit for bit.  The Newton solve of
+`discrete_wave` is `_dgtsv`, a port of reference LAPACK ``dgtsv``, which
+scipy's `solve_banded` calls for a tridiagonal matrix, so its solutions
+are scipy's bit for bit too.
 
 A run is a `Problem`; `experiment.build_problem` makes the `Problem` of a
 config, a layer this module does not import.  Transversally constant data
@@ -53,15 +48,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analysis import OUTPUT_TIME_REL_TOL, ROUNDOFF_FRACTION, NormSeries
-from .errors import (BlowupError, BoundaryLeakError, MassDriftError, OutOfRangeError,
-                     RangeExceededError, WaveNotConvergedError)
+from .errors import (ArgumentError, BlowupError, BoundaryLeakError, MassDriftError,
+                     OutOfRangeError, RangeExceededError, WaveNotConvergedError)
 from .flux import FluxSpec, ShockData
-from .grid import ChannelGrid, Field, gradient, integrate, lp_norm
+from .grid import DIMENSIONS, ChannelGrid, Field, gradient, integrate, lp_norm
 from .modes import antiderivative, nonzero_mode, shift_normalize, zero_mode
 from .profile import ShockProfile, eval_profile
 
 # Guard against division by a vanishing advective speed in the CFL bound.
 CFL_EPS = 1e-30
+# The safety factor a run's step takes on `advective_dt`.
+ADVECTIVE_SAFETY = 0.8
 # Perturbation magnitude at the domain ends above this fraction of its sup
 # means the box is too small for the run.  End values below the absolute
 # floor ROUNDOFF_FRACTION * strength are round-off and never trip it.
@@ -377,8 +374,6 @@ def _mode_coefficients(seed: int, axis: int, k: int) -> tuple[float, float]:
 def _random_modes(grid: ChannelGrid, seed: int) -> np.ndarray:
     """The transverse factor of "random-nonzero-mode": modes 1 <= k <= N'/4
     of each transverse axis, with the coefficients `_mode_coefficients`."""
-    if grid.dimension == 1:
-        raise ValueError("random-nonzero-mode needs a transverse direction")
     kmax = max(1, grid.nprime // 4)
     trans = np.zeros(grid.shape[1:])
     for axis in range(grid.dimension - 1):
@@ -390,14 +385,32 @@ def _random_modes(grid: ChannelGrid, seed: int) -> np.ndarray:
     return trans
 
 
-# The factor each perturbation kind puts on the Gaussian envelope
-# exp(-(x1/width)^2), of the grid, the column x1/width and the seed.
+# Each perturbation kind's least dimension n and its factor on the Gaussian
+# envelope exp(-(x1/width)^2), of the grid, the column x1/width and the seed.
 _PERTURBATION_FACTORS = {
-    "gaussian-bump": lambda grid, xi, seed: 1.0,
-    "odd-bump": lambda grid, xi, seed: xi,
-    "random-nonzero-mode": lambda grid, xi, seed: _random_modes(grid, seed),
+    "none": (1, None),
+    "gaussian-bump": (1, lambda grid, xi, seed: 1.0),
+    "odd-bump": (1, lambda grid, xi, seed: xi),
+    "random-nonzero-mode": (2, lambda grid, xi, seed: _random_modes(grid, seed)),
 }
-PERTURBATION_KINDS = ("none",) + tuple(_PERTURBATION_FACTORS)
+PERTURBATION_KINDS = tuple(_PERTURBATION_FACTORS)
+
+
+def perturbation_issues(dimension, kind, amplitude, width, seed) -> list[tuple[str, str]]:
+    """Each argument of `build_perturbation` that breaks its rule, with the
+    rule; a grid ``dimension`` that `grid_issues` rejects is left to it."""
+    issues = []
+    if kind not in PERTURBATION_KINDS:
+        issues.append(("kind", f"must be one of {PERTURBATION_KINDS}"))
+    elif dimension in DIMENSIONS and dimension < _PERTURBATION_FACTORS[kind][0]:
+        issues.append(("kind", f"{kind} needs a transverse direction"))
+    if not 0.0 <= amplitude < math.inf:
+        issues.append(("amplitude", "must be nonnegative and finite"))
+    if not 0.0 < width < math.inf:
+        issues.append(("width", "must be positive and finite"))
+    if seed < 0:
+        issues.append(("seed", "must be nonnegative"))
+    return issues
 
 
 def build_perturbation(grid: ChannelGrid, kind: str, amplitude: float, width: float,
@@ -405,24 +418,25 @@ def build_perturbation(grid: ChannelGrid, kind: str, amplitude: float, width: fl
     """Initial perturbation, normalized so its max magnitude equals ``amplitude``.
 
     "none" is zero; every other kind of PERTURBATION_KINDS is a Gaussian
-    envelope in x1 times its factor in _PERTURBATION_FACTORS.
-    "gaussian-bump" and "odd-bump" are transversally constant; the odd bump
-    carries zero total mass.  "random-nonzero-mode" excites the resolved
-    transverse Fourier modes 1 <= k <= N'/4 of each transverse axis, so its
-    transverse average vanishes identically.  The coefficients of mode k on
-    axis i are drawn from a stream keyed by (``seed``, i, k)
-    (`_mode_coefficients`), so they depend on neither N' nor the other
-    modes.  A shape too small to scale at every grid point, as a bump
-    narrower than the spacing can be, raises OutOfRangeError.
+    envelope in x1 times its factor in _PERTURBATION_FACTORS.  "gaussian-bump"
+    and "odd-bump" are transversally constant; the odd bump carries zero
+    total mass.  "random-nonzero-mode" excites the resolved transverse
+    Fourier modes 1 <= k <= N'/4 of each transverse axis, so its transverse
+    average vanishes identically.  The coefficients of mode k on axis i are
+    drawn from a stream keyed by (``seed``, i, k) (`_mode_coefficients`), so
+    they depend on neither N' nor the other modes.  Arguments that break a
+    rule of `perturbation_issues` raise ArgumentError; a shape too small to
+    scale at every grid point, as a bump narrower than the spacing can be,
+    raises OutOfRangeError.
     """
-    if kind not in PERTURBATION_KINDS:
-        raise ValueError(f"unknown perturbation kind {kind!r}")
+    if issues := perturbation_issues(grid.dimension, kind, amplitude, width, seed):
+        raise ArgumentError(issues)
     if kind == "none" or amplitude == 0.0:
         return np.zeros(grid.shape)
 
     xi = grid.x1.reshape(grid.column) / width
     envelope = np.exp(-(xi ** 2))
-    pert = envelope * _PERTURBATION_FACTORS[kind](grid, xi, seed)
+    pert = envelope * _PERTURBATION_FACTORS[kind][1](grid, xi, seed)
     pert = np.broadcast_to(pert, grid.shape)
     peak = float(np.max(np.abs(pert)))
     if peak == 0.0 or math.isinf(amplitude / peak):
@@ -575,8 +589,8 @@ class Problem:
     """One run of `simulate`: the solved profile of the shock (``.shock``
     holds the flux), the grid, the initial perturbation on it, outputs
     every ``dt_out`` up to ``t_final`` with Phi_Lp channels for ``p_list``,
-    and the step's options.  The profile covers the grid's x1 range plus
-    PROFILE_PAD, as a background shifted by up to PROFILE_PAD - 1 (the
+    and the step's option ``llf``.  The profile covers the grid's x1 range
+    plus PROFILE_PAD, as a background shifted by up to PROFILE_PAD - 1 (the
     guard in `_setup`) must stay inside it.
     """
 
@@ -585,18 +599,19 @@ class Problem:
     perturbation: np.ndarray
     t_final: float
     dt_out: float
-    cfl_safety: float
     llf: bool
     p_list: tuple[float, ...]
 
 
-def whole_outputs(t_final: float, dt_out: float) -> bool:
-    """Whether 0 < dt_out <= t_final and dt_out divides t_final into whole
-    outputs, within OUTPUT_TIME_REL_TOL of t_final/dt_out."""
-    if not 0.0 < dt_out <= t_final:
-        return False
-    n_out = t_final / dt_out
-    return abs(n_out - round(n_out)) <= OUTPUT_TIME_REL_TOL * n_out
+def whole_outputs(t_final: float, dt_out: float) -> list[tuple[str, str]]:
+    """Each of ``t_final`` and ``dt_out`` that breaks its rule, with the rule:
+    t_final > 0, and dt_out divides t_final into one or more whole outputs,
+    within OUTPUT_TIME_REL_TOL of t_final/dt_out."""
+    issues = [] if t_final > 0.0 else [("t_final", "must be positive")]
+    n_out = t_final / dt_out if 0.0 < dt_out <= t_final else 0.0
+    if not n_out or abs(n_out - round(n_out)) > OUTPUT_TIME_REL_TOL * n_out:
+        issues.append(("dt_out", "must divide t_final into one or more whole outputs"))
+    return issues
 
 
 def _setup(problem: Problem) -> tuple[Field, np.ndarray, int, dict]:
@@ -604,9 +619,9 @@ def _setup(problem: Problem) -> tuple[Field, np.ndarray, int, dict]:
 
     The initial field is the `discrete_wave` at phase 0 plus the
     perturbation, and the run measures against the `discrete_wave` at the
-    phase a of `shift_normalize`.  A dt_out that fails `whole_outputs`
-    raises OutOfRangeError.  The step dt_out / n_sub is the largest such
-    step within `advective_dt` and `nonzero_mode_dt` on the initial field.
+    phase a of `shift_normalize`.  A schedule that breaks `whole_outputs`
+    raises ArgumentError.  The step dt_out / n_sub is the largest such step
+    within `advective_dt` (at ADVECTIVE_SAFETY) and `nonzero_mode_dt` of u0.
     The meta records the problem, dt, a, the initial mass and whether the
     run is ``reduced``: n >= 2 and the initial field transversally constant.
     """
@@ -615,9 +630,8 @@ def _setup(problem: Problem) -> tuple[Field, np.ndarray, int, dict]:
     if problem.perturbation.shape != grid.shape:
         raise ValueError(f"perturbation shape {problem.perturbation.shape} does not "
                          f"match grid {grid.shape}")
-    if not whole_outputs(problem.t_final, problem.dt_out):
-        raise OutOfRangeError(f"dt_out {problem.dt_out:g} does not divide t_final "
-                              f"{problem.t_final:g} into whole outputs")
+    if issues := whole_outputs(problem.t_final, problem.dt_out):
+        raise ArgumentError(issues)
 
     u0 = discrete_wave(grid, prof, 0.0, problem.llf).reshape(grid.column) \
         + problem.perturbation
@@ -628,7 +642,7 @@ def _setup(problem: Problem) -> tuple[Field, np.ndarray, int, dict]:
         raise OutOfRangeError(f"shift {a:g} too large for the solved profile range")
     bg = discrete_wave(grid, prof, a, problem.llf)
 
-    dt_bound = min(advective_dt(fld, shock.flux, problem.cfl_safety, speed=shock.speed),
+    dt_bound = min(advective_dt(fld, shock.flux, ADVECTIVE_SAFETY, speed=shock.speed),
                    nonzero_mode_dt(fld))
     n_sub = max(1, math.ceil(problem.dt_out / dt_bound))
     meta = {"p_list": [float(p) for p in problem.p_list],
@@ -646,13 +660,11 @@ def simulate(problem: Problem) -> tuple[dict, Iterator[tuple[Field, dict]]]:
     """Set up ``problem`` now; return its meta and its lazy output stream.
 
     Set-up errors, such as a shift too large, raise at once; the initial
-    field and background are those of `_setup`.  The step is the largest
-    one that divides dt_out exactly within `advective_dt` and
-    `nonzero_mode_dt`, so reruns are bit-identical.  The scheme keeps
-    transversally constant data so, and with n >= 2 such data step as
-    their x1 column on the n = 1 grid, at the step of the n-d run: the
-    meta's ``reduced`` is then true and the yielded fields hold read-only
-    broadcasts of the column.
+    field, background and step are those of `_setup`, so reruns are
+    bit-identical.  The scheme keeps transversally constant data so, and
+    with n >= 2 such data step as their x1 column on the n = 1 grid, at the
+    step of the n-d run: the meta's ``reduced`` is then true and the
+    yielded fields hold read-only broadcasts of the column.
 
     The stream computes each (field, norm row) at t = 0, dt_out, ...,
     t_final when asked and never modifies a yielded field.  An output whose

@@ -2,6 +2,7 @@
 
 import copy
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ import shocklab as sl
 from shocklab.config import (ExperimentConfig, GridSpec, PerturbationSpec,
                              StepperSpec, config_from_dict, config_to_dict,
                              validate_config)
-from shocklab.errors import ConfigValidationError
+from shocklab.errors import ArgumentError, ConfigValidationError
 
 WORKLOADS = sorted((Path(__file__).resolve().parents[1] / "bench" / "workloads")
                    .glob("*.json"))
@@ -126,29 +127,92 @@ def test_dt_out_must_divide_t_final(t_final, dt_out, ok):
         assert field_names(exc_info) == ["stepper.dt_out"]
 
 
-# what ChannelGrid's error names for each config field
-GRID_MESSAGES = {"dimension": "dimension", "grid.n1": "longitudinal",
-                 "grid.nprime": "transverse"}
+def grid_doc(dimension, n1=16, nprime=4, **over):
+    return dict({"dimension": dimension,
+                 "grid": {"half_length": 30, "n1": n1, "nprime": nprime}}, **over)
 
 
-@pytest.mark.parametrize("dimension, n1, nprime, bad", [
-    (1, 15, 1, "grid.n1"), (1, 16, 1, None),
-    (2, 16, 3, "grid.nprime"), (2, 16, 4, None),
-    (3, 16, 3, "grid.nprime"), (3, 16, 4, None),
-    (0, 16, 4, "dimension"), (4, 16, 4, "dimension"),
-])
-def test_grid_and_config_agree_at_each_grid_limit(dimension, n1, nprime, bad):
-    cfg = config_from_dict({"dimension": dimension,
-                            "grid": {"half_length": 30, "n1": n1, "nprime": nprime}})
-    if bad is None:
+def schedule_doc(t_final, dt_out):
+    return {"stepper": {"t_final": t_final, "dt_out": dt_out}}
+
+
+# the kinds that need a transverse direction, n >= 2
+TRANSVERSE_KINDS = {"random-nonzero-mode"}
+# (config, the fields it breaks): each rule of the grid, the perturbation,
+# the output schedule and the end states on both sides of its limit; the
+# grid limits keep their ids dimension-n1-nprime-field
+RULES = [
+    pytest.param(grid_doc(1, 15, 1), ["grid.n1"], id="1-15-1-grid.n1"),
+    pytest.param(grid_doc(1, 16, 1), [], id="1-16-1-None"),
+    pytest.param(grid_doc(2, 16, 3), ["grid.nprime"], id="2-16-3-grid.nprime"),
+    pytest.param(grid_doc(2, 16, 4), [], id="2-16-4-None"),
+    pytest.param(grid_doc(3, 16, 3), ["grid.nprime"], id="3-16-3-grid.nprime"),
+    pytest.param(grid_doc(3, 16, 4), [], id="3-16-4-None"),
+    pytest.param(grid_doc(0, 16, 4), ["dimension"], id="0-16-4-dimension"),
+    pytest.param(grid_doc(4, 16, 4), ["dimension"], id="4-16-4-dimension"),
+    pytest.param(grid_doc(2, 15, 3), ["grid.n1", "grid.nprime"], id="n1-and-nprime"),
+    pytest.param({"grid": {"half_length": 0}}, ["grid.half_length"], id="half_length-0"),
+    *[pytest.param(grid_doc(n, perturbation={"kind": kind}),
+                   ["perturbation.kind"] if kind in TRANSVERSE_KINDS and n == 1 else [],
+                   id=f"{kind}-n{n}")
+      for kind in sl.solver.PERTURBATION_KINDS for n in (1, 2, 3)],
+    pytest.param({"perturbation": {"kind": "no-such-kind"}}, ["perturbation.kind"],
+                 id="unknown-kind"),
+    pytest.param({"perturbation": {"amplitude": -0.01}}, ["perturbation.amplitude"],
+                 id="amplitude-negative"),
+    pytest.param({"perturbation": {"amplitude": 0.0}}, [], id="amplitude-0"),
+    pytest.param({"perturbation": {"width": 0.0}}, ["perturbation.width"], id="width-0"),
+    pytest.param({"perturbation": {"seed": -1}}, ["perturbation.seed"], id="seed-negative"),
+    pytest.param({"perturbation": {"seed": 0}}, [], id="seed-0"),
+    pytest.param(schedule_doc(2.0, 0.5), [], id="dt_out-divides"),
+    pytest.param(schedule_doc(2.0, 0.8), ["stepper.dt_out"], id="dt_out-does-not-divide"),
+    pytest.param(schedule_doc(2.0, 2.0), [], id="dt_out-is-t_final"),
+    pytest.param(schedule_doc(2.0, 3.0), ["stepper.dt_out"], id="dt_out-past-t_final"),
+    pytest.param(schedule_doc(-1.0, 0.5), ["stepper.dt_out", "stepper.t_final"],
+                 id="t_final-negative"),
+    pytest.param({"u_minus": 1.0, "u_plus": 1.0}, ["u_plus"], id="equal-states"),
+    pytest.param({"u_minus": 1.0, "u_plus": -1.0}, [], id="distinct-states"),
+]
+
+
+@pytest.fixture(scope="module")
+def small_problem():
+    return sl.build_problem(config_from_dict(dict(grid_doc(1, 64), **schedule_doc(2.0, 0.5))))
+
+
+def core_fields(cfg, problem):
+    """The config fields the core rejects in ``cfg``: its grid, its
+    perturbation on that grid, its shock and, on ``problem``, its output
+    schedule, each made as a run makes it."""
+    fields = []
+
+    def rejected(section, make):
+        try:
+            return make()
+        except ArgumentError as exc:
+            fields.extend(section + name for name, _ in exc.issues)
+
+    grid = rejected("grid.", lambda: sl.experiment._grid(cfg))
+    pert, st = cfg.perturbation, cfg.stepper
+    if grid is not None:
+        rejected("perturbation.", lambda: sl.build_perturbation(
+            grid, pert.kind, pert.amplitude, pert.width, pert.seed))
+    rejected("", lambda: sl.ShockData(sl.build_flux(cfg), cfg.u_minus, cfg.u_plus))
+    rejected("stepper.", lambda: sl.simulate(replace(problem, t_final=st.t_final,
+                                                     dt_out=st.dt_out)))
+    return sorted(f.replace("grid.dimension", "dimension") for f in fields)
+
+
+@pytest.mark.parametrize("doc, bad", RULES)
+def test_grid_and_config_agree_at_each_grid_limit(doc, bad, small_problem):
+    cfg = config_from_dict(doc)
+    if bad:
+        with pytest.raises(ConfigValidationError) as exc_info:
+            validate_config(cfg)
+        assert sorted(field_names(exc_info)) == bad
+    else:
         assert validate_config(cfg) == []
-        assert sl.experiment._grid(cfg).shape == (n1,) + (nprime,) * (dimension - 1)
-        return
-    with pytest.raises(ConfigValidationError) as exc_info:
-        validate_config(cfg)
-    assert field_names(exc_info) == [bad]
-    with pytest.raises(ValueError, match=GRID_MESSAGES[bad]):
-        sl.experiment._grid(cfg)
+    assert core_fields(cfg, small_problem) == bad
 
 
 def test_flux_is_checked_on_the_run_range():

@@ -19,6 +19,7 @@ from shocklab import cli, experiment, solver
 from shocklab.analysis import (MIN_FIT_SAMPLES, NormSeries, analyze_record,
                                report_to_dict, reports_to_json)
 from shocklab.config import config_from_dict
+from shocklab.errors import ConfigValidationError
 from shocklab.experiment import (EXIT_ANALYSIS, EXIT_CONFIG, EXIT_OK,
                                  EXIT_SIMULATION, build_problem)
 from shocklab.grid import save_field_text
@@ -104,6 +105,8 @@ BROKEN_RULES = [
     ({"grid": {"half_length": -1}}, "grid.half_length"),
     ({"grid": {"n1": 8}}, "grid.n1"),
     ({"grid": {"nprime": 2}}, "grid.nprime"),
+    # the step's safety factor is a solver constant: its key fails as
+    # unknown, whatever the value
     ({"stepper": {"cfl_safety": 1.5}}, "stepper.cfl_safety"),
     # the lab frame is gone: its key fails as unknown, whatever the value
     ({"stepper": {"frame": "moving"}}, "stepper.frame"),
@@ -397,6 +400,22 @@ def test_vanishing_perturbation_exits_2(tmp_path, caplog, command, doc):
     assert len(errors) == 1 and errors[0].startswith("simulation failed:")
     assert "perturbation.width" in errors[0]
     assert files(out) == ["config-echo.json"]
+
+
+@pytest.mark.parametrize("command, doc, field", [
+    (experiment.run_experiment, dict(OK, grid={"half_length": 15, "n1": 8}), "grid.n1"),
+    (experiment.run_profile, dict(OK, flux="nope"), "flux"),
+], ids=["run-n1", "profile-flux"])
+def test_command_from_python_checks_the_config_first(tmp_path, command, doc, field):
+    out = tmp_path / "out"
+    out.mkdir()
+    earlier = {"config-echo.json": "earlier echo\n", "norms.csv": "earlier norms\n"}
+    for name, text in earlier.items():
+        (out / name).write_text(text)
+    with pytest.raises(ConfigValidationError) as exc_info:
+        command(config_from_dict(dict(doc, out_dir=str(out))))
+    assert [name for name, _ in exc_info.value.issues] == [field]
+    assert {p.name: p.read_text() for p in out.iterdir()} == earlier
 
 
 @pytest.mark.parametrize("command", ["run", "simulate", "profile"])

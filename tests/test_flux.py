@@ -1,5 +1,7 @@
 """Fluxes and shock algebra: speed, admissibility, convexity, derivatives."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +28,13 @@ class TestShockSpeed:
     def test_equal_states_rejected(self, burgers1):
         with pytest.raises(EqualStatesError):
             sl.ShockData(burgers1, 0.7, 0.7).speed
+
+    @pytest.mark.parametrize("u_minus, u_plus, name", [
+        (math.nan, -1.0, "u_minus"), (1.0, math.inf, "u_plus")])
+    def test_non_finite_state_is_named(self, burgers1, u_minus, u_plus, name):
+        with pytest.raises(EqualStatesError) as exc_info:
+            sl.ShockData(burgers1, u_minus, u_plus)
+        assert [arg for arg, _ in exc_info.value.issues] == [name]
 
     @given(a=states, b=states)
     @settings(max_examples=50, deadline=None)

@@ -1,13 +1,14 @@
 """Channel quadrature, norms, and field storage."""
 
 import io
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import shocklab as sl
-from shocklab.errors import BadExponentError
+from shocklab.errors import ArgumentError, BadExponentError
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +42,18 @@ class TestGridGeometry:
             sl.ChannelGrid(dimension=2, half_length=10.0, n1=64, nprime=2)
         with pytest.raises(ValueError):
             sl.ChannelGrid(dimension=4, half_length=10.0, n1=64, nprime=8)
+
+    @pytest.mark.parametrize("over, name", [
+        ({"half_length": math.nan}, "half_length"),
+        ({"half_length": math.inf}, "half_length"),
+        ({"dimension": 2, "n1": 32.5}, "n1"),
+        ({"dimension": 2.0}, "dimension"),
+    ], ids=["half_length-nan", "half_length-inf", "n1-not-whole", "dimension-not-whole"])
+    def test_bad_argument_is_named(self, over, name):
+        args = dict({"dimension": 1, "half_length": 10.0, "n1": 64, "nprime": 4}, **over)
+        with pytest.raises(ArgumentError) as exc_info:
+            sl.ChannelGrid(**args)
+        assert [arg for arg, _ in exc_info.value.issues] == [name]
 
     def test_field_shape_check(self, small_plane):
         with pytest.raises(ValueError):

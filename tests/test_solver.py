@@ -14,8 +14,8 @@ import shocklab as sl
 from shocklab import cli
 from shocklab.config import (ExperimentConfig, GridSpec, PerturbationSpec,
                              StepperSpec, config_from_dict)
-from shocklab.errors import (BlowupError, BoundaryLeakError, OutOfRangeError,
-                             RangeExceededError, WaveNotConvergedError)
+from shocklab.errors import (ArgumentError, BlowupError, BoundaryLeakError,
+                             OutOfRangeError, RangeExceededError, WaveNotConvergedError)
 from conftest import closed_form_sym
 
 
@@ -23,7 +23,7 @@ def make_config(**over):
     base = dict(
         flux="burgers", u_minus=1.0, u_plus=-1.0, dimension=1,
         grid=GridSpec(half_length=30.0, n1=256, nprime=8),
-        stepper=StepperSpec(t_final=2.0, dt_out=0.5, cfl_safety=0.8),
+        stepper=StepperSpec(t_final=2.0, dt_out=0.5),
         perturbation=PerturbationSpec(kind="gaussian-bump", amplitude=0.01,
                                       width=2.0, seed=7),
         p_list=[2.0, 4.0],
@@ -222,7 +222,7 @@ def nd_stepping(problem):
 def short_run(dimension, nprime, kind="gaussian-bump", amplitude=0.01):
     return make_config(dimension=dimension,
                        grid=GridSpec(half_length=15.0, n1=64, nprime=nprime),
-                       stepper=StepperSpec(t_final=0.5, dt_out=0.25, cfl_safety=0.8),
+                       stepper=StepperSpec(t_final=0.5, dt_out=0.25),
                        perturbation=PerturbationSpec(kind=kind, amplitude=amplitude,
                                                      width=2.0, seed=3))
 
@@ -281,7 +281,7 @@ class TestNonzeroModeDecay:
         cfg = make_config(
             dimension=2,
             grid=GridSpec(half_length=30.0, n1=512, nprime=16),
-            stepper=StepperSpec(t_final=0.7, dt_out=0.025, cfl_safety=0.8),
+            stepper=StepperSpec(t_final=0.7, dt_out=0.025),
             perturbation=PerturbationSpec(kind="random-nonzero-mode",
                                           amplitude=0.01, width=2.0, seed=42))
         rec = sl.run_simulation(sl.build_problem(cfg))
@@ -298,7 +298,7 @@ class TestFrameEquivalence:
         cfg = make_config(
             u_minus=2.0, u_plus=0.0,
             grid=GridSpec(half_length=30.0, n1=512, nprime=8),
-            stepper=StepperSpec(t_final=t_final, dt_out=0.5, cfl_safety=0.8),
+            stepper=StepperSpec(t_final=t_final, dt_out=0.5),
             perturbation=PerturbationSpec(kind="gaussian-bump",
                                           amplitude=0.02, width=2.0, seed=7))
         problem = sl.build_problem(cfg)
@@ -329,8 +329,7 @@ class TestFrameEquivalence:
 class TestMaximumPrinciple:
     def test_llf_run_stays_in_initial_range(self):
         cfg = make_config(
-            stepper=StepperSpec(t_final=1.0, dt_out=0.25, cfl_safety=0.5,
-                                llf=True),
+            stepper=StepperSpec(t_final=1.0, dt_out=0.25, llf=True),
             perturbation=PerturbationSpec(kind="odd-bump", amplitude=0.05,
                                           width=2.0, seed=9))
         fields = [fld for fld, _ in sl.simulate(sl.build_problem(cfg))[1]]
@@ -347,7 +346,7 @@ class TestRefinement:
         for n1 in (129, 257, 513):
             cfg = make_config(
                 grid=GridSpec(half_length=15.0, n1=n1, nprime=8),
-                stepper=StepperSpec(t_final=1.0, dt_out=0.5, cfl_safety=0.8))
+                stepper=StepperSpec(t_final=1.0, dt_out=0.5))
             rec = sl.run_simulation(sl.build_problem(cfg))
             vals.append(rec.channels["zmode_L2"][-1])
         r = abs(vals[0] - vals[1]) / abs(vals[1] - vals[2])
@@ -424,7 +423,7 @@ class TestStepRule:
         meta = sl.run_simulation(problem).meta
         shock = problem.profile.shock
         u0, _, _, _ = sl.solver._setup(problem)
-        bound = sl.advective_dt(u0, shock.flux, cfg.stepper.cfl_safety, shock.speed)
+        bound = sl.advective_dt(u0, shock.flux, sl.solver.ADVECTIVE_SAFETY, shock.speed)
         assert meta["reduced"]
         assert meta["dt"] == cfg.stepper.dt_out / math.ceil(cfg.stepper.dt_out / bound)
         assert len(steps) == round(cfg.stepper.t_final / meta["dt"])
@@ -445,7 +444,7 @@ class TestBoundaryLeak:
     def test_small_domain_trips_monitor(self):
         cfg = make_config(
             grid=GridSpec(half_length=8.0, n1=128, nprime=8),
-            stepper=StepperSpec(t_final=1.0, dt_out=0.5, cfl_safety=0.8),
+            stepper=StepperSpec(t_final=1.0, dt_out=0.5),
             perturbation=PerturbationSpec(kind="gaussian-bump", amplitude=0.01,
                                           width=3.0, seed=7))
         with pytest.raises(BoundaryLeakError):
@@ -461,6 +460,12 @@ class TestPerturbations:
         for kind in [k for k in sl.solver.PERTURBATION_KINDS if k != "none"]:
             pert = sl.build_perturbation(plane, kind, 0.03, 2.0, 5)
             assert np.max(np.abs(pert)) == pytest.approx(0.03, rel=1e-12)
+
+    def test_zero_width_is_named(self, plane):
+        # before any division: RuntimeWarnings are errors here
+        with pytest.raises(ArgumentError) as exc_info:
+            sl.build_perturbation(plane, "gaussian-bump", 0.03, 0.0, 5)
+        assert [arg for arg, _ in exc_info.value.issues] == ["width"]
 
     def test_odd_bump_mass_free(self, plane):
         pert = sl.build_perturbation(plane, "odd-bump", 0.03, 2.0, 5)
@@ -546,8 +551,7 @@ class TestRunRecord:
         cfg = make_config(perturbation=PerturbationSpec(kind="none",
                                                         amplitude=0.0,
                                                         width=2.0, seed=7),
-                          stepper=StepperSpec(t_final=4.0, dt_out=1.0,
-                                              cfl_safety=0.8))
+                          stepper=StepperSpec(t_final=4.0, dt_out=1.0))
         rec = sl.run_simulation(sl.build_problem(cfg))
         floor = 5e-3 * (30.0 / 255) ** 2   # generous h^2 scale
         assert np.max(rec.channels["pert_Linf"]) < floor

@@ -10,7 +10,6 @@ expands to a full experiment.
 from __future__ import annotations
 
 import json
-import logging
 import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
@@ -18,9 +17,7 @@ from .errors import ConfigParseError, ConfigValidationError
 from .flux import (FluxSpec, ShockData, burgers_flux, convex_quartic_flux,
                    polynomial_flux, shock_issues)
 from .grid import grid_issues
-from .solver import perturbation_issues, whole_outputs
-
-log = logging.getLogger("shocklab")
+from .solver import p_list_issues, perturbation_issues, whole_outputs
 
 
 @dataclass
@@ -108,32 +105,27 @@ def _nonfinite(obj, prefix: str = ""):
 def validate_config(cfg: ExperimentConfig) -> list[str]:
     """Aggregate validation; raises ConfigValidationError listing every issue.
 
-    NaNs and infinities are reported alone, one issue per field.  The grid,
-    end-state, schedule and perturbation rules are the core's own checks,
-    each issue under its config field.  Returns the non-fatal warnings (only
-    a perturbation amplitude above a tenth of the shock strength).
+    NaNs and infinities are reported alone, one issue per field.  The other
+    rules but the fit window's are the core's own checks, each issue under
+    its config field.  Returns the non-fatal warnings (only a perturbation
+    amplitude above a tenth of the shock strength).  Each command runs it
+    once, in `experiment._prepare_out_dir`.
     """
     issues = [(name, "must be finite") for name in _nonfinite(cfg)]
     if issues:
         # every later check would misread a NaN or an infinity
         raise ConfigValidationError(issues)
-    warnings: list[str] = []
-
-    flux = None
-    if isinstance(cfg.flux, str) or (isinstance(cfg.flux, (list, tuple))
-                                     and all(type(c) in (int, float) for c in cfg.flux)):
-        try:
-            flux = build_flux(cfg)
-        except ValueError as exc:
-            issues.append(("flux", str(exc)))
-    else:
-        issues.append(("flux", "must be a builtin name or a list of numbers"))
-
+    try:
+        flux = build_flux(cfg)
+    except ValueError as exc:
+        flux = None
+        issues.append(("flux", str(exc)))
     g, st, pert = cfg.grid, cfg.stepper, cfg.perturbation
     end_states = shock_issues(cfg.u_minus, cfg.u_plus)
     checks = {
         "grid.": grid_issues(cfg.dimension, g.half_length, g.n1, g.nprime),
-        "": end_states, "stepper.": whole_outputs(st.t_final, st.dt_out),
+        "": end_states + p_list_issues(cfg.p_list),
+        "stepper.": whole_outputs(st.t_final, st.dt_out),
         "perturbation.": perturbation_issues(cfg.dimension, pert.kind, pert.amplitude,
                                              pert.width, pert.seed)}
     # each argument under its config field; the grid's dimension is top-level
@@ -141,35 +133,19 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
                for section, found in checks.items() for name, rule in found]
     if flux is not None and not end_states \
             and not ShockData(flux, cfg.u_minus, cfg.u_plus).admissible:
-        issues.append(("u_minus",
-                       "ordering is not Lax-admissible for this flux "
-                       "(need f1'(u_minus) > s > f1'(u_plus))"))
-    if pert.amplitude > 0.1 * cfg.strength > 0.0:
-        warnings.append(
-            f"perturbation amplitude {pert.amplitude:g} exceeds a tenth of the "
-            f"shock strength {cfg.strength:g}; the small-perturbation regime "
-            "is not guaranteed")
-
-    if not cfg.p_list or any(not p >= 1.0 for p in cfg.p_list):
-        issues.append(("p_list", "need a non-empty list of exponents >= 1"))
-    else:
-        # each p names its norm channels f"{p:g}"; two p must not share them
-        seen = {}
-        for p in cfg.p_list:
-            name = f"{p:g}"
-            if name in seen:
-                issues.append(("p_list", f"{seen[name]!r} and {p!r} share the "
-                               f"channel name {name}"))
-                break
-            seen[name] = p
+        issues.append(("u_minus", "ordering is not Lax-admissible for this flux "
+                                  "(need f1'(u_minus) > s > f1'(u_plus))"))
     window = cfg.fit_window
     if window is not None and (len(window) != 2
                                or not 0.0 <= window[0] < window[1] <= st.t_final):
         issues.append(("fit_window", "must be a pair 0 <= t_a < t_b <= t_final"))
-
     if issues:
         raise ConfigValidationError(issues)
-    return warnings
+    if pert.amplitude > 0.1 * cfg.strength > 0.0:
+        return [f"perturbation amplitude {pert.amplitude:g} exceeds a tenth of the "
+                f"shock strength {cfg.strength:g}; the small-perturbation regime "
+                "is not guaranteed"]
+    return []
 
 
 _SECTIONS = ("grid", "stepper", "perturbation")
@@ -239,7 +215,8 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Load, default-fill, and validate a JSON config file."""
+    """Load and default-fill a JSON config file, which each command then
+    checks with `validate_config`; unknown keys and mistyped values raise."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -249,10 +226,7 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigParseError(f"{path} is not well-formed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigParseError(f"{path} must hold a JSON object")
-    cfg = config_from_dict(doc)
-    for warning in validate_config(cfg):
-        log.warning("%s", warning)
-    return cfg
+    return config_from_dict(doc)
 
 
 def emit_config(cfg: ExperimentConfig, path) -> None:

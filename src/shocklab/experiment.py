@@ -2,7 +2,8 @@
 
 `build_problem` makes the `solver.Problem` of a config, which simulate and
 run evolve.  `run_profile`, `run_simulate` and `run_experiment` first check
-the config: a bad one raises ConfigValidationError before any file is
+the config with `validate_config`, which runs nowhere else, and log its
+warning: a bad config raises ConfigValidationError before any file is
 touched, whether the command came from `cli` or from Python.  Then they
 delete every `ARTIFACTS` file, and every temporary file a write cut short
 left (`LEFTOVERS`), in the config's output directory and echo the config to
@@ -16,11 +17,9 @@ by the run's record in `analysis`.  `check_area` writes no file and prints
 its report as JSON.  The profile's march step, and so the rows of
 profile.txt, follow the config's grid (`_solve_profile`).
 Every file goes through `_atomic_write`, a temp-then-rename, so readers
-never see partial files.  The t = 0 snapshot is written in-process; the
-later ones by one writer process (`_SnapshotWriter`), made by `os.fork`
-and fed over an `os.pipe` while the run keeps stepping; it speaks only
-when it fails.  Every snapshot write has ended, and a failed one or
-a failed fork has raised, before the command returns.
+never see partial files; snapshots after t = 0 through a forked writer
+process (`_SnapshotWriter`), whose every write has ended, or raised,
+before the command returns.
 A failed command keeps its output up to the failure: no norms.csv after a
 failed set-up, the norms.csv rows and snapshots before a failed step or
 monitor.
@@ -54,8 +53,8 @@ import numpy as np
 from .analysis import (NormSeries, analyze_record, report_to_dict, reports_to_json,
                        verify_area_inequality)
 from .config import ExperimentConfig, build_flux, emit_config, validate_config
-from .errors import (ConfigValidationError, HypothesisViolatedError, MassDriftError,
-                     ShockLabError)
+from .errors import (ArgumentError, ConfigValidationError, HypothesisViolatedError,
+                     MassDriftError, ShockLabError)
 from .flux import ShockData
 from .grid import ChannelGrid, Field, save_field_text
 from .profile import (MIN_HALF_STEPS, ShockProfile, profile_to_text, solve_profile,
@@ -127,13 +126,19 @@ def _solve_profile(cfg: ExperimentConfig, grid: ChannelGrid) -> ShockProfile:
 
 
 def build_problem(cfg: ExperimentConfig) -> Problem:
-    """The `solver.Problem` of ``cfg``, after `validate_config`; N' = 1 in 1-d."""
-    validate_config(cfg)
+    """The `solver.Problem` of ``cfg``; N' = 1 in 1-d.  It does not run
+    `validate_config`: the core's checks reject a broken rule, here or in
+    `simulate`, mostly as ArgumentError (the perturbation's as perturbation.*)."""
     st, pert = cfg.stepper, cfg.perturbation
     grid = _grid(cfg)
-    return Problem(profile=_solve_profile(cfg, grid), grid=grid,
-                   perturbation=build_perturbation(grid, pert.kind, pert.amplitude,
-                                                   pert.width, pert.seed),
+    profile = _solve_profile(cfg, grid)
+    try:
+        perturbation = build_perturbation(grid, pert.kind, pert.amplitude, pert.width,
+                                          pert.seed)
+    except ArgumentError as exc:
+        raise ArgumentError([("perturbation." + name, rule)
+                             for name, rule in exc.issues]) from exc
+    return Problem(profile=profile, grid=grid, perturbation=perturbation,
                    t_final=st.t_final, dt_out=st.dt_out, llf=st.llf,
                    p_list=tuple(cfg.p_list))
 
@@ -171,13 +176,15 @@ def norms_to_csv(norms: NormSeries, path) -> None:
 
 
 def _prepare_out_dir(cfg: ExperimentConfig) -> None:
-    """Check ``cfg`` with `validate_config`, then delete every `ARTIFACTS`
-    and `LEFTOVERS` file in cfg.out_dir and echo the config there.
+    """Check ``cfg`` with `validate_config`, a command's one check, and log
+    its warnings; then delete every `ARTIFACTS` and `LEFTOVERS` file in
+    cfg.out_dir and echo the config there.
 
     A bad config raises ConfigValidationError before the directory is
     touched; a directory that cannot be used raises it on out_dir.
     """
-    validate_config(cfg)
+    for warning in validate_config(cfg):
+        log.warning("%s", warning)
     try:
         for pattern in ARTIFACTS + LEFTOVERS:
             for path in glob.glob(os.path.join(glob.escape(cfg.out_dir), pattern)):
@@ -365,11 +372,8 @@ def stream_to_dir(cfg: ExperimentConfig
 def run_experiment(cfg: ExperimentConfig) -> int:
     """The run command: profile, simulate and analyze into cfg.out_dir.
 
-    Exit code 0 means the simulation finished with no blow-up, boundary
-    leak or mass drift beyond its allowance and the analysis succeeded; 2
-    flags a failed profile solve or simulation, 3 a mass drift beyond its
-    allowance (both as `stream_to_dir`) or an analysis failure (one
-    `analysis failed:` line).
+    2 or 3 when the simulation fails, as `stream_to_dir`, and 3 with one
+    `analysis failed:` line when the analysis does.
     """
     _prepare_out_dir(cfg)
     code, problem, norms = stream_to_dir(cfg)

@@ -12,6 +12,7 @@ its speed, strength and admissibility are derived from those three.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -60,12 +61,18 @@ def polynomial_flux(coefficients: Sequence[float], *,
                     u_lo: float = -4.0, u_hi: float = 4.0) -> FluxSpec:
     """Flux from ascending polynomial coefficients: f(u) = sum c_k u^k.
 
-    f'' must be positive at 201 uniform samples of the validity range; a
-    NaN coefficient fails that test too.
+    Anything but a non-empty sequence of real numbers (numpy's are; bools
+    are not) raises ValueError, and so does an f'' that is not positive at
+    201 uniform samples of the validity range, as with a NaN coefficient.
     """
-    coeffs = np.asarray(coefficients, dtype=float)
-    if coeffs.ndim != 1 or coeffs.size == 0:
-        raise ValueError("coefficients must be a non-empty 1-d sequence")
+    try:
+        values = list(coefficients)
+    except TypeError:  # not a sequence
+        values = []
+    if not values or any(isinstance(c, bool) or not isinstance(c, numbers.Real)
+                         for c in values):
+        raise ValueError("coefficients must be a non-empty sequence of real numbers")
+    coeffs = np.array(values, dtype=float)
     polynomial = np.polynomial.polynomial
     ddf = polynomial.polyval(np.linspace(u_lo, u_hi, 201), polynomial.polyder(coeffs, 2))
     if not np.min(ddf) > 0.0:

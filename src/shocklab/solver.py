@@ -421,13 +421,11 @@ def build_perturbation(grid: ChannelGrid, kind: str, amplitude: float, width: fl
     envelope in x1 times its factor in _PERTURBATION_FACTORS.  "gaussian-bump"
     and "odd-bump" are transversally constant; the odd bump carries zero
     total mass.  "random-nonzero-mode" excites the resolved transverse
-    Fourier modes 1 <= k <= N'/4 of each transverse axis, so its transverse
-    average vanishes identically.  The coefficients of mode k on axis i are
-    drawn from a stream keyed by (``seed``, i, k) (`_mode_coefficients`), so
-    they depend on neither N' nor the other modes.  Arguments that break a
-    rule of `perturbation_issues` raise ArgumentError; a shape too small to
-    scale at every grid point, as a bump narrower than the spacing can be,
-    raises OutOfRangeError.
+    Fourier modes 1 <= k <= N'/4 of each transverse axis, drawn by
+    `_mode_coefficients` from ``seed``, so its transverse average vanishes
+    identically.  Arguments that break a rule of `perturbation_issues` raise
+    ArgumentError, and so does a ``width`` whose shape underflows at every
+    grid point, as a bump narrower than the spacing can.
     """
     if issues := perturbation_issues(grid.dimension, kind, amplitude, width, seed):
         raise ArgumentError(issues)
@@ -440,8 +438,8 @@ def build_perturbation(grid: ChannelGrid, kind: str, amplitude: float, width: fl
     pert = np.broadcast_to(pert, grid.shape)
     peak = float(np.max(np.abs(pert)))
     if peak == 0.0 or math.isinf(amplitude / peak):
-        raise OutOfRangeError(f"perturbation.width {width:g}: the {kind} "
-                              "underflows at every grid point")
+        raise ArgumentError([("width", f"the {kind} of width {width:g} underflows "
+                                       "at every grid point")])
     return pert * (amplitude / peak)
 
 
@@ -605,13 +603,27 @@ class Problem:
 
 def whole_outputs(t_final: float, dt_out: float) -> list[tuple[str, str]]:
     """Each of ``t_final`` and ``dt_out`` that breaks its rule, with the rule:
-    t_final > 0, and dt_out divides t_final into one or more whole outputs,
-    within OUTPUT_TIME_REL_TOL of t_final/dt_out."""
-    issues = [] if t_final > 0.0 else [("t_final", "must be positive")]
-    n_out = t_final / dt_out if 0.0 < dt_out <= t_final else 0.0
+    t_final is positive and finite, and dt_out divides it into one or more
+    whole outputs, within OUTPUT_TIME_REL_TOL of t_final/dt_out."""
+    finite = 0.0 < t_final < math.inf
+    issues = [] if finite else [("t_final", "must be positive and finite")]
+    n_out = t_final / dt_out if finite and 0.0 < dt_out <= t_final else 0.0
     if not n_out or abs(n_out - round(n_out)) > OUTPUT_TIME_REL_TOL * n_out:
         issues.append(("dt_out", "must divide t_final into one or more whole outputs"))
     return issues
+
+
+def p_list_issues(p_list) -> list[tuple[str, str]]:
+    """``p_list`` with the rule it breaks, if any: a non-empty list of finite
+    exponents p >= 1, whose channels, named f"{p:g}", differ."""
+    if not p_list or any(not 1.0 <= p < math.inf for p in p_list):
+        return [("p_list", "must be a non-empty list of finite exponents >= 1")]
+    seen = {}
+    for p in p_list:
+        if (name := f"{p:g}") in seen:
+            return [("p_list", f"{seen[name]!r} and {p!r} share the channel {name}")]
+        seen[name] = p
+    return []
 
 
 def _setup(problem: Problem) -> tuple[Field, np.ndarray, int, dict]:
@@ -620,8 +632,9 @@ def _setup(problem: Problem) -> tuple[Field, np.ndarray, int, dict]:
     The initial field is the `discrete_wave` at phase 0 plus the
     perturbation, and the run measures against the `discrete_wave` at the
     phase a of `shift_normalize`.  A schedule that breaks `whole_outputs`
-    raises ArgumentError.  The step dt_out / n_sub is the largest such step
-    within `advective_dt` (at ADVECTIVE_SAFETY) and `nonzero_mode_dt` of u0.
+    or exponents that break `p_list_issues` raise ArgumentError.  The step
+    dt_out / n_sub is the largest such step within `advective_dt` (at
+    ADVECTIVE_SAFETY) and `nonzero_mode_dt` of u0.
     The meta records the problem, dt, a, the initial mass and whether the
     run is ``reduced``: n >= 2 and the initial field transversally constant.
     """
@@ -630,7 +643,8 @@ def _setup(problem: Problem) -> tuple[Field, np.ndarray, int, dict]:
     if problem.perturbation.shape != grid.shape:
         raise ValueError(f"perturbation shape {problem.perturbation.shape} does not "
                          f"match grid {grid.shape}")
-    if issues := whole_outputs(problem.t_final, problem.dt_out):
+    if issues := whole_outputs(problem.t_final, problem.dt_out) \
+            + p_list_issues(problem.p_list):
         raise ArgumentError(issues)
 
     u0 = discrete_wave(grid, prof, 0.0, problem.llf).reshape(grid.column) \

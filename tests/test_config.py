@@ -139,8 +139,9 @@ def schedule_doc(t_final, dt_out):
 # the kinds that need a transverse direction, n >= 2
 TRANSVERSE_KINDS = {"random-nonzero-mode"}
 # (config, the fields it breaks): each rule of the grid, the perturbation,
-# the output schedule and the end states on both sides of its limit; the
-# grid limits keep their ids dimension-n1-nprime-field
+# the output schedule, the end states, the exponents and the flux
+# coefficients on both sides of its limit; the grid limits keep their ids
+# dimension-n1-nprime-field
 RULES = [
     pytest.param(grid_doc(1, 15, 1), ["grid.n1"], id="1-15-1-grid.n1"),
     pytest.param(grid_doc(1, 16, 1), [], id="1-16-1-None"),
@@ -172,6 +173,15 @@ RULES = [
                  id="t_final-negative"),
     pytest.param({"u_minus": 1.0, "u_plus": 1.0}, ["u_plus"], id="equal-states"),
     pytest.param({"u_minus": 1.0, "u_plus": -1.0}, [], id="distinct-states"),
+    pytest.param({"p_list": [1, 2.5]}, [], id="p_list-from-1"),
+    pytest.param({"p_list": [0.5]}, ["p_list"], id="p_list-below-1"),
+    pytest.param({"p_list": []}, ["p_list"], id="p_list-empty"),
+    pytest.param({"p_list": [2, float("inf")]}, ["p_list"], id="p_list-infinite"),
+    pytest.param({"p_list": [4, 4.0000001]}, ["p_list"], id="p_list-names-coincide"),
+    pytest.param({"flux": [0, 0, 0.5]}, [], id="flux-numbers"),
+    pytest.param({"flux": [0, 0, "0.5"]}, ["flux"], id="flux-string"),
+    pytest.param({"flux": [0, 0, True]}, ["flux"], id="flux-bool"),
+    pytest.param({"flux": [0, 0, 0.5, None]}, ["flux"], id="flux-none"),
 ]
 
 
@@ -182,8 +192,8 @@ def small_problem():
 
 def core_fields(cfg, problem):
     """The config fields the core rejects in ``cfg``: its grid, its
-    perturbation on that grid, its shock and, on ``problem``, its output
-    schedule, each made as a run makes it."""
+    perturbation on that grid, its flux, its shock and, on ``problem``, its
+    output schedule and exponents, each made as a run makes it."""
     fields = []
 
     def rejected(section, make):
@@ -197,10 +207,16 @@ def core_fields(cfg, problem):
     if grid is not None:
         rejected("perturbation.", lambda: sl.build_perturbation(
             grid, pert.kind, pert.amplitude, pert.width, pert.seed))
-    rejected("", lambda: sl.ShockData(sl.build_flux(cfg), cfg.u_minus, cfg.u_plus))
-    rejected("stepper.", lambda: sl.simulate(replace(problem, t_final=st.t_final,
-                                                     dt_out=st.dt_out)))
-    return sorted(f.replace("grid.dimension", "dimension") for f in fields)
+    flux = None
+    try:
+        flux = sl.build_flux(cfg)
+    except ValueError:  # the flux states its rules as ValueError
+        fields.append("flux")
+    rejected("", lambda: sl.ShockData(flux, cfg.u_minus, cfg.u_plus))
+    rejected("stepper.", lambda: sl.simulate(replace(
+        problem, t_final=st.t_final, dt_out=st.dt_out, p_list=tuple(cfg.p_list))))
+    top_level = {"grid.dimension": "dimension", "stepper.p_list": "p_list"}
+    return sorted(top_level.get(f, f) for f in fields)
 
 
 @pytest.mark.parametrize("doc, bad", RULES)

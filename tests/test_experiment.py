@@ -18,8 +18,8 @@ import pytest
 from shocklab import cli, experiment, solver
 from shocklab.analysis import (MIN_FIT_SAMPLES, NormSeries, analyze_record,
                                report_to_dict, reports_to_json)
-from shocklab.config import config_from_dict
-from shocklab.errors import ConfigValidationError
+from shocklab.config import config_from_dict, parse_config
+from shocklab.errors import ArgumentError, ConfigValidationError
 from shocklab.experiment import (EXIT_ANALYSIS, EXIT_CONFIG, EXIT_OK,
                                  EXIT_SIMULATION, build_problem)
 from shocklab.grid import save_field_text
@@ -118,6 +118,10 @@ BROKEN_RULES = [
     ({"p_list": [0.5]}, "p_list"),
     ({"p_list": []}, "p_list"),
 ]
+# an amplitude of a quarter of the shock strength 2: validate_config warns
+STRONG_BUMP = dict(OK, perturbation={"amplitude": 0.5})
+COMMANDS = {"run": experiment.run_experiment, "simulate": experiment.run_simulate,
+            "profile": experiment.run_profile}
 # a transversally constant 2-d run, stepped as its x1 column
 BUMP_2D = dict(OK, dimension=2, grid={"half_length": 15, "n1": 64, "nprime": 4})
 # a 2-d non-zero mode on 1024 x 16: each field is 128 KiB, twice the 64 KiB
@@ -416,6 +420,69 @@ def test_command_from_python_checks_the_config_first(tmp_path, command, doc, fie
         command(config_from_dict(dict(doc, out_dir=str(out))))
     assert [name for name, _ in exc_info.value.issues] == [field]
     assert {p.name: p.read_text() for p in out.iterdir()} == earlier
+
+
+def amplitude_warnings(caplog):
+    return [r for r in caplog.records
+            if r.levelno == logging.WARNING and "small-perturbation" in r.getMessage()]
+
+
+@pytest.mark.parametrize("command", ["run", "simulate", "profile"])
+def test_amplitude_warning_is_logged_once(tmp_path, caplog, command):
+    code, out, errors = run(tmp_path, command, STRONG_BUMP, caplog)
+    assert (code, errors) == (EXIT_OK, [])
+    assert len(amplitude_warnings(caplog)) == 1
+
+
+def test_amplitude_warning_is_logged_once_from_python(tmp_path, caplog):
+    cfg = config_from_dict(dict(STRONG_BUMP, out_dir=str(tmp_path / "out")))
+    caplog.clear()
+    assert experiment.run_experiment(cfg) == EXIT_OK
+    assert len(amplitude_warnings(caplog)) == 1
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """The configs `validate_config` is called with, under either module's name."""
+    calls = []
+    validate = experiment.validate_config
+
+    def counted(cfg):
+        calls.append(cfg)
+        return validate(cfg)
+
+    monkeypatch.setattr("shocklab.config.validate_config", counted)
+    monkeypatch.setattr(experiment, "validate_config", counted)
+    return calls
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_command_validates_once(tmp_path, caplog, validations, command):
+    assert run(tmp_path, command, OK, caplog)[0] == EXIT_OK
+    assert len(validations) == 1
+    cfg = config_from_dict(dict(OK, out_dir=str(tmp_path / "python")))
+    assert COMMANDS[command](cfg) == EXIT_OK
+    assert len(validations) == 2
+
+
+def test_parse_config_and_build_problem_do_not_validate(tmp_path, validations):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(OK))
+    build_problem(parse_config(path))
+    assert validations == []
+
+
+@pytest.mark.parametrize("doc, field", [
+    (dict(OK, grid={"half_length": 15, "n1": 8}), "n1"),
+    (dict(OK, perturbation={"seed": -1}), "perturbation.seed"),
+    (VANISHING_BUMPS[0], "perturbation.width"),
+], ids=["n1", "seed", "underflow"])
+def test_build_problem_raises_the_cores_error(doc, field):
+    # no command checked these configs: the core's own rules reject them
+    with pytest.raises(ArgumentError) as exc_info:
+        build_problem(config_from_dict(doc))
+    assert not isinstance(exc_info.value, ConfigValidationError)
+    assert [name for name, _ in exc_info.value.issues] == [field]
 
 
 @pytest.mark.parametrize("command", ["run", "simulate", "profile"])

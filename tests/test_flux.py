@@ -82,6 +82,20 @@ class TestPolynomialConvexity:
             sl.polynomial_flux(coeffs)
 
 
+class TestPolynomialCoefficients:
+    @pytest.mark.parametrize("coeffs", [[0, 0, "0.5"], [0, 0, True], [0, 0, 0.5, None],
+                                        [], 0.5, None, [[0, 0, 0.5]], np.array(0.5)],
+                             ids=["string", "bool", "none", "empty", "number", "null",
+                                  "nested", "0-d-array"])
+    def test_rejected(self, coeffs):
+        with pytest.raises(ValueError, match="real numbers"):
+            sl.polynomial_flux(coeffs)
+
+    def test_numpy_numbers_are_accepted(self):
+        fx = sl.polynomial_flux([np.float64(0.0), np.int64(0), np.float32(0.5)])
+        assert fx.f1(2.0) == 2.0 and fx.df1(2.0) == 2.0
+
+
 class TestDerivativeConsistency:
     @pytest.mark.parametrize("builder", [sl.burgers_flux, sl.convex_quartic_flux])
     def test_first_derivative_second_order(self, builder):

@@ -467,6 +467,14 @@ class TestPerturbations:
             sl.build_perturbation(plane, "gaussian-bump", 0.03, 0.0, 5)
         assert [arg for arg, _ in exc_info.value.issues] == ["width"]
 
+    def test_underflow_names_the_argument(self):
+        # the config field perturbation.width is named by `experiment`, not here
+        line = sl.ChannelGrid(dimension=1, half_length=15.0, n1=64)
+        with pytest.raises(ArgumentError) as exc_info:
+            sl.build_perturbation(line, "gaussian-bump", 0.01, 0.001, 1)
+        assert [arg for arg, _ in exc_info.value.issues] == ["width"]
+        assert "perturbation." not in str(exc_info.value)
+
     def test_odd_bump_mass_free(self, plane):
         pert = sl.build_perturbation(plane, "odd-bump", 0.03, 2.0, 5)
         assert abs(sl.integrate(pert, plane)) < 1e-14
@@ -567,6 +575,32 @@ class TestRunRecord:
         problem = sl.build_problem(make_config())
         with pytest.raises(OutOfRangeError, match="whole outputs"):
             sl.simulate(replace(problem, dt_out=dt_out))
+
+    @pytest.mark.parametrize("t_final, dt_out, bad", [
+        (math.inf, 0.5, ["t_final", "dt_out"]),
+        (math.inf, math.inf, ["t_final", "dt_out"]),
+        (0.7, math.inf, ["dt_out"]),
+        (math.nan, 0.5, ["t_final", "dt_out"]),
+    ])
+    def test_non_finite_schedule_is_an_issue(self, t_final, dt_out, bad):
+        assert [arg for arg, _ in sl.solver.whole_outputs(t_final, dt_out)] == bad
+
+    def test_infinite_t_final_is_rejected(self):
+        problem = sl.build_problem(make_config())
+        with pytest.raises(ArgumentError) as exc_info:
+            sl.simulate(replace(problem, t_final=math.inf))
+        assert "t_final" in [arg for arg, _ in exc_info.value.issues]
+
+    @pytest.mark.parametrize("p_list", [(4.0, 4.0000001), (4.0, 4.0), (), (0.5,),
+                                        (math.inf,), (2.0, math.nan)],
+                             ids=["names-coincide", "repeated", "empty", "below-1",
+                                  "infinite", "nan"])
+    def test_bad_p_list_is_rejected(self, p_list):
+        # each p names its channels Phi_L{p:g} and nzmode_W1L{p:g}
+        problem = sl.build_problem(make_config())
+        with pytest.raises(ArgumentError) as exc_info:
+            sl.run_simulation(replace(problem, p_list=p_list))
+        assert [arg for arg, _ in exc_info.value.issues] == ["p_list"]
 
 
 class TestStream:

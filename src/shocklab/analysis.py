@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import (BadExponentError, BadKindError, HypothesisViolatedError,
+from .errors import (ArgumentError, BadExponentError, BadKindError, HypothesisViolatedError,
                      MissingChannelError, NonPositiveValueError, RoundOffError,
                      TooFewSamplesError, ZeroDenominatorError)
 
@@ -29,8 +29,8 @@ ROUNDOFF_FRACTION = 1e-12
 # Slack factor on late-window vs early-window sups in theorem_bound_check;
 # absorbs discretization drift.
 CONSISTENCY_SLACK = 1.05
-# Start of the early window of theorem_bound_check, past the initial transient.
-BOUND_T_START = 1.0
+# End of the initial transient, before which no bound window or default fit window starts.
+TRANSIENT_END = 1.0
 # Relative slack on the sampled hypothesis checks of the area inequality.
 HYPOTHESIS_SLACK = 0.01
 # Relative slack on output times k * dt_out, for their round-off: within it
@@ -81,8 +81,6 @@ class NormSeries:
         if window is None:
             return np.ones_like(self.times, dtype=bool)
         t_a, t_b = window
-        if not t_a <= t_b:
-            raise ValueError("fit window must satisfy t_a <= t_b")
         slack = OUTPUT_TIME_REL_TOL * max(abs(t_a), abs(t_b))
         return (self.times >= t_a - slack) & (self.times <= t_b + slack)
 
@@ -129,9 +127,18 @@ def log_linear_fit(x, y):
     return slope, intercept, rms
 
 
+def fit_window_issues(window, t_final: float) -> list[tuple[str, str]]:
+    """``window`` with its broken rule, if any: None, or 0 <= t_a < t_b <= t_final."""
+    if window is None or len(window) == 2 and 0.0 <= window[0] < window[1] <= t_final:
+        return []
+    return [("window", "must be a pair 0 <= t_a < t_b <= t_final")]
+
+
 def _fit_log_linear(series: NormSeries, name: str,
                     window: tuple[float, float] | None, kind: str) -> RateFit:
-    """Least squares of log(value) against log(1+t) or t, by kind."""
+    """Least squares of log(value) against log(1+t) or t, by kind, in a checked window."""
+    if issues := fit_window_issues(window, float(series.times[-1])):
+        raise ArgumentError(issues)
     mask = series.window_mask(window)
     t = series.times[mask]
     v = series.channel(name)[mask]
@@ -291,7 +298,7 @@ def theorem_bound_check(series: NormSeries, p: float, kind: str) -> BoundReport:
     Forms r(t) = value(t) * (1+t)^theta with the candidate exponent for the
     kind.  The statement is consistent when the sup of r over the late
     window [T/2, T] does not exceed the sup over the early window
-    [BOUND_T_START, T/2] by more than the slack factor.
+    [TRANSIENT_END, T/2] by more than the slack factor.
     """
     if kind not in _BOUND_KINDS:
         raise BadKindError(f"unknown kind {kind!r}")
@@ -306,11 +313,9 @@ def theorem_bound_check(series: NormSeries, p: float, kind: str) -> BoundReport:
     t = series.times
     t_end = float(t[-1])
     t_mid = 0.5 * t_end
-    if t_mid < BOUND_T_START:
-        raise TooFewSamplesError("early/late windows are empty; run longer")
-    early = series.window_mask((BOUND_T_START, t_mid))
+    early = series.window_mask((TRANSIENT_END, t_mid))
     late = series.window_mask((t_mid, t_end))
-    if not np.any(early):
+    if t_mid < TRANSIENT_END or not np.any(early):
         raise TooFewSamplesError("early/late windows are empty; run longer")
     _check_above_roundoff(series, f"channel {name!r} in the early/late windows",
                           values[early | late])
@@ -338,8 +343,8 @@ def gn_ratio_monitor(series: NormSeries, p: float) -> GNReport:
 
     The exponents a = 4(p+1)/(3p+2) and b = 2p/(3p+2) sum against the
     squared numerator to total homogeneity zero, so the ratio is invariant
-    under amplitude scaling.  A finite, refinement-stable maximum is the
-    check; the inequality's constant is unknown.
+    under amplitude scaling.  The monitor reports the maximum and passes no
+    verdict: the inequality's constant is unknown.
     """
     zinf = series.channel("zmode_Linf")
     dz = series.channel("dzmode_L2")
@@ -372,18 +377,18 @@ def analyze_record(series: NormSeries,
     """Every rate fit, bound check and G-N monitor of one run's norm series.
 
     The p values and the dimension come from ``series.meta``.  The fits
-    use ``window``, by default the last half of the run, never starting
-    inside the initial transient t < 1; a run that ends inside it raises
+    use ``window`` (checked by `fit_window_issues`), by default the last
+    half of the run from TRANSIENT_END on; a run that ends before it raises
     TooFewSamplesError.  Each check goes through `_made_or_skipped`, so
     one the data cannot carry is recorded as a `Skipped` with its reason
     under its own label.
     """
     if window is None:
         t_end = float(series.times[-1])
-        if t_end <= 1.0:
-            raise TooFewSamplesError(
-                f"t_final {t_end:g} leaves no samples after the transient t < 1; run longer")
-        window = (max(1.0, 0.5 * t_end), t_end)
+        if t_end <= TRANSIENT_END:
+            raise TooFewSamplesError(f"t_final {t_end:g} leaves no samples after the "
+                                     f"transient t < {TRANSIENT_END:g}; run longer")
+        window = (max(TRANSIENT_END, 0.5 * t_end), t_end)
     reports: dict = {}
     for p in series.meta["p_list"]:
         name = f"Phi_L{p:g}"

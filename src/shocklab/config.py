@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
+from .analysis import fit_window_issues
 from .errors import ConfigParseError, ConfigValidationError
 from .flux import (FluxSpec, ShockData, burgers_flux, convex_quartic_flux,
                    polynomial_flux, shock_issues)
@@ -106,8 +107,8 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
     """Aggregate validation; raises ConfigValidationError listing every issue.
 
     NaNs and infinities are reported alone, one issue per field.  The other
-    rules but the fit window's are the core's own checks, each issue under
-    its config field.  Returns the non-fatal warnings (only a perturbation
+    rules are the core's and the analysis' own checks, each issue under its
+    config field.  Returns the non-fatal warnings (only a perturbation
     amplitude above a tenth of the shock strength).  Each command runs it
     once, in `experiment._prepare_out_dir`.
     """
@@ -127,7 +128,8 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         "": end_states + p_list_issues(cfg.p_list),
         "stepper.": whole_outputs(st.t_final, st.dt_out),
         "perturbation.": perturbation_issues(cfg.dimension, pert.kind, pert.amplitude,
-                                             pert.width, pert.seed)}
+                                             pert.width, pert.seed),
+        "fit_": fit_window_issues(cfg.fit_window, st.t_final)}
     # each argument under its config field; the grid's dimension is top-level
     issues += [(name if name == "dimension" else section + name, rule)
                for section, found in checks.items() for name, rule in found]
@@ -135,10 +137,6 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
             and not ShockData(flux, cfg.u_minus, cfg.u_plus).admissible:
         issues.append(("u_minus", "ordering is not Lax-admissible for this flux "
                                   "(need f1'(u_minus) > s > f1'(u_plus))"))
-    window = cfg.fit_window
-    if window is not None and (len(window) != 2
-                               or not 0.0 <= window[0] < window[1] <= st.t_final):
-        issues.append(("fit_window", "must be a pair 0 <= t_a < t_b <= t_final"))
     if issues:
         raise ConfigValidationError(issues)
     if pert.amplitude > 0.1 * cfg.strength > 0.0:

@@ -59,7 +59,7 @@ from .flux import ShockData
 from .grid import ChannelGrid, Field, save_field_text
 from .profile import (MIN_HALF_STEPS, ShockProfile, profile_to_text, solve_profile,
                       verify_profile_bounds)
-from .solver import PROFILE_PAD, Problem, build_perturbation, simulate
+from .solver import Problem, build_perturbation, simulate
 
 log = logging.getLogger("shocklab")
 
@@ -74,6 +74,8 @@ ARTIFACTS = ("norms.csv", "rates.json", "profile.txt", "profile-tails.json",
 # what a write cut short leaves there, a killed snapshot writer's included:
 # `_atomic_write`'s temporary files
 LEFTOVERS = (".tmp-*~", "snapshots/.tmp-*~")
+# Profile half-length beyond the box; `simulate` then takes shifts up to ~PROFILE_PAD - 1.
+PROFILE_PAD = 4.0
 # Steps of the RK4 march that solves the profile ODE per grid cell h1.
 PROFILE_STEPS_PER_CELL = 8
 # The march's step is also at most this fraction of the faster tail's decay

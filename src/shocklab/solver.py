@@ -65,9 +65,6 @@ ADVECTIVE_SAFETY = 0.8
 LEAK_FRACTION = 1e-4
 # Permitted mass drift grows linearly in time: |drift| <= this * (1 + t).
 MASS_DRIFT_RATE = 1e-8
-# Extra profile half-length beyond the box, so the shifted background stays
-# inside the solved range.
-PROFILE_PAD = 4.0
 # Contour points of the Kassam-Trefethen phi-function quadrature.
 CONTOUR_POINTS = 32
 # Newton for the discrete traveling wave: finite-difference step of the
@@ -587,9 +584,9 @@ class Problem:
     """One run of `simulate`: the solved profile of the shock (``.shock``
     holds the flux), the grid, the initial perturbation on it, outputs
     every ``dt_out`` up to ``t_final`` with Phi_Lp channels for ``p_list``,
-    and the step's option ``llf``.  The profile covers the grid's x1 range
-    plus PROFILE_PAD, as a background shifted by up to PROFILE_PAD - 1 (the
-    guard in `_setup`) must stay inside it.
+    and the step's option ``llf``.  The profile must reach 1 + |a| beyond
+    the grid's x1 range, where a is the run's shift (the guard in `_setup`),
+    so that the shifted background stays inside it with a margin of 1.
     """
 
     profile: ShockProfile
@@ -631,20 +628,21 @@ def _setup(problem: Problem) -> tuple[Field, np.ndarray, int, dict]:
 
     The initial field is the `discrete_wave` at phase 0 plus the
     perturbation, and the run measures against the `discrete_wave` at the
-    phase a of `shift_normalize`.  A schedule that breaks `whole_outputs`
-    or exponents that break `p_list_issues` raise ArgumentError.  The step
-    dt_out / n_sub is the largest such step within `advective_dt` (at
-    ADVECTIVE_SAFETY) and `nonzero_mode_dt` of u0.
+    phase a of `shift_normalize`; a profile short of `Problem`'s rule
+    raises OutOfRangeError.  A perturbation not of the grid's shape, a
+    schedule or exponents that break `whole_outputs` or `p_list_issues`
+    raise one ArgumentError.  The step dt_out / n_sub is the largest such
+    step within `advective_dt` (at ADVECTIVE_SAFETY) and `nonzero_mode_dt`
+    of u0.
     The meta records the problem, dt, a, the initial mass and whether the
     run is ``reduced``: n >= 2 and the initial field transversally constant.
     """
     prof, grid = problem.profile, problem.grid
     shock = prof.shock
-    if problem.perturbation.shape != grid.shape:
-        raise ValueError(f"perturbation shape {problem.perturbation.shape} does not "
-                         f"match grid {grid.shape}")
-    if issues := whole_outputs(problem.t_final, problem.dt_out) \
-            + p_list_issues(problem.p_list):
+    issues = whole_outputs(problem.t_final, problem.dt_out) + p_list_issues(problem.p_list)
+    if (shape := problem.perturbation.shape) != grid.shape:
+        issues.append(("perturbation", f"shape {shape} does not match grid {grid.shape}"))
+    if issues:
         raise ArgumentError(issues)
 
     u0 = discrete_wave(grid, prof, 0.0, problem.llf).reshape(grid.column) \
@@ -652,8 +650,10 @@ def _setup(problem: Problem) -> tuple[Field, np.ndarray, int, dict]:
     fld = Field(grid=grid, values=u0, time=0.0)
     u_profile, _ = eval_profile(prof, grid.x1)
     a = shift_normalize(u0 - u_profile.reshape(grid.column), shock, grid)
-    if abs(a) > PROFILE_PAD - 1.0:
-        raise OutOfRangeError(f"shift {a:g} too large for the solved profile range")
+    reach = min(-grid.half_length - prof.xi[0], prof.xi[-1] - grid.half_length)
+    if abs(a) > reach - 1.0:
+        raise OutOfRangeError(f"shift {a:g} needs a profile reaching {1.0 + abs(a):g} "
+                              f"beyond the grid's x1 range; it reaches {reach:g}")
     bg = discrete_wave(grid, prof, a, problem.llf)
 
     dt_bound = min(advective_dt(fld, shock.flux, ADVECTIVE_SAFETY, speed=shock.speed),

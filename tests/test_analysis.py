@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 import shocklab as sl
 from shocklab.analysis import ROUNDOFF_FRACTION, NormSeries
-from shocklab.errors import (BadExponentError, BadKindError,
+from shocklab.errors import (ArgumentError, BadExponentError, BadKindError,
                              HypothesisViolatedError, MissingChannelError,
                              NonPositiveValueError, RoundOffError,
                              TooFewSamplesError, ZeroDenominatorError)
@@ -71,6 +71,37 @@ class TestExponentialFit:
         s = series_of(t, v=2.0 * np.exp(-0.3 * t) + 1e-14)
         fit = sl.fit_exponential_rate(s, "v", window=(0.0, 80.0))
         assert fit.rate == pytest.approx(0.3, abs=1e-3)
+
+
+# each way a window enters, on a series
+WINDOW_USERS = {
+    "fit_algebraic_rate": lambda s, window: sl.fit_algebraic_rate(s, "Phi_L2", window),
+    "analyze_record": sl.analyze_record,
+}
+
+
+@pytest.mark.parametrize("use", WINDOW_USERS.values(), ids=WINDOW_USERS.keys())
+class TestFitWindow:
+    @staticmethod
+    def run_to_5():
+        """A 1-d run's series of 51 samples that ends at t = 5."""
+        t = np.linspace(0.0, 5.0, 51)
+        return NormSeries(t, {"Phi_L2": 0.1 * (1.0 + t) ** -0.5},
+                          {"p_list": [2.0], "dimension": 1, "strength": 2.0})
+
+    @pytest.mark.parametrize("window", [(-1.0, 9.0), (2.0, 2.0), (3.0, 2.0),
+                                        (0.0, 5.000001)])
+    def test_window_off_the_run_is_rejected(self, use, window):
+        with pytest.raises(ArgumentError) as exc_info:
+            use(self.run_to_5(), window)
+        rule = "must be a pair 0 <= t_a < t_b <= t_final"
+        assert exc_info.value.issues == [("window", rule)]
+
+    def test_whole_run_is_a_window(self, use):
+        fit = use(self.run_to_5(), (0.0, 5.0))
+        if isinstance(fit, dict):
+            fit = fit["fit_Phi_L2"]
+        assert fit.n_samples == 51 and fit.rate == pytest.approx(-0.5)
 
 
 class TestAreaBound:

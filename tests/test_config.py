@@ -5,9 +5,11 @@ import json
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import shocklab as sl
+from shocklab.analysis import NormSeries
 from shocklab.config import (ExperimentConfig, GridSpec, PerturbationSpec,
                              StepperSpec, config_from_dict, config_to_dict,
                              validate_config)
@@ -139,9 +141,9 @@ def schedule_doc(t_final, dt_out):
 # the kinds that need a transverse direction, n >= 2
 TRANSVERSE_KINDS = {"random-nonzero-mode"}
 # (config, the fields it breaks): each rule of the grid, the perturbation,
-# the output schedule, the end states, the exponents and the flux
-# coefficients on both sides of its limit; the grid limits keep their ids
-# dimension-n1-nprime-field
+# the output schedule, the end states, the exponents, the flux coefficients
+# and the fit window on both sides of its limit; the grid limits keep their
+# ids dimension-n1-nprime-field
 RULES = [
     pytest.param(grid_doc(1, 15, 1), ["grid.n1"], id="1-15-1-grid.n1"),
     pytest.param(grid_doc(1, 16, 1), [], id="1-16-1-None"),
@@ -182,6 +184,11 @@ RULES = [
     pytest.param({"flux": [0, 0, "0.5"]}, ["flux"], id="flux-string"),
     pytest.param({"flux": [0, 0, True]}, ["flux"], id="flux-bool"),
     pytest.param({"flux": [0, 0, 0.5, None]}, ["flux"], id="flux-none"),
+    *[pytest.param(dict(schedule_doc(5.0, 0.5), fit_window=list(window)), bad,
+                   id=f"fit_window-{window[0]}-{window[1]}")
+      for window, bad in [((-1.0, 9.0), ["fit_window"]), ((2.0, 2.0), ["fit_window"]),
+                          ((3.0, 2.0), ["fit_window"]), ((0.0, 5.000001), ["fit_window"]),
+                          ((0.0, 5.0), [])]],
 ]
 
 
@@ -190,17 +197,18 @@ def small_problem():
     return sl.build_problem(config_from_dict(dict(grid_doc(1, 64), **schedule_doc(2.0, 0.5))))
 
 
-def core_fields(cfg, problem):
-    """The config fields the core rejects in ``cfg``: its grid, its
-    perturbation on that grid, its flux, its shock and, on ``problem``, its
-    output schedule and exponents, each made as a run makes it."""
-    fields = []
+def core_issues(cfg, problem):
+    """The (config field, rule) pairs the core and the analysis reject in
+    ``cfg``: its grid, its perturbation on that grid, its flux, its shock,
+    on ``problem`` its output schedule and exponents, and its fit window on
+    a series that ends at its t_final, each made as a run makes it."""
+    issues = []
 
     def rejected(section, make):
         try:
             return make()
         except ArgumentError as exc:
-            fields.extend(section + name for name, _ in exc.issues)
+            issues.extend((section + name, rule) for name, rule in exc.issues)
 
     grid = rejected("grid.", lambda: sl.experiment._grid(cfg))
     pert, st = cfg.perturbation, cfg.stepper
@@ -210,25 +218,32 @@ def core_fields(cfg, problem):
     flux = None
     try:
         flux = sl.build_flux(cfg)
-    except ValueError:  # the flux states its rules as ValueError
-        fields.append("flux")
+    except ValueError as exc:  # the flux states its rules as ValueError
+        issues.append(("flux", str(exc)))
     rejected("", lambda: sl.ShockData(flux, cfg.u_minus, cfg.u_plus))
     rejected("stepper.", lambda: sl.simulate(replace(
         problem, t_final=st.t_final, dt_out=st.dt_out, p_list=tuple(cfg.p_list))))
+    if cfg.fit_window is not None:
+        t = np.linspace(0.0, st.t_final, 51)
+        series = NormSeries(t, {"v": np.ones_like(t)})
+        rejected("fit_", lambda: sl.fit_algebraic_rate(series, "v", cfg.fit_window))
     top_level = {"grid.dimension": "dimension", "stepper.p_list": "p_list"}
-    return sorted(top_level.get(f, f) for f in fields)
+    return sorted((top_level.get(f, f), rule) for f, rule in issues)
 
 
 @pytest.mark.parametrize("doc, bad", RULES)
 def test_grid_and_config_agree_at_each_grid_limit(doc, bad, small_problem):
     cfg = config_from_dict(doc)
+    core = core_issues(cfg, small_problem)
+    assert [name for name, _ in core] == bad
     if bad:
         with pytest.raises(ConfigValidationError) as exc_info:
             validate_config(cfg)
-        assert sorted(field_names(exc_info)) == bad
+        issues = sorted(exc_info.value.issues)
+        # the config reports a NaN or an infinity alone, before the core's rules
+        assert issues == core or issues == [(name, "must be finite") for name in bad]
     else:
         assert validate_config(cfg) == []
-    assert core_fields(cfg, small_problem) == bad
 
 
 def test_flux_is_checked_on_the_run_range():

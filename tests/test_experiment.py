@@ -549,7 +549,7 @@ def fine_profiles():
         problem = build_problem(config_from_dict(
             {"flux": flux, "u_minus": 1, "u_plus": -1, "dimension": 1,
              "grid": {"half_length": 30, "n1": 1024}}))
-        fine = solve_profile(problem.profile.shock, 30 + solver.PROFILE_PAD, 1e-3)
+        fine = solve_profile(problem.profile.shock, 30 + experiment.PROFILE_PAD, 1e-3)
         out[flux] = problem, fine
     return out
 

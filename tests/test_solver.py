@@ -535,8 +535,37 @@ class TestPerturbations:
 
     def test_perturbation_of_another_shape_is_rejected(self):
         problem = sl.build_problem(make_config(dimension=2))
-        with pytest.raises(ValueError, match="perturbation shape"):
+        with pytest.raises(ValueError, match="perturbation: shape"):
             sl.run_simulation(replace(problem, perturbation=np.zeros(8)))
+
+
+class TestShiftGuard:
+    """The background at the run's shift a reads the profile up to 1 + |a|
+    beyond the grid's x1 range [-15, 15]; the grid-set profile reaches
+    3.988 beyond it, within half a profile step of its pad 4."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        return sl.build_problem(make_config(
+            grid=GridSpec(half_length=15.0, n1=64, nprime=1),
+            perturbation=PerturbationSpec(kind="gaussian-bump", amplitude=0.02,
+                                          width=2.0, seed=7)))
+
+    def test_shift_inside_the_reach_sets_up(self, problem):
+        # a constant 0.19 carries mass 5.7, which the shift -5.7/strength balances
+        meta, stream = sl.simulate(replace(problem, perturbation=np.full(64, 0.19)))
+        assert meta["shift"] == pytest.approx(-2.85)
+        assert next(stream)[0].time == 0.0
+
+    def test_shift_beyond_the_reach_is_rejected(self, problem):
+        with pytest.raises(OutOfRangeError, match="shift -3.15 .* it reaches 3.988"):
+            sl.simulate(replace(problem, perturbation=np.full(64, 0.21)))
+
+    def test_short_profile_is_rejected(self, problem):
+        # unchecked, this run's Phi_L2 at t = 2 read 0.0299 against 0.00236
+        short = sl.solve_profile(problem.profile.shock, 3.0, 0.01)
+        with pytest.raises(OutOfRangeError, match="it reaches -12"):
+            sl.simulate(replace(problem, profile=short))
 
 
 class TestRunRecord:

@@ -121,8 +121,20 @@ def _check_above_roundoff(series: NormSeries, what: str, *values) -> None:
 
 
 def log_linear_fit(x, y):
-    """Least-squares line y ~ slope * x + intercept; (slope, intercept, rms misfit)."""
-    slope, intercept = np.polyfit(x, y, 1)
+    """Least-squares line y ~ slope * x + intercept; (slope, intercept, rms misfit).
+
+    Closed form on centred sums, with dx = x - mean(x) and dy = y - mean(y):
+    slope = sum(dx dy) / sum(dx**2), intercept = mean(y) - slope * mean(x).
+    It needs at least two distinct x.  Both callers give more: a rate fit
+    has at least MIN_FIT_SAMPLES strictly increasing times, a profile tail
+    fit at least `profile.MIN_TAIL_SAMPLES` samples of increasing xi.  Plain
+    numpy, no LAPACK: ``np.polyfit``'s first call pages in ~1.3 MB of
+    OpenBLAS code and buffers, which would set the peak RSS of a 1-d run.
+    """
+    x_mean, y_mean = np.mean(x), np.mean(y)
+    dx = x - x_mean
+    slope = np.sum(dx * (y - y_mean)) / np.sum(dx * dx)
+    intercept = y_mean - slope * x_mean
     rms = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
     return slope, intercept, rms
 

@@ -30,7 +30,9 @@ same way here (`_dst1`, `_to_spectral`), the transforms equal scipy's
 `dst`/`idst` type 1 and `rfftn`/`irfftn` bit for bit.  The Newton solve of
 `discrete_wave` is `_dgtsv`, a port of reference LAPACK ``dgtsv``, which
 scipy's `solve_banded` calls for a tridiagonal matrix, so its solutions
-are scipy's bit for bit too.
+are scipy's bit for bit too.  A run calls no LAPACK: the rate and tail
+fits are `analysis.log_linear_fit`'s closed form, and BLAS serves only
+`discrete_wave`'s dot products.
 
 A run is a `Problem`; `experiment.build_problem` makes the `Problem` of a
 config, a layer this module does not import.  Transversally constant data

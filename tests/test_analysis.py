@@ -7,7 +7,8 @@ import pytest
 from scipy.integrate import quad
 
 import shocklab as sl
-from shocklab.analysis import ROUNDOFF_FRACTION, NormSeries
+from shocklab import profile as profile_module
+from shocklab.analysis import ROUNDOFF_FRACTION, NormSeries, log_linear_fit
 from shocklab.errors import (ArgumentError, BadExponentError, BadKindError,
                              HypothesisViolatedError, MissingChannelError,
                              NonPositiveValueError, RoundOffError,
@@ -71,6 +72,46 @@ class TestExponentialFit:
         s = series_of(t, v=2.0 * np.exp(-0.3 * t) + 1e-14)
         fit = sl.fit_exponential_rate(s, "v", window=(0.0, 80.0))
         assert fit.rate == pytest.approx(0.3, abs=1e-3)
+
+
+def tail_window(profile):
+    """The (x, y) of the first tail fit `verify_profile_bounds` makes of ``profile``."""
+    calls = []
+
+    def recorded(x, y):
+        calls.append((x, y))
+        return log_linear_fit(x, y)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(profile_module, "log_linear_fit", recorded)
+        profile_module.verify_profile_bounds(profile)
+    return calls[0]
+
+
+class TestLogLinearFit:
+    def test_exact_line_on_dyadic_x(self):
+        x = 0.125 * np.arange(16)
+        slope, intercept, rms = log_linear_fit(x, 0.75 * x - 2.5)
+        assert slope == pytest.approx(0.75, rel=1e-15, abs=0.0)
+        assert intercept == pytest.approx(-2.5, rel=1e-15, abs=0.0)
+        assert rms == 0.0
+
+    @pytest.mark.parametrize("shape", ["algebraic", "exponential", "profile-tail"])
+    def test_agrees_with_polyfit(self, shape, profile_sym):
+        # shaped like the fits of a run: Phi's 26 outputs at dt_out 0.5, the
+        # non-zero mode's 45 outputs on [0.05, 0.6] at rate ~4 pi^2, a profile tail
+        if shape == "algebraic":
+            t = np.linspace(1.0, 13.5, 26)
+            x, y = np.log1p(t), np.log(0.3 * (1.0 + t) ** -0.75 * (1.0 + 0.1 * np.sin(t)))
+        elif shape == "exponential":
+            t = np.linspace(0.05, 0.6, 45)
+            x, y = t, np.log(1e-3 * np.exp(-38.0 * t) * (1.0 + 0.05 * np.cos(30.0 * t)))
+        else:
+            x, y = tail_window(profile_sym)
+        slope, intercept, _ = log_linear_fit(x, y)
+        ref_slope, ref_intercept = np.polyfit(x, y, 1)
+        assert slope == pytest.approx(ref_slope, rel=1e-13, abs=0.0)
+        assert intercept == pytest.approx(ref_intercept, rel=1e-13, abs=0.0)
 
 
 # each way a window enters, on a series

@@ -324,6 +324,23 @@ def test_profile_writes_profile_and_tails(tmp_path, caplog):
     assert_plain_modes(out)
 
 
+@pytest.mark.parametrize("command", ["run", "profile"])
+def test_fits_call_no_lapack(tmp_path, caplog, monkeypatch, command):
+    # every rate and tail fit is closed-form: a LAPACK line fit raises here
+    def lapack_fit(*args, **kwargs):
+        raise AssertionError("a LAPACK least-squares fit was called")
+
+    monkeypatch.setattr(np, "polyfit", lapack_fit)
+    monkeypatch.setattr(np.linalg, "lstsq", lapack_fit)
+    code, out, errors = run(tmp_path, command, OK, caplog)
+    assert (code, errors) == (EXIT_OK, [])
+    made = json.loads((out / ("rates.json" if command == "run" else "profile-tails.json"))
+                      .read_text())
+    assert made["profile_tails"]["verdict"] == "pass"
+    if command == "run":
+        assert made["fit_Phi_L2"]["exponent"] < 0.0
+
+
 @pytest.mark.parametrize("command", ["profile", "simulate", "run"])
 def test_each_command_leaves_only_its_own_artifacts(tmp_path, caplog, command):
     assert run(tmp_path, "run", OK, caplog)[0] == EXIT_OK

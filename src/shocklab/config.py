@@ -32,7 +32,6 @@ class GridSpec:
 class StepperSpec:
     t_final: float = 50.0
     dt_out: float = 0.5
-    llf: bool = False
 
 
 @dataclass

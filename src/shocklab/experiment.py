@@ -141,8 +141,7 @@ def build_problem(cfg: ExperimentConfig) -> Problem:
         raise ArgumentError([("perturbation." + name, rule)
                              for name, rule in exc.issues]) from exc
     return Problem(profile=profile, grid=grid, perturbation=perturbation,
-                   t_final=st.t_final, dt_out=st.dt_out, llf=st.llf,
-                   p_list=tuple(cfg.p_list))
+                   t_final=st.t_final, dt_out=st.dt_out, p_list=tuple(cfg.p_list))
 
 
 def _atomic_write(path, writer) -> None:

@@ -1,9 +1,9 @@
 """Method-of-lines evolution of the viscous conservation law on the channel.
 
-Space: conservative central differencing of interface fluxes (optional
-local Lax-Friedrichs dissipation), second-order central Laplacian,
-periodic transversally, Dirichlet in x1: the boundary rows keep their
-initial values and the interior stencil reads them.
+Space: conservative central differencing of interface fluxes, which adds
+no numerical viscosity, and the second-order central Laplacian; periodic
+transversally, Dirichlet in x1: the boundary rows keep their initial values
+and the interior stencil reads them.
 The scheme works in the frame moving with the shock: it folds the shock
 speed into the longitudinal flux, g(u) = f1(u) - s u, which keeps the
 differencing conservative and the background profile stationary.
@@ -78,7 +78,7 @@ WAVE_MAX_ITER = 10
 
 
 def _rhs_values(u: np.ndarray, grid: ChannelGrid, shock: ShockData,
-                flux: FluxSpec, llf: bool) -> np.ndarray:
+                flux: FluxSpec) -> np.ndarray:
     """Semi-discrete right-hand side on raw values; boundary rows are zero."""
     umin, umax = float(u.min()), float(u.max())
     if umin < flux.u_lo or umax > flux.u_hi:
@@ -89,28 +89,16 @@ def _rhs_values(u: np.ndarray, grid: ChannelGrid, shock: ShockData,
     s = shock.speed
     h1 = grid.h1
 
-    # one flux serves every direction, so f and f' are evaluated once
+    # one flux serves every direction, so f is evaluated once
     f = flux.f1(u)
     g_long = f - s * u
     fh = 0.5 * (g_long[:-1] + g_long[1:])
-    if llf:
-        df = flux.df1(u)
-        speeds = np.abs(df)
-        speed_l = np.abs(df[:-1] - s)
-        speed_r = np.abs(df[1:] - s)
-        fh -= 0.5 * np.maximum(speed_l, speed_r) * (u[1:] - u[:-1])
     out = np.zeros_like(u)
     out[1:-1] = (fh[:-1] - fh[1:]) / h1 + (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (h1 * h1)
 
     hp = grid.hprime
     for axis in range(1, u.ndim):
-        if llf:
-            sp = np.maximum(speeds, np.roll(speeds, -1, axis))
-            fh_t = 0.5 * (f + np.roll(f, -1, axis)) \
-                - 0.5 * sp * (np.roll(u, -1, axis) - u)
-            out -= (fh_t - np.roll(fh_t, 1, axis)) / hp
-        else:
-            out -= (np.roll(f, -1, axis) - np.roll(f, 1, axis)) / (2.0 * hp)
+        out -= (np.roll(f, -1, axis) - np.roll(f, 1, axis)) / (2.0 * hp)
         out += (np.roll(u, -1, axis) - 2.0 * u + np.roll(u, 1, axis)) / (hp * hp)
 
     out[0] = 0.0
@@ -123,8 +111,13 @@ def rhs(fld: Field, shock: ShockData, flux: FluxSpec, llf: bool = False) -> np.n
 
     The boundary rows in x1 do not evolve and serve the interior stencil as
     Dirichlet data; transverse directions wrap periodically.
+    The scheme has no Lax-Friedrichs flux.  ``llf`` remains only because
+    ``bench/child.py``'s RHS microbenchmark passes it positionally: it must
+    be false, and True raises ArgumentError.
     """
-    return _rhs_values(fld.values, fld.grid, shock, flux, llf)
+    if llf:
+        raise ArgumentError([("llf", "must be false: the scheme has no Lax-Friedrichs flux")])
+    return _rhs_values(fld.values, fld.grid, shock, flux)
 
 
 def _min_spacing(grid: ChannelGrid) -> float:
@@ -310,14 +303,18 @@ def advance(fld: Field, dt: float, shock: ShockData, flux: FluxSpec,
 
     ``blowup_bounds`` are the (low, high) guard values; when omitted they
     are derived from the input field as ten times its range about its
-    midpoint.
+    midpoint.  ``llf`` remains only because ``bench/child.py`` reads it
+    from the first step's arguments: it must be false, and True raises
+    ArgumentError, as in `rhs`.
     """
+    if llf:
+        raise ArgumentError([("llf", "must be false: the scheme has no Lax-Friedrichs flux")])
     grid = fld.grid
     u = fld.values
     lam, e2m1, q, f1, f2x2, f3 = _etdrk4_coefficients(grid, float(dt))
 
     def spectral_rhs(v):
-        return _to_spectral(_rhs_values(v, grid, shock, flux, llf)[1:-1])
+        return _to_spectral(_rhs_values(v, grid, shock, flux)[1:-1])
 
     def stage(d):
         """F(u + d) - L d for the spectral stage increment d."""
@@ -515,8 +512,7 @@ def _dgtsv(dl: list, d: list, du: list, cols: list) -> list:
     return cols
 
 
-def discrete_wave(grid: ChannelGrid, prof: ShockProfile, a: float,
-                  llf: bool = False) -> np.ndarray:
+def discrete_wave(grid: ChannelGrid, prof: ShockProfile, a: float) -> np.ndarray:
     """Discrete traveling wave U_h of the scheme at phase a.
 
     The shock and its flux are ``prof.shock``.
@@ -550,7 +546,7 @@ def discrete_wave(grid: ChannelGrid, prof: ShockProfile, a: float,
     e_m[m] = 1.0
 
     def residual(v):
-        return _rhs_values(v, grid, shock, shock.flux, llf)[1:-1]
+        return _rhs_values(v, grid, shock, shock.flux)[1:-1]
 
     for _ in range(WAVE_MAX_ITER):
         f = residual(u)
@@ -584,11 +580,11 @@ def discrete_wave(grid: ChannelGrid, prof: ShockProfile, a: float,
 @dataclass(frozen=True, eq=False)
 class Problem:
     """One run of `simulate`: the solved profile of the shock (``.shock``
-    holds the flux), the grid, the initial perturbation on it, outputs
-    every ``dt_out`` up to ``t_final`` with Phi_Lp channels for ``p_list``,
-    and the step's option ``llf``.  The profile must reach 1 + |a| beyond
-    the grid's x1 range, where a is the run's shift (the guard in `_setup`),
-    so that the shifted background stays inside it with a margin of 1.
+    holds the flux), the grid, the initial perturbation on it, and outputs
+    every ``dt_out`` up to ``t_final`` with Phi_Lp channels for ``p_list``.
+    The profile must reach 1 + |a| beyond the grid's x1 range, where a is
+    the run's shift (the guard in `_setup`), so that the shifted background
+    stays inside it with a margin of 1.
     """
 
     profile: ShockProfile
@@ -596,7 +592,6 @@ class Problem:
     perturbation: np.ndarray
     t_final: float
     dt_out: float
-    llf: bool
     p_list: tuple[float, ...]
 
 
@@ -647,8 +642,7 @@ def _setup(problem: Problem) -> tuple[Field, np.ndarray, int, dict]:
     if issues:
         raise ArgumentError(issues)
 
-    u0 = discrete_wave(grid, prof, 0.0, problem.llf).reshape(grid.column) \
-        + problem.perturbation
+    u0 = discrete_wave(grid, prof, 0.0).reshape(grid.column) + problem.perturbation
     fld = Field(grid=grid, values=u0, time=0.0)
     u_profile, _ = eval_profile(prof, grid.x1)
     a = shift_normalize(u0 - u_profile.reshape(grid.column), shock, grid)
@@ -656,7 +650,7 @@ def _setup(problem: Problem) -> tuple[Field, np.ndarray, int, dict]:
     if abs(a) > reach - 1.0:
         raise OutOfRangeError(f"shift {a:g} needs a profile reaching {1.0 + abs(a):g} "
                               f"beyond the grid's x1 range; it reaches {reach:g}")
-    bg = discrete_wave(grid, prof, a, problem.llf)
+    bg = discrete_wave(grid, prof, a)
 
     dt_bound = min(advective_dt(fld, shock.flux, ADVECTIVE_SAFETY, speed=shock.speed),
                    nonzero_mode_dt(fld))
@@ -723,8 +717,7 @@ def _evolve(problem: Problem, fld: Field, bg: np.ndarray, n_sub: int,
     yield out, _record_norms(out.values, bg, grid, p_list, mass0)
     for k_out in range(1, n_out + 1):
         for _ in range(n_sub):
-            fld = advance(fld, dt, shock, shock.flux, llf=problem.llf,
-                          blowup_bounds=guard)
+            fld = advance(fld, dt, shock, shock.flux, blowup_bounds=guard)
         # k * dt_out can overshoot t_final by an ulp; that output is labelled t_final
         t = k_out * problem.dt_out
         if math.isclose(t, problem.t_final, rel_tol=OUTPUT_TIME_REL_TOL):

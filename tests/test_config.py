@@ -73,6 +73,8 @@ def test_ints_become_floats():
     ({"grid": {"nprim": 4}}, "grid.nprim"),
     ({"stepper": {"t_finl": 4.0}}, "stepper.t_finl"),
     ({"seed": 4}, "seed"),
+    # the removed Lax-Friedrichs flux's switch
+    ({"stepper": {"llf": 1}}, "stepper.llf"),
 ])
 def test_unknown_key_is_named(doc, name):
     with pytest.raises(ConfigValidationError) as exc_info:
@@ -87,7 +89,7 @@ def test_unknown_key_is_named(doc, name):
     ({"grid": 5}, "grid"),
     ({"perturbation": None}, "perturbation"),
     ({"u_minus": "1"}, "u_minus"),
-    ({"stepper": {"llf": 1}}, "stepper.llf"),
+    ({"stepper": {"t_final": "2"}}, "stepper.t_final"),
     ({"snapshots": "yes"}, "snapshots"),
     ({"p_list": 2}, "p_list"),
     ({"fit_window": "1,2"}, "fit_window"),

@@ -12,11 +12,11 @@ from shocklab.config import (ExperimentConfig, GridSpec, PerturbationSpec,
 
 
 def make_config(dimension, flux="burgers", kind="random-nonzero-mode",
-                half_length=15.0, n1=128, nprime=8, llf=False, u_states=(1.0, -1.0)):
+                half_length=15.0, n1=128, nprime=8, u_states=(1.0, -1.0)):
     return ExperimentConfig(
         flux=flux, u_minus=u_states[0], u_plus=u_states[1], dimension=dimension,
         grid=GridSpec(half_length=half_length, n1=n1, nprime=nprime),
-        stepper=StepperSpec(t_final=0.5, dt_out=0.125, llf=llf),
+        stepper=StepperSpec(t_final=0.5, dt_out=0.125),
         perturbation=PerturbationSpec(kind=kind, amplitude=0.05, width=2.0, seed=3),
         p_list=[2.0])
 
@@ -26,16 +26,15 @@ CASES = {
     "2d-nonzero-mode": dict(dimension=2),
     "2d-moving-shock": dict(dimension=2, kind="gaussian-bump", half_length=20.0,
                             n1=160, u_states=(2.0, 0.0)),
-    "3d-llf-moving-shock": dict(dimension=3, n1=64, nprime=4, llf=True,
-                                u_states=(2.0, 0.0)),
+    "3d-moving-shock": dict(dimension=3, n1=64, nprime=4, u_states=(2.0, 0.0)),
 }
 
 
-def rk4_advance(fld, dt, shock, flux, llf=False, blowup_bounds=None):
+def rk4_advance(fld, dt, shock, flux, blowup_bounds=None):
     """Classical RK4 on the public right-hand side: the reference stepper."""
 
     def f(v):
-        return sl.rhs(sl.Field(grid=fld.grid, values=v), shock, flux, llf)
+        return sl.rhs(sl.Field(grid=fld.grid, values=v), shock, flux)
 
     u = fld.values
     k1 = f(u)
@@ -169,5 +168,5 @@ class TestZeroStep:
         mid = 0.5 * (shock.u_minus + shock.u_plus)
         vals = mid + 0.3 * rng.standard_normal(grid.shape)
         fld = sl.Field(grid=grid, values=vals)
-        out = sl.advance(fld, 0.0, shock, shock.flux, llf=problem.llf)
+        out = sl.advance(fld, 0.0, shock, shock.flux)
         np.testing.assert_array_equal(out.values, vals)

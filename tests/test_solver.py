@@ -39,6 +39,19 @@ class TestRhs:
         r = sl.rhs(fld, shock_sym, burgers1)
         assert np.all(r == 0.0)
 
+    # the scheme has no Lax-Friedrichs flux; `rhs` and `advance` keep an llf
+    # parameter only for bench/child.py, and a true one is an argument error
+    @pytest.mark.parametrize("call", [
+        lambda fld, shock: sl.rhs(fld, shock, shock.flux, True),
+        lambda fld, shock: sl.advance(fld, 1e-3, shock, shock.flux, llf=True),
+    ], ids=["rhs", "advance"])
+    def test_true_llf_is_an_argument_error(self, shock_sym, call):
+        g = sl.ChannelGrid(dimension=2, half_length=10.0, n1=64, nprime=8)
+        fld = sl.Field(grid=g, values=np.full(g.shape, 0.3))
+        with pytest.raises(ArgumentError) as exc_info:
+            call(fld, shock_sym)
+        assert [arg for arg, _ in exc_info.value.issues] == ["llf"]
+
     def test_steady_profile_residual_second_order(self, burgers1, shock_sym):
         sups = []
         for n1 in (201, 401):
@@ -153,13 +166,12 @@ class TestOneFluxEveryDimension:
         return sl.Field(grid=g, values=vals.copy())
 
     # a static shock has no frame flux s u; a moving one exercises it
-    @pytest.mark.parametrize("llf", [False, True])
     @pytest.mark.parametrize("states", [(1, -1), (2, 0)], ids=["static", "moving"])
     @pytest.mark.parametrize("dimension", [2, 3])
-    def test_rhs_matches_1d_in_every_column(self, dimension, states, llf):
+    def test_rhs_matches_1d_in_every_column(self, dimension, states):
         shock = sl.ShockData(sl.burgers_flux(), *states)
-        r1 = sl.rhs(self.column_field(1), shock, shock.flux, llf)
-        r = sl.rhs(self.column_field(dimension), shock, shock.flux, llf)
+        r1 = sl.rhs(self.column_field(1), shock, shock.flux)
+        r = sl.rhs(self.column_field(dimension), shock, shock.flux)
         np.testing.assert_array_equal(r, np.broadcast_to(
             r1.reshape((r1.size,) + (1,) * (dimension - 1)), r.shape))
 
@@ -211,8 +223,7 @@ def nd_stepping(problem):
     fields, rows = [], []
     for k in range(round(problem.t_final / problem.dt_out) + 1):
         for _ in range(n_sub if k else 0):
-            fld = sl.advance(fld, meta["dt"], shock, shock.flux, llf=problem.llf,
-                             blowup_bounds=guard)
+            fld = sl.advance(fld, meta["dt"], shock, shock.flux, blowup_bounds=guard)
         fields.append(fld.values)
         rows.append(solver._record_norms(fld.values, bg, grid, problem.p_list,
                                          meta["mass_initial"]))
@@ -326,20 +337,6 @@ class TestFrameEquivalence:
         assert diff < 5e-3
 
 
-class TestMaximumPrinciple:
-    def test_llf_run_stays_in_initial_range(self):
-        cfg = make_config(
-            stepper=StepperSpec(t_final=1.0, dt_out=0.25, llf=True),
-            perturbation=PerturbationSpec(kind="odd-bump", amplitude=0.05,
-                                          width=2.0, seed=9))
-        fields = [fld for fld, _ in sl.simulate(sl.build_problem(cfg))[1]]
-        u0 = fields[0].values
-        lo, hi = u0.min(), u0.max()
-        for fld in fields[1:]:
-            assert fld.values.min() >= lo - 1e-8
-            assert fld.values.max() <= hi + 1e-8
-
-
 class TestRefinement:
     def test_final_norms_second_order(self):
         vals = []
@@ -354,19 +351,19 @@ class TestRefinement:
 
 
 class TestDiscreteWave:
-    @pytest.mark.parametrize("flux_name,states,llf,a", [
-        ("burgers", (1.0, -1.0), False, 0.0),
-        ("burgers", (2.0, 0.0), True, 0.3),
-        ("convex-quartic", (1.0, -1.0), False, -0.2),
+    @pytest.mark.parametrize("flux_name,states,a", [
+        ("burgers", (1.0, -1.0), 0.0),
+        ("burgers", (2.0, 0.0), 0.3),
+        ("convex-quartic", (1.0, -1.0), -0.2),
     ])
-    def test_steady_state_with_phase_condition(self, flux_name, states, llf, a):
+    def test_steady_state_with_phase_condition(self, flux_name, states, a):
         flux = (sl.burgers_flux() if flux_name == "burgers"
                 else sl.convex_quartic_flux())
         shock = sl.ShockData(flux, *states)
         g = sl.ChannelGrid(dimension=1, half_length=30.0, n1=512)
         prof = sl.solve_profile(shock, 34.0, 1e-3)
-        u = sl.discrete_wave(g, prof, a, llf)
-        resid = sl.rhs(sl.Field(grid=g, values=u), shock, flux, llf)
+        u = sl.discrete_wave(g, prof, a)
+        resid = sl.rhs(sl.Field(grid=g, values=u), shock, flux)
         cont, dcont = sl.eval_profile(prof, g.x1 + a)
         # round-off on every row but the phase row, which keeps the flux
         # imbalance of the boundary rows against the wave's tails
@@ -754,13 +751,13 @@ class TestDgtsvMatchesScipy:
             return port(dl, d, du, cols)
 
         monkeypatch.setattr(sl.solver, "_dgtsv", recorded)
-        for flux, states, llf in [(sl.burgers_flux(), (1.0, -1.0), False),
-                                  (sl.burgers_flux(), (2.0, 0.0), True),
-                                  (sl.convex_quartic_flux(), (1.0, -1.0), False)]:
+        for flux, states in [(sl.burgers_flux(), (1.0, -1.0)),
+                             (sl.burgers_flux(), (2.0, 0.0)),
+                             (sl.convex_quartic_flux(), (1.0, -1.0))]:
             shock = sl.ShockData(flux, *states)
             prof = sl.solve_profile(shock, 34.0, 1e-3)
             sl.discrete_wave(sl.ChannelGrid(dimension=1, half_length=30.0, n1=512),
-                             prof, 0.3, llf)
+                             prof, 0.3)
         monkeypatch.undo()
         assert len(systems) >= 6
         for dl, d, du, b in systems:

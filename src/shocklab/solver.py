@@ -89,17 +89,40 @@ def _rhs_values(u: np.ndarray, grid: ChannelGrid, shock: ShockData,
     s = shock.speed
     h1 = grid.h1
 
-    # one flux serves every direction, so f is evaluated once
+    # One flux serves every direction, so f is evaluated once.  Each
+    # temporary is freed at its last use, and results go into buffers that
+    # already exist; every operation and operand order is that of the plain
+    # stencil (fh[:-1] - fh[1:]) / h1 + (u[2:] - 2 u[1:-1] + u[:-2]) / h1^2,
+    # then per torus axis - (f[+1] - f[-1]) / (2 h') + (u[+1] - 2 u + u[-1]) / h'^2.
     f = flux.f1(u)
-    g_long = f - s * u
-    fh = 0.5 * (g_long[:-1] + g_long[1:])
+    g = s * u
+    np.subtract(f, g, out=g)
+    fh = np.add(g[:-1], g[1:])
+    np.multiply(0.5, fh, out=fh)
     out = np.zeros_like(u)
-    out[1:-1] = (fh[:-1] - fh[1:]) / h1 + (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (h1 * h1)
+    diff = np.subtract(fh[:-1], fh[1:], out=out[1:-1])
+    del fh
+    diff /= h1
+    lap = np.multiply(2.0, u[1:-1], out=g[1:-1])
+    np.subtract(u[2:], lap, out=lap)
+    lap += u[:-2]
+    lap /= h1 * h1
+    diff += lap
+    del g, lap
 
     hp = grid.hprime
     for axis in range(1, u.ndim):
-        out -= (np.roll(f, -1, axis) - np.roll(f, 1, axis)) / (2.0 * hp)
-        out += (np.roll(u, -1, axis) - 2.0 * u + np.roll(u, 1, axis)) / (hp * hp)
+        diff = np.roll(f, -1, axis)
+        np.subtract(diff, np.roll(f, 1, axis), out=diff)
+        diff /= 2.0 * hp
+        out -= diff
+        lap = np.roll(u, -1, axis)
+        np.subtract(lap, np.multiply(2.0, u, out=diff), out=lap)
+        del diff
+        lap += np.roll(u, 1, axis)
+        lap /= hp * hp
+        out += lap
+        del lap
 
     out[0] = 0.0
     out[-1] = 0.0
@@ -206,6 +229,14 @@ def _etdrk4_coefficients(grid: ChannelGrid, dt: float) -> tuple[np.ndarray, ...]
     """
     lam = _laplacian_symbol(grid)
     z = lam * dt
+    # Do not block or reorder these expressions: their bits depend on the
+    # array size.  From 256 KiB of complex values (nonzero-3d's 20,400
+    # entries) numpy evaluates ``er * (...)`` in place as ``(...) * er``, and
+    # its complex multiply is not commutative to the bit (a * b != b * a in
+    # about a third of random entries, x86-64, numpy 2.4).  In blocks of 32
+    # x1 rows f1, f2 and f3 differ from the whole-array values in 3547, 1073
+    # and 980 of those entries; writing ``np.multiply(tmp, er)`` makes blocks
+    # agree on that grid but changes the bits of every grid below 256 KiB.
     q, f1, f2, f3 = (np.zeros_like(z) for _ in range(4))
     for k in range(CONTOUR_POINTS):
         r = z + np.exp(1j * np.pi * (k + 0.5) / CONTOUR_POINTS)
@@ -241,7 +272,9 @@ def _dst1(v: np.ndarray, scale: float) -> np.ndarray:
     ext[0] = ext[n + 1] = 0.0
     ext[1:n + 1] = v
     np.negative(v[::-1], out=ext[n + 2:])
-    return np.multiply(np.fft.rfft(ext, axis=0).imag[1:n + 1], -scale)
+    spec = np.fft.rfft(ext, axis=0)
+    del ext
+    return np.multiply(spec.imag[1:n + 1], -scale)
 
 
 def _to_spectral(v: np.ndarray) -> np.ndarray:
@@ -257,7 +290,8 @@ def _to_spectral(v: np.ndarray) -> np.ndarray:
     c = np.fft.rfft(c, axis=-1)
     if v.ndim == 2:
         return c
-    return np.fft.fft(np.ascontiguousarray(c.swapaxes(1, 2)), axis=-1)
+    c = np.ascontiguousarray(c.swapaxes(1, 2))
+    return np.fft.fft(c, axis=-1)
 
 
 def _from_spectral(c: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -301,6 +335,13 @@ def advance(fld: Field, dt: float, shock: ShockData, flux: FluxSpec,
     by `advective_dt` and, for data with a non-zero mode, by
     `nonzero_mode_dt`.  A zero step returns the input values unchanged.
 
+    The step keeps no workspace: no stage buffer outlives its stage, each
+    array is freed at its last use, and products go into buffers already
+    dead, so a 512 x 8 x 8 step peaks at ~70 B of arrays per cell.  The
+    operand order of each product is fixed as written: numpy's complex
+    multiply is not commutative to the bit (see `_etdrk4_coefficients`), so
+    reordering a product may change the step's bits.
+
     ``blowup_bounds`` are the (low, high) guard values; when omitted they
     are derived from the input field as ten times its range about its
     midpoint.  ``llf`` remains only because ``bench/child.py`` reads it
@@ -313,36 +354,45 @@ def advance(fld: Field, dt: float, shock: ShockData, flux: FluxSpec,
     u = fld.values
     lam, e2m1, q, f1, f2x2, f3 = _etdrk4_coefficients(grid, float(dt))
 
-    def spectral_rhs(v):
-        return _to_spectral(_rhs_values(v, grid, shock, flux)[1:-1])
+    def u_plus(d):
+        """u plus the inverse transform of the spectral increment d, which is
+        formed before the copy of u is made."""
+        inc = _from_spectral(d, u[1:-1].shape)
+        v = u.copy()
+        v[1:-1] += inc
+        return v
 
     def stage(d):
         """F(u + d) - L d for the spectral stage increment d."""
-        v = u.copy()
-        v[1:-1] += _from_spectral(d, v[1:-1].shape)
-        t = spectral_rhs(v)
-        t -= np.multiply(lam, d, out=work)
+        v = u_plus(d)
+        r = _rhs_values(v, grid, shock, flux)
+        del v
+        t = _to_spectral(r[1:-1])
+        del r
+        t -= lam * d
         return t
 
     # With t_a, t_b, t_c the stage values of F(u + d) - L d, the weights
     # read db = Q t_a, dc = (E2 - 1) da + 2 Q t_b (as Q F(u) = da) and
     # u += f1 F(u) + 2 f2 (t_a + t_b) + f3 t_c; the sum builds up in acc.
-    acc = spectral_rhs(u)
-    work = np.empty_like(acc)
+    acc = _to_spectral(_rhs_values(u, grid, shock, flux)[1:-1])
     da = q * acc
     acc *= f1
     t = stage(da)
-    acc += np.multiply(f2x2, t, out=work)
-    t = stage(q * t)
-    acc += np.multiply(f2x2, t, out=work)
+    acc += f2x2 * t
+    # db = Q t_a in t_a's buffer, dead once its term is in acc
+    t = stage(np.multiply(q, t, out=t))
+    acc += f2x2 * t
     t *= q
     t *= 2.0
     da *= e2m1
     da += t
+    del t
     t = stage(da)
-    acc += np.multiply(f3, t, out=work)
-    un = u.copy()
-    un[1:-1] += _from_spectral(acc, un[1:-1].shape)
+    del da
+    acc += f3 * t
+    del t
+    un = u_plus(acc)
 
     lo, hi = _blowup_guard(u) if blowup_bounds is None else blowup_bounds
     if float(un.min()) < lo or float(un.max()) > hi:

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -708,6 +709,68 @@ class TestTransformsMatchScipy:
         ref = idst(ref, type=1, axis=0)
         assert same_bits(sl.solver._from_spectral(c, shape), ref)
         assert same_bits(c, kept)
+
+
+def plain_stencil(u, grid, speed, f1):
+    """The right-hand side as one expression per term: the reference whose
+    bits `_rhs_values`, which reuses its buffers, must keep."""
+    f = f1(u)
+    g_long = f - speed * u
+    fh = 0.5 * (g_long[:-1] + g_long[1:])
+    out = np.zeros_like(u)
+    h1, hp = grid.h1, grid.hprime
+    out[1:-1] = (fh[:-1] - fh[1:]) / h1 + (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (h1 * h1)
+    for axis in range(1, u.ndim):
+        out -= (np.roll(f, -1, axis) - np.roll(f, 1, axis)) / (2.0 * hp)
+        out += (np.roll(u, -1, axis) - 2.0 * u + np.roll(u, 1, axis)) / (hp * hp)
+    out[0] = 0.0
+    out[-1] = 0.0
+    return out
+
+
+class TestRhsMatchesPlainStencil:
+    # numpy evaluates an expression's temporaries in place from 256 KiB on:
+    # a 512 x 8 x 8 field is exactly that size, its interior rows below it
+    @pytest.mark.parametrize("dimension,n1,nprime", [(3, 512, 8), (1, 1024, 1)],
+                             ids=["512x8x8", "1024"])
+    @pytest.mark.parametrize("flux", [sl.burgers_flux(), sl.convex_quartic_flux()],
+                             ids=["burgers", "quartic"])
+    def test_same_bits(self, dimension, n1, nprime, flux):
+        g = sl.ChannelGrid(dimension=dimension, half_length=30.0, n1=n1, nprime=nprime)
+        shock = sl.ShockData(flux, 2.0, 0.0)
+        u = 1.0 + np.random.default_rng(n1).uniform(-1.0, 1.0, g.shape)
+        ref = plain_stencil(u, g, shock.speed, flux.f1)
+        assert same_bits(sl.rhs(sl.Field(grid=g, values=u), shock, flux), ref)
+
+
+class TestStepWorkingSet:
+    def test_one_step_peak_per_cell(self):
+        """One nonzero-3d step allocates at most 95 B of arrays per cell at
+        its peak: ~70 when each temporary is freed at its last use, ~114
+        with a work buffer kept for the step and each expression's
+        temporaries held to its end."""
+        cfg = config_from_dict({
+            "flux": "burgers", "u_minus": 1, "u_plus": -1, "dimension": 3,
+            "grid": {"half_length": 30, "n1": 512, "nprime": 8},
+            "stepper": {"t_final": 0.7, "dt_out": 0.0125},
+            "perturbation": {"kind": "random-nonzero-mode", "amplitude": 0.01, "seed": 3},
+            "p_list": [2]})
+        problem = sl.build_problem(cfg)
+        fld, _, _, meta = sl.solver._setup(problem)
+        shock = problem.profile.shock
+        # the first step caches the ETDRK4 coefficients, which are not counted
+        sl.advance(fld, meta["dt"], shock, shock.flux)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            sl.advance(fld, meta["dt"], shock, shock.flux)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert (peak - base) / fld.values.size <= 95.0
 
 
 def banded(dl, d, du):

@@ -137,23 +137,31 @@ def _weights(arr: np.ndarray, grid: ChannelGrid) -> np.ndarray:
 def lp_norm(arr: np.ndarray, p, grid: ChannelGrid) -> float:
     """L^p norm by trapezoid-in-x1, uniform-in-x' quadrature; p=inf is max|.|.
 
-    ``arr`` is grid-shaped or a 1-d x1 slice.  The sum of |arr|^p is taken
-    directly; only when it underflows to zero or a subnormal, or overflows,
-    while max|arr| is positive and finite, is the norm recomputed as
-    max|arr| times the norm of arr / max|arr|.
+    ``arr`` is grid-shaped or a 1-d x1 slice, and is not written to.  The
+    sum of |arr|^p is taken directly; only when it underflows to zero or a
+    subnormal, or overflows, while max|arr| is positive and finite, is the
+    norm recomputed as max|arr| times the norm of arr / max|arr|.  The power
+    and the weight product are formed in the |arr| buffer, freed once summed,
+    in the operand order of the plain ``np.sum(w * np.abs(arr) ** p)``: one
+    field-size array is live at a time, and the bits are the expression's.
     """
     if not p >= 1.0:
         raise BadExponentError(f"need p >= 1, got {p}")
     w = _weights(arr, grid)
-    mag = np.abs(arr)
+    mag = np.abs(arr, dtype=float)
     if np.isinf(p):
         return float(np.max(mag))
     with np.errstate(over="ignore"):
-        total = np.sum(w * mag ** p)
+        mag **= p
+        total = np.sum(np.multiply(w, mag, out=mag))
+    del mag
     if not _TINY <= total < np.inf:
+        mag = np.abs(arr, dtype=float)
         peak = np.max(mag)
         if 0.0 < peak < np.inf:
-            return float(peak * np.sum(w * (mag / peak) ** p) ** (1.0 / p))
+            mag /= peak
+            mag **= p
+            return float(peak * np.sum(np.multiply(w, mag, out=mag)) ** (1.0 / p))
     return float(total ** (1.0 / p))
 
 
@@ -166,15 +174,22 @@ def gradient(arr: np.ndarray, grid: ChannelGrid) -> list[np.ndarray]:
     """Central-difference gradient components, one array per axis of ``arr``.
 
     One-sided differences at the x1 boundaries, periodic wrap transversally.
+    ``arr`` is not written to.  Each difference is formed and divided in its
+    component's own buffer, and the +1 roll is freed at its last use, in the
+    operand order of the plain ``(arr[2:] - arr[:-2]) / (2 h1)`` and
+    ``(roll(-1) - roll(+1)) / (2 h')``, whose bits they keep.
     """
-    out = []
     d1 = np.empty_like(arr)
-    d1[1:-1] = (arr[2:] - arr[:-2]) / (2.0 * grid.h1)
+    np.subtract(arr[2:], arr[:-2], out=d1[1:-1])
+    d1[1:-1] /= 2.0 * grid.h1
     d1[0] = (arr[1] - arr[0]) / grid.h1
     d1[-1] = (arr[-1] - arr[-2]) / grid.h1
-    out.append(d1)
+    out = [d1]
     for axis in range(1, arr.ndim):
-        out.append((np.roll(arr, -1, axis) - np.roll(arr, 1, axis)) / (2.0 * grid.hprime))
+        d = np.roll(arr, -1, axis)
+        d -= np.roll(arr, 1, axis)
+        d /= 2.0 * grid.hprime
+        out.append(d)
     return out
 
 

@@ -54,7 +54,7 @@ from .errors import (ArgumentError, BlowupError, BoundaryLeakError, MassDriftErr
                      OutOfRangeError, RangeExceededError, WaveNotConvergedError)
 from .flux import FluxSpec, ShockData
 from .grid import DIMENSIONS, ChannelGrid, Field, gradient, integrate, lp_norm
-from .modes import antiderivative, nonzero_mode, shift_normalize, zero_mode
+from .modes import antiderivative, shift_normalize, zero_mode
 from .profile import ShockProfile, eval_profile
 
 # Guard against division by a vanishing advective speed in the CFL bound.
@@ -491,25 +491,43 @@ def build_perturbation(grid: ChannelGrid, kind: str, amplitude: float, width: fl
 
 def _record_norms(u: np.ndarray, bg: np.ndarray, grid: ChannelGrid,
                   p_list, mass0: float) -> dict:
-    """All per-output diagnostics of the perturbation u - background."""
+    """All per-output diagnostics of the perturbation phi = u - background.
+
+    ``u`` is not written to.  phi's own norms are taken first; its buffer
+    then holds the non-zero mode phi - zm, from the zero mode zm already
+    taken, and the squared gradient components of the non-zero mode are
+    summed into the first of them.  Each field-size temporary is freed at
+    its last use, and every operation keeps the operand order of the plain
+    expressions ``phi - zm``, ``sum(c * c for c in gradient(nz))`` and
+    ``np.sqrt(...)``, so the record's bits are theirs.
+    """
     phi = u - bg.reshape(grid.column)
     zm = zero_mode(phi)
-    nz = nonzero_mode(phi)
+    pert_l2, pert_linf = lp_norm(phi, 2.0, grid), lp_norm(phi, np.inf, grid)
+    mass_drift = abs(integrate(phi, grid) - mass0)
+    leak = float(max(np.max(np.abs(phi[:2])), np.max(np.abs(phi[-2:]))))
+    nz = phi
+    del phi
+    nz -= zm.reshape(grid.column)
     anti = antiderivative(zm, grid)
-    dzm = gradient(zm, grid)[0]
 
     out = {
-        "pert_L2": lp_norm(phi, 2.0, grid),
-        "pert_Linf": lp_norm(phi, np.inf, grid),
+        "pert_L2": pert_l2,
+        "pert_Linf": pert_linf,
         "zmode_L2": lp_norm(zm, 2.0, grid),
         "zmode_Linf": float(np.max(np.abs(zm))),
-        "dzmode_L2": lp_norm(dzm, 2.0, grid),
+        "dzmode_L2": lp_norm(gradient(zm, grid)[0], 2.0, grid),
         "nzmode_L2": lp_norm(nz, 2.0, grid),
         "nzmode_Linf": lp_norm(nz, np.inf, grid),
-        "mass_drift": abs(integrate(phi, grid) - mass0),
-        "boundary_leak": float(max(np.max(np.abs(phi[:2])), np.max(np.abs(phi[-2:])))),
+        "mass_drift": mass_drift,
+        "boundary_leak": leak,
     }
-    grad_nz = np.sqrt(sum(c * c for c in gradient(nz, grid)))
+    grad = gradient(nz, grid)
+    grad_nz = np.multiply(grad[0], grad[0], out=grad[0])
+    for k in range(1, len(grad)):
+        grad_nz += np.multiply(grad[k], grad[k], out=grad[k])
+    del grad
+    np.sqrt(grad_nz, out=grad_nz)
     for p in p_list:
         out[f"Phi_L{p:g}"] = lp_norm(anti, float(p), grid)
         out[f"nzmode_W1L{p:g}"] = (lp_norm(nz, float(p), grid)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -55,3 +57,52 @@ def closed_form_sym(xi):
     """Exact (1, -1) Burgers profile and slope."""
     xi = np.asarray(xi, dtype=float)
     return -np.tanh(xi / 2.0), -0.5 / np.cosh(xi / 2.0) ** 2
+
+
+def peak_bytes_per_cell(call, cells: int) -> float:
+    """The `tracemalloc` peak of the arrays one ``call()`` allocates, above
+    what was allocated before it, per cell of a field of ``cells`` values."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return (peak - base) / cells
+
+
+def same_bits(a, b):
+    """Whether two arrays hold the same values bit for bit, signs of zero
+    included."""
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
+
+
+def plain_lp_norm(arr, p, grid):
+    """`lp_norm` with each sum one expression: the bits its in-place form keeps."""
+    w = grid.weights if arr.shape == grid.shape else grid.w1
+    mag = np.abs(arr)
+    if np.isinf(p):
+        return float(np.max(mag))
+    with np.errstate(over="ignore"):
+        total = np.sum(w * mag ** p)
+    if not np.finfo(float).tiny <= total < np.inf:
+        peak = np.max(mag)
+        if 0.0 < peak < np.inf:
+            return float(peak * np.sum(w * (mag / peak) ** p) ** (1.0 / p))
+    return float(total ** (1.0 / p))
+
+
+def plain_gradient(arr, grid):
+    """`gradient` with each component one expression: the bits its in-place
+    form keeps."""
+    d1 = np.empty_like(arr)
+    d1[1:-1] = (arr[2:] - arr[:-2]) / (2.0 * grid.h1)
+    d1[0] = (arr[1] - arr[0]) / grid.h1
+    d1[-1] = (arr[-1] - arr[-2]) / grid.h1
+    return [d1] + [(np.roll(arr, -1, axis) - np.roll(arr, 1, axis)) / (2.0 * grid.hprime)
+                   for axis in range(1, arr.ndim)]

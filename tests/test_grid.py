@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import shocklab as sl
 from shocklab.errors import ArgumentError, BadExponentError
+from conftest import plain_gradient, plain_lp_norm, same_bits
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +158,71 @@ class TestGradient:
             errs.append(np.max(np.abs(d1 - 1.0 / np.cosh(g.x1) ** 2)[1:-1]))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
 
+
+# one grid per dimension; N' = 12 makes the transverse division inexact
+IN_PLACE_GRIDS = {"1024": (1, 1024, 1), "1024x16": (2, 1024, 16),
+                  "64x12": (2, 64, 12), "512x8x8": (3, 512, 8)}
+
+
+def in_place_case(name):
+    """A grid of IN_PLACE_GRIDS and a random field on it."""
+    dimension, n1, nprime = IN_PLACE_GRIDS[name]
+    g = sl.ChannelGrid(dimension=dimension, half_length=30.0, n1=n1, nprime=nprime)
+    return g, np.random.default_rng(n1 + nprime).standard_normal(g.shape)
+
+
+class TestInPlaceMatchesPlain:
+    """`lp_norm` and `gradient` form their temporaries in buffers they own;
+    they keep the bits of the plain expressions and leave their input as it was."""
+
+    @pytest.mark.parametrize("name", IN_PLACE_GRIDS)
+    def test_gradient_same_bits(self, name):
+        g, v = in_place_case(name)
+        kept = v.copy()
+        got, ref = sl.gradient(v, g), plain_gradient(v, g)
+        assert len(got) == len(ref) == g.dimension
+        assert all(same_bits(a, b) for a, b in zip(got, ref))
+        assert same_bits(v, kept)
+
+    @pytest.mark.parametrize("name", IN_PLACE_GRIDS)
+    def test_lp_norm_same_bits(self, name):
+        g, v = in_place_case(name)
+        kept = v.copy()
+        for p in (1.0, 2.0, 3.5, 8.0, np.inf):
+            assert sl.lp_norm(v, p, g).hex() == plain_lp_norm(v, p, g).hex(), p
+        assert same_bits(v, kept)
+
+    # the 8th root rounds most one-ulp changes of the sum away; multiplying
+    # by 1 / peak in place of dividing by it changes the norm of the positive
+    # data's underflowing sum and of the signed data's overflowing one
+    @pytest.mark.parametrize("shape", [lambda v: v, np.exp], ids=["signed", "positive"])
+    @pytest.mark.parametrize("scale", [1e-200, 1e200], ids=["underflow", "overflow"])
+    def test_rescaled_fallback_same_bits(self, scale, shape):
+        g, v = in_place_case("1024x16")
+        v = scale * shape(v)
+        with np.errstate(over="ignore"):
+            assert not 0.0 < np.sum(g.weights * np.abs(v) ** 8.0) < np.inf
+        kept = v.copy()
+        got = sl.lp_norm(v, 8.0, g)
+        assert 0.0 < got < np.inf
+        assert got.hex() == plain_lp_norm(v, 8.0, g).hex()
+        assert same_bits(v, kept)
+
+    def test_read_only_broadcasts(self):
+        g, v = in_place_case("1024x16")
+        b = np.broadcast_to(v[:, :1], g.shape)
+        assert not b.flags.writeable
+        for p in (2.0, 8.0, np.inf):
+            assert sl.lp_norm(b, p, g).hex() == plain_lp_norm(b, p, g).hex(), p
+        assert all(same_bits(a, r) for a, r in zip(sl.gradient(b, g), plain_gradient(b, g)))
+
+
+    def test_integer_input(self):
+        # |arr| is taken as floats, as the plain expression's power makes it
+        g = sl.ChannelGrid(dimension=1, half_length=10.0, n1=64)
+        v = np.arange(-32, 32)
+        for p in (2.0, 2.5, np.inf):
+            assert sl.lp_norm(v, p, g).hex() == plain_lp_norm(v, p, g).hex(), p
 
 class TestFieldIO:
     def test_text_roundtrip(self, tmp_path, small_plane):

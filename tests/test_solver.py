@@ -3,7 +3,6 @@
 import csv
 import json
 import math
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +16,8 @@ from shocklab.config import (ExperimentConfig, GridSpec, PerturbationSpec,
                              StepperSpec, config_from_dict)
 from shocklab.errors import (ArgumentError, BlowupError, BoundaryLeakError,
                              OutOfRangeError, RangeExceededError, WaveNotConvergedError)
-from conftest import closed_form_sym
+from conftest import (closed_form_sym, peak_bytes_per_cell, plain_gradient,
+                      plain_lp_norm, same_bits)
 
 
 def make_config(**over):
@@ -663,13 +663,6 @@ class TestStream:
             assert [float(r[name]) for r in table] == list(values), name
 
 
-def same_bits(a, b):
-    """Whether two arrays hold the same values bit for bit, signs of zero
-    included."""
-    return (a.shape == b.shape and a.dtype == b.dtype
-            and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
-
-
 # interior shapes: the odd extensions 2(n + 1) = 126 = 2 3^2 7, 1022 = 2 7 73,
 # 2046 = 2 3 11 31 and 5462 = 2 2731 take different pocketfft plans, and
 # 1/5462 rounded once differs from pocketfft's factor, rounded from long
@@ -760,17 +753,84 @@ class TestStepWorkingSet:
         shock = problem.profile.shock
         # the first step caches the ETDRK4 coefficients, which are not counted
         sl.advance(fld, meta["dt"], shock, shock.flux)
-        tracing = tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            base, _ = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            sl.advance(fld, meta["dt"], shock, shock.flux)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            if not tracing:
-                tracemalloc.stop()
-        assert (peak - base) / fld.values.size <= 95.0
+        peak = peak_bytes_per_cell(lambda: sl.advance(fld, meta["dt"], shock, shock.flux),
+                                   fld.values.size)
+        assert peak <= 95.0
+
+
+def plain_record_norms(u, bg, grid, p_list, mass0):
+    """`_record_norms` as plain expressions, each temporary held to the end
+    of its expression: the bits the in-place form keeps."""
+    phi = u - bg.reshape(grid.column)
+    zm = sl.zero_mode(phi)
+    nz = sl.nonzero_mode(phi)
+    anti = sl.antiderivative(zm, grid)
+    dzm = plain_gradient(zm, grid)[0]
+    out = {
+        "pert_L2": plain_lp_norm(phi, 2.0, grid),
+        "pert_Linf": plain_lp_norm(phi, np.inf, grid),
+        "zmode_L2": plain_lp_norm(zm, 2.0, grid),
+        "zmode_Linf": float(np.max(np.abs(zm))),
+        "dzmode_L2": plain_lp_norm(dzm, 2.0, grid),
+        "nzmode_L2": plain_lp_norm(nz, 2.0, grid),
+        "nzmode_Linf": plain_lp_norm(nz, np.inf, grid),
+        "mass_drift": abs(sl.integrate(phi, grid) - mass0),
+        "boundary_leak": float(max(np.max(np.abs(phi[:2])), np.max(np.abs(phi[-2:])))),
+    }
+    grad_nz = np.sqrt(sum(c * c for c in plain_gradient(nz, grid)))
+    for p in p_list:
+        out[f"Phi_L{p:g}"] = plain_lp_norm(anti, float(p), grid)
+        out[f"nzmode_W1L{p:g}"] = (plain_lp_norm(nz, float(p), grid)
+                                   + plain_lp_norm(grad_nz, float(p), grid))
+    return out
+
+
+# a 1-d field; decay-2d's read-only broadcast of its x1 column; a 3-d field
+# whose arrays are exactly numpy's 256 KiB temporary-elision size
+RECORD_SHAPES = {"1024": (1024,), "1024x16-broadcast": (1024, 16), "512x8x8": (512, 8, 8)}
+RECORD_P_LIST = (2, 4, 6)
+RECORD_MASS0 = 0.01
+
+
+def record_inputs(name):
+    """(u, background, grid) of a perturbed (1, -1) Burgers shock layer."""
+    shape = RECORD_SHAPES[name]
+    g = sl.ChannelGrid(dimension=len(shape), half_length=30.0, n1=shape[0],
+                       nprime=shape[1] if len(shape) > 1 else 1)
+    bg, _ = closed_form_sym(g.x1)
+    bump = (0.01 * np.exp(-g.x1 ** 2 / 4.0)).reshape(g.column)
+    if name.endswith("broadcast"):
+        u = np.broadcast_to(bg.reshape(g.column) + bump, g.shape)
+    else:
+        noise = np.random.default_rng(shape[0]).uniform(-0.5, 0.5, g.shape)
+        u = bg.reshape(g.column) + bump * (1.0 + noise)
+    return u, bg, g
+
+
+class TestRecordNorms:
+    @pytest.mark.parametrize("name", RECORD_SHAPES)
+    def test_same_bits_as_plain_expressions(self, name):
+        u, bg, g = record_inputs(name)
+        kept = u.copy()
+        got = sl.solver._record_norms(u, bg, g, RECORD_P_LIST, RECORD_MASS0)
+        ref = plain_record_norms(u, bg, g, RECORD_P_LIST, RECORD_MASS0)
+        assert list(got) == list(ref)
+        assert [v.hex() for v in got.values()] == [v.hex() for v in ref.values()]
+        assert same_bits(u, kept)
+
+    @pytest.mark.parametrize("name,bound", [("1024x16-broadcast", 40.0), ("512x8x8", 45.0)])
+    def test_peak_per_cell(self, name, bound):
+        """One record allocates ~34 B of arrays per cell at 1024 x 16 and
+        ~41 at 512 x 8 x 8 when each temporary is freed at its last use;
+        ~57 at both with every expression's temporaries held to its end."""
+        u, bg, g = record_inputs(name)
+
+        def record():
+            sl.solver._record_norms(u, bg, g, RECORD_P_LIST, RECORD_MASS0)
+
+        # the first call caches the grid's x1 and weights, which are not counted
+        record()
+        assert peak_bytes_per_cell(record, u.size) <= bound
 
 
 def banded(dl, d, du):
